@@ -17,6 +17,13 @@ Operations come in two flavors throughout:
   slot 2's spin for the detector).  They are deliberately available, and
   deliberately not exchange symmetric, so the simulator can quantify what
   goes wrong when they are used on indistinguishable particles.
+
+After preparation every operation is diagonal in the positions: a
+:class:`PairBlocks` of position-pair masks with 8x8 maps on ``(s1, s2, q)``,
+validated once when built.  The pipeline applies it to the ``(n*n, 8)``
+amplitude tensor in CSR mat-vec order (output ``i`` sums ``m[i, j] * x_j``
+from zero over the nonzero ``j`` ascending), so amplitudes are bit-identical
+to the sparse matrix that ``kick_operator`` and friends materialize.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,23 +43,19 @@ from .composite import (
     Statistics,
     antisymmetry_violation,
     evolve_positions,
-    lift_one_particle,
     position_occupancy,
     prepare_initial,
-    site_basis_tag,
 )
 from .lattice import (
-    Lattice1D,
+    UNITARITY_ATOL,
     Region,
     SpacelikeCertificate,
     check_spacelike,
     make_lattice,
     propagator,
-    region_projector,
     wavepacket,
 )
 from .qcore import (
-    DENSE_DIM_LIMIT,
     PAULI_X,
     SPIN_IDENTITY,
     SPIN_TAG,
@@ -61,12 +64,14 @@ from .qcore import (
     StateVector,
     apply,
     luders_measure,
+    luders_update,
     tensor_product,
 )
 
 QUBIT_TAG = "qubit"
 TWO_SPIN_TAG = f"{SPIN_TAG}*{SPIN_TAG}"
 SPIN_QUBIT_TAG = f"{SPIN_TAG}*{QUBIT_TAG}"
+SPINS_QUBIT_TAG = f"{TWO_SPIN_TAG}*{QUBIT_TAG}"
 
 KICK_MODES = ("off", "position", "label1")
 JOINT_MODES = ("none", "global_bell", "localized_bell")
@@ -213,60 +218,17 @@ def detector_coupling() -> LinearOperator:
     return LinearOperator(mat, SPIN_QUBIT_TAG)
 
 
-def _site_projector(n: int, region: Region) -> LinearOperator:
-    if region.hi > n:
-        raise ValueError(f"region [{region.lo}, {region.hi}) exceeds the {n}-site lattice")
-    diag = np.zeros(n, dtype=np.complex128)
-    diag[region.lo:region.hi] = 1.0
-    return LinearOperator(np.diag(diag), site_basis_tag(n))
-
-
-def _finalize_storage(mat: sp.csr_array, space: CompositeSpace) -> LinearOperator:
-    if space.dim <= DENSE_DIM_LIMIT:
-        return LinearOperator(mat.toarray(), space.basis_tag)
-    return LinearOperator(mat, space.basis_tag)
-
-
-def _controlled_flip(n: int, region: Region) -> LinearOperator:
-    """(position, spin) operator: flip the spin iff the position is in ``region``."""
-    proj = _site_projector(n, region)
-    rest = LinearOperator(np.diag(1.0 - np.diag(proj.to_dense())), proj.basis_tag)
-    return tensor_product(proj, PAULI_X) + tensor_product(rest, SPIN_IDENTITY)
-
-
-def kick_operator(space: CompositeSpace, o1: Region, mode: str) -> LinearOperator:
-    """Spin-flip operation localized in O1.
-
-    ``position`` mode flips the spin of whichever particle occupies O1
-    (both, if both do); it is a unitary, exchange-symmetric operator.
-    ``label1`` mode flips the spin of particle slot 1 only (conditioned on
-    that slot's position being in O1) and is not exchange symmetric.
-    """
-    if mode not in ("position", "label1"):
-        raise ValueError(f"kick mode must be position or label1, got {mode!r}")
-    flip = _controlled_flip(space.n_sites, o1)
-    c1 = lift_one_particle(space, flip, 1, "both")
-    if mode == "label1":
-        return c1
-    c2 = lift_one_particle(space, flip, 2, "both")
-    return c1 @ c2
+def _spin_flip_8(*slots: int) -> np.ndarray:
+    """Pauli X on the spins of the listed slots, acting on (s1,s2,q)."""
+    x, e = PAULI_X.to_dense(), SPIN_IDENTITY.to_dense()
+    return np.kron(np.kron(x if 1 in slots else e, x if 2 in slots else e), e)
 
 
 def _spin_qubit_map_8(which: int) -> np.ndarray:
     """Detector coupling acting on (s1,s2,q) through slot ``which``'s spin."""
-    d_map = {(0, 0): (0, 0), (1, 0): (0, 1), (0, 1): (1, 0), (1, 1): (1, 1)}
-    mat = np.zeros((8, 8), dtype=np.complex128)
-    for s1 in (0, 1):
-        for s2 in (0, 1):
-            for q in (0, 1):
-                if which == 1:
-                    s1p, qp = d_map[(s1, q)]
-                    s2p = s2
-                else:
-                    s2p, qp = d_map[(s2, q)]
-                    s1p = s1
-                mat[4 * s1p + 2 * s2p + qp, 4 * s1 + 2 * s2 + q] = 1.0
-    return mat
+    d = detector_coupling().to_dense().reshape(2, 2, 2, 2)  # (s', q', s, q)
+    spec = "abxz,cy->acbxyz" if which == 1 else "cbyz,ax->acbxyz"
+    return np.einsum(spec, d, np.eye(2)).reshape(8, 8)
 
 
 def _both_in_region_coupling_8() -> np.ndarray:
@@ -303,13 +265,126 @@ def _both_in_region_coupling_8() -> np.ndarray:
     return sum(np.outer(img, src.conj()) for img, src in pairs)
 
 
-def _occupancy_diagonal(space: CompositeSpace, region: Region) -> np.ndarray:
-    """0/1 diagonal of the projector onto 'at least one particle in region'."""
-    n = space.n_sites
+# ---------------------------------------------------------------------------
+# position-controlled operations
+
+
+def _map_8(m: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Apply the 8x8 matrix ``m`` to each row of ``src``, summing in CSR order."""
+    out = np.zeros_like(src)
+    for i, j in zip(*np.nonzero(m)):  # row-major: ascending j within each row
+        out[:, i] += m[i, j] * src[:, j]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class PairBlocks:
+    """An operation diagonal in the positions ``(x1, x2)``.
+
+    It acts by the 8x8 map ``maps[k]`` on the pairs selected by ``masks[k]``
+    (disjoint boolean masks over the ``n*n`` pairs, or ``slice(None)`` for
+    all of them), and as the identity (when ``rest_identity``) or zero on
+    every other pair.
+    """
+
+    n: int
+    masks: tuple
+    maps: tuple
+    rest_identity: bool
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        t = amps.reshape(self.n * self.n, 8)
+        # ``t + 0`` turns -0.0 into +0.0, as the CSR sum ``0 + 1 * x`` does.
+        out = t + 0 if self.rest_identity else np.zeros_like(t)
+        for mask, m in zip(self.masks, self.maps):
+            out[mask] = _map_8(m, t[mask])
+        return out.reshape(-1)
+
+    def operator(self) -> LinearOperator:
+        """The same operation as a CSR matrix, whose mat-vec sums as ``apply`` does."""
+        diags = []
+        for mask in self.masks:
+            diags.append(np.zeros(self.n * self.n))
+            diags[-1][mask] = 1.0
+        blocks = list(zip(diags, self.maps))
+        if self.rest_identity:
+            blocks.append((1.0 - sum(diags), np.eye(8)))
+        mat = sum(sp.kron(sp.diags_array(d), sp.csr_array(m), format="csr") for d, m in blocks)
+        return LinearOperator(mat, CompositeSpace(self.n).basis_tag)
+
+
+def _inside(n: int, region: Region, name: str) -> np.ndarray:
+    if region.hi > n:
+        raise ValueError(f"{name} [{region.lo}, {region.hi}) exceeds the {n}-site lattice")
     inside = np.zeros(n, dtype=bool)
     inside[region.lo:region.hi] = True
-    pair_mask = inside[:, None] | inside[None, :]
-    return np.repeat(pair_mask.ravel(), 8).astype(np.complex128)
+    return inside
+
+
+def _by_occupant(n: int, region: Region, name: str, only1, only2, both) -> PairBlocks:
+    """Unitary acting by ``only1``/``only2``/``both`` as slot 1, slot 2 or both occupy ``region``."""
+    inside = _inside(n, region, name)
+    return _unitary_blocks(n, [
+        (np.outer(inside, ~inside).ravel(), only1),
+        (np.outer(~inside, inside).ravel(), only2),
+        (np.outer(inside, inside).ravel(), both),
+    ])
+
+
+def _unitary_blocks(n: int, blocks) -> PairBlocks:
+    for _, m in blocks:
+        defect = LinearOperator(m, SPINS_QUBIT_TAG).unitarity_defect()
+        if defect > UNITARITY_ATOL:
+            raise ValueError(f"8x8 map is not unitary: defect {defect:.3e}")
+    return PairBlocks(n, *zip(*blocks), rest_identity=True)
+
+
+def _projective_measurement(n: int, mask, p8: np.ndarray, q8: np.ndarray) -> tuple:
+    """``(P, Q)``: ``p8``/``q8`` on the ``mask`` pairs, zero/identity elsewhere."""
+    qcore.check_projector_family([LinearOperator(p8, SPINS_QUBIT_TAG), LinearOperator(q8, SPINS_QUBIT_TAG)])
+    return PairBlocks(n, (mask,), (p8,), False), PairBlocks(n, (mask,), (q8,), True)
+
+
+def _kick_blocks(n: int, o1: Region, mode: str) -> PairBlocks:
+    if mode == "position":
+        return _by_occupant(n, o1, "O1", _spin_flip_8(1), _spin_flip_8(2), _spin_flip_8(1, 2))
+    if mode == "label1":
+        return _unitary_blocks(n, [(np.repeat(_inside(n, o1, "O1"), n), _spin_flip_8(1))])
+    raise ValueError(f"kick mode must be position or label1, got {mode!r}")
+
+
+def _detector_blocks(n: int, o3: Region, mode: str) -> PairBlocks:
+    if mode == "label2":
+        return _unitary_blocks(n, [(slice(None), _spin_qubit_map_8(2))])
+    return _by_occupant(n, o3, "O3", _spin_qubit_map_8(1), _spin_qubit_map_8(2), _both_in_region_coupling_8())
+
+
+def _joint_outcomes(n: int, mode: str, o2: Optional[Region]) -> tuple:
+    if mode == "global_bell":
+        mask = slice(None)
+    elif o2 is None:
+        raise ValueError("localized_bell needs an O2 region")
+    else:
+        in2 = _inside(n, o2, "O2")
+        mask = np.outer(in2, in2).ravel()
+    p8 = np.kron(bell_projector().to_dense(), SPIN_IDENTITY.to_dense())
+    return _projective_measurement(n, mask, p8, np.eye(8) - p8)
+
+
+def _occupied_pairs(n: int, region: Region) -> np.ndarray:
+    inside = _inside(n, region, "region")
+    return (inside[:, None] | inside[None, :]).ravel()
+
+
+def kick_operator(space: CompositeSpace, o1: Region, mode: str) -> LinearOperator:
+    """Spin-flip operation localized in O1.
+
+    ``position`` mode flips the spin of whichever particle occupies O1
+    (both, if both do); it is a unitary, exchange-symmetric operator.
+    ``label1`` mode flips the spin of particle slot 1 only (conditioned on
+    that slot's position being in O1) and is not exchange symmetric.
+    """
+    return _kick_blocks(space.n_sites, o1, mode).operator()
 
 
 def occupancy_projector(space: CompositeSpace, region: Region) -> LinearOperator:
@@ -318,9 +393,7 @@ def occupancy_projector(space: CompositeSpace, region: Region) -> LinearOperator
     Equal to ``P1 + P2 - P1 P2`` for the two lifted position projectors;
     diagonal with exact 0/1 entries, and exchange symmetric.
     """
-    diag = _occupancy_diagonal(space, region)
-    mat = sp.csr_array(sp.diags_array(diag))
-    return _finalize_storage(mat, space)
+    return PairBlocks(space.n_sites, (_occupied_pairs(space.n_sites, region),), (np.eye(8),), False).operator()
 
 
 def position_detector_unitary(space: CompositeSpace, o3: Region) -> LinearOperator:
@@ -330,46 +403,24 @@ def position_detector_unitary(space: CompositeSpace, o3: Region) -> LinearOperat
     sectors where both particles occupy O3 use the symmetric two-particle
     convention of :func:`_both_in_region_coupling_8`.
     """
-    n = space.n_sites
-    if o3.hi > n:
-        raise ValueError(f"O3 [{o3.lo}, {o3.hi}) exceeds the {n}-site lattice")
-    inside = np.zeros(n, dtype=bool)
-    inside[o3.lo:o3.hi] = True
-    only1 = np.outer(inside, ~inside).ravel().astype(np.complex128)
-    only2 = np.outer(~inside, inside).ravel().astype(np.complex128)
-    both = np.outer(inside, inside).ravel().astype(np.complex128)
-    neither = np.outer(~inside, ~inside).ravel().astype(np.complex128)
-    blocks = (
-        (neither, np.eye(8, dtype=np.complex128)),
-        (only1, _spin_qubit_map_8(1)),
-        (only2, _spin_qubit_map_8(2)),
-        (both, _both_in_region_coupling_8()),
-    )
-    mat = sum(
-        sp.kron(sp.diags_array(mask), sp.csr_array(op8), format="csr")
-        for mask, op8 in blocks
-    )
-    return _finalize_storage(sp.csr_array(mat), space)
-
-
-def _label2_coupling(space: CompositeSpace) -> LinearOperator:
-    """Detector coupling wired to particle slot 2's spin, position-blind."""
-    d4 = detector_coupling().to_dense()
-    mat = sp.kron(sp.identity(2 * space.n_sites**2, dtype=np.complex128), sp.csr_array(d4), format="csr")
-    return _finalize_storage(sp.csr_array(mat), space)
+    return _detector_blocks(space.n_sites, o3, "position").operator()
 
 
 # ---------------------------------------------------------------------------
 # measurement procedures
 
 
-def _split_on_diagonal_projector(
+def _apply_each(op: PairBlocks, ens: BranchEnsemble) -> BranchEnsemble:
+    return BranchEnsemble(tuple((w, StateVector(op.apply(s.amps), s.basis_tag)) for w, s in ens.branches))
+
+
+def _split_on_occupancy(
     ens: BranchEnsemble,
-    diag: np.ndarray,
-    post_hit: Optional[LinearOperator],
+    occupied: np.ndarray,
+    post_hit: Optional[PairBlocks],
     selective: bool,
 ) -> BranchEnsemble:
-    """Branch every ensemble member on a diagonal 0/1 projector.
+    """Branch every ensemble member on the projector onto the ``occupied`` pairs.
 
     ``post_hit`` (a unitary) is applied to the projected branch.  With
     ``selective`` true only the projected branches survive, renormalized
@@ -379,15 +430,15 @@ def _split_on_diagonal_projector(
     misses = []
     for w, state in ens.branches:
         base = float(np.vdot(state.amps, state.amps).real)
-        inside = state.amps * diag
+        inside = (state.amps.reshape(occupied.size, 8) * occupied[:, None]).reshape(-1)
         outside = state.amps - inside
         p_in = float(np.vdot(inside, inside).real) / base
         p_out = float(np.vdot(outside, outside).real) / base
         if w * p_in > qcore.BRANCH_PRUNE_THRESHOLD:
-            hit_state = StateVector(inside / np.linalg.norm(inside), state.basis_tag)
+            hit = inside / np.linalg.norm(inside)
             if post_hit is not None:
-                hit_state = apply(post_hit, hit_state)
-            hits.append((w * p_in, hit_state))
+                hit = post_hit.apply(hit)
+            hits.append((w * p_in, StateVector(hit, state.basis_tag)))
         if not selective and w * p_out > qcore.BRANCH_PRUNE_THRESHOLD:
             misses.append((w * p_out, StateVector(outside / np.linalg.norm(outside), state.basis_tag)))
     if selective:
@@ -422,22 +473,14 @@ def detector_measurement(
     """
     if mode not in DETECTOR_MODES:
         raise ValueError(f"detector mode must be one of {DETECTOR_MODES}, got {mode!r}")
-    diag = _occupancy_diagonal(space, o3)
-    if mode == "position":
-        unitary = position_detector_unitary(space, o3)
-
-        def procedure(ens: BranchEnsemble) -> BranchEnsemble:
-            moved = BranchEnsemble(tuple((w, apply(unitary, s)) for w, s in ens.branches))
-            if not selective:
-                return moved
-            return _split_on_diagonal_projector(moved, diag, None, True)
-
-        return procedure
-
-    coupling = _label2_coupling(space)
+    occupied = _occupied_pairs(space.n_sites, o3)
+    coupling = _detector_blocks(space.n_sites, o3, mode)
 
     def procedure(ens: BranchEnsemble) -> BranchEnsemble:
-        return _split_on_diagonal_projector(ens, diag, coupling, selective)
+        if mode == "label2":
+            return _split_on_occupancy(ens, occupied, coupling, selective)
+        moved = _apply_each(coupling, ens)
+        return _split_on_occupancy(moved, occupied, None, True) if selective else moved
 
     return procedure
 
@@ -459,26 +502,10 @@ def joint_measurement(
         raise ValueError(f"joint mode must be one of {JOINT_MODES}, got {mode!r}")
     if mode == "none":
         return lambda ens: ens
-    pb = bell_projector().to_dense()
-    n = space.n_sites
-    if mode == "global_bell":
-        spin_part = sp.kron(sp.csr_array(pb), sp.identity(2, dtype=np.complex128))
-        proj = sp.kron(sp.identity(n * n, dtype=np.complex128), spin_part, format="csr")
-    else:
-        if o2 is None:
-            raise ValueError("localized_bell needs an O2 region")
-        if o2.hi > n:
-            raise ValueError(f"O2 [{o2.lo}, {o2.hi}) exceeds the {n}-site lattice")
-        inside = np.zeros(n, dtype=bool)
-        inside[o2.lo:o2.hi] = True
-        pair = np.outer(inside, inside).ravel().astype(np.complex128)
-        spin_part = sp.kron(sp.csr_array(pb), sp.identity(2, dtype=np.complex128))
-        proj = sp.kron(sp.diags_array(pair), spin_part, format="csr")
-    p_op = _finalize_storage(sp.csr_array(proj), space)
-    q_op = qcore.identity(space.dim, space.basis_tag, sparse=p_op.is_sparse) - p_op
+    outcomes = _joint_outcomes(space.n_sites, mode, o2)
 
     def procedure(ens: BranchEnsemble) -> BranchEnsemble:
-        return luders_measure([p_op, q_op], ens)
+        return luders_update(ens, lambda amps: (op.apply(amps) for op in outcomes))
 
     return procedure
 
@@ -541,7 +568,8 @@ def run_arm_stages(cfg: ScenarioConfig, kicked: bool) -> Mapping[str, BranchEnse
     detector measurement).
     """
     lat, space, psi0 = prepare_scenario(cfg)
-    return _run_arm(cfg, lat, space, psi0, kicked).stages
+    u1, u2 = propagator(lat, cfg.t1), propagator(lat, cfg.t2)
+    return _run_arm(cfg, space, psi0, u1, u2, kicked, antisymmetry_violation(psi0)).stages
 
 
 def prepare_scenario(cfg: ScenarioConfig):
@@ -556,39 +584,35 @@ def prepare_scenario(cfg: ScenarioConfig):
 
 def _run_arm(
     cfg: ScenarioConfig,
-    lat: Lattice1D,
     space: CompositeSpace,
     psi0: StateVector,
+    u1: LinearOperator,
+    u2: LinearOperator,
     kicked: bool,
+    prepared_violation: float,
 ) -> _ArmResult:
     stages = {}
     ens = BranchEnsemble.pure(psi0)
     stages["prepared"] = ens
     if kicked and cfg.kick_mode != "off":
-        kick = kick_operator(space, cfg.o1, cfg.kick_mode)
-        ens = BranchEnsemble(tuple((w, apply(kick, s)) for w, s in ens.branches))
+        ens = _apply_each(_kick_blocks(cfg.n, cfg.o1, cfg.kick_mode), ens)
     stages["post_kick"] = ens
-    ens = _evolve_ensemble(space, propagator(lat, cfg.t1), ens)
+    ens = _evolve_ensemble(space, u1, ens)
     ens = joint_measurement(space, cfg.joint_mode, cfg.o2)(ens)
     stages["post_o2"] = ens
-    ens = _evolve_ensemble(space, propagator(lat, cfg.t2), ens)
+    ens = _evolve_ensemble(space, u2, ens)
     occ1, occ2 = position_occupancy(space, ens)
     arrival = float(occ1[cfg.o3.lo:cfg.o3.hi].sum() + occ2[cfg.o3.lo:cfg.o3.hi].sum())
     pre_detector_violation = _max_violation(ens)
     ens = detector_measurement(space, cfg.o3, cfg.detector_mode, cfg.selective_o3)(ens)
     stages["final"] = ens
-    violation = max(
-        _max_violation(stages["prepared"]),
-        _max_violation(stages["post_kick"]),
-        _max_violation(stages["post_o2"]),
-        pre_detector_violation,
-        _max_violation(stages["final"]),
-    )
+    # ``psi0``'s violation comes precomputed; an unkicked post_kick stage is psi0.
+    later = [stages[name] for name in STAGES[1:] if stages[name] is not stages["prepared"]]
     return _ArmResult(
         stages=stages,
         p_q1=qubit_one_probability(ens),
         arrival=arrival,
-        max_violation=violation,
+        max_violation=max(prepared_violation, pre_detector_violation, *map(_max_violation, later)),
     )
 
 
@@ -615,18 +639,18 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 0) -> SignalingReport:
     certificate = check_spacelike(lat, cfg.o1, cfg.o3, psi0, cfg.t_total, cfg.eps)
     if threads == 0:
         threads = min(2, os.cpu_count() or 1)
-    # Warm the eigensystem cache before any thread dispatch.
-    propagator(lat, cfg.t1)
-    propagator(lat, cfg.t2)
+    # Built before any thread dispatch, so the eigensystem cache is warm.
+    shared = (cfg, space, psi0, propagator(lat, cfg.t1), propagator(lat, cfg.t2))
+    prepared_violation = antisymmetry_violation(psi0)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=2) as pool:
-            fut_nokick = pool.submit(_run_arm, cfg, lat, space, psi0, False)
-            fut_kick = pool.submit(_run_arm, cfg, lat, space, psi0, True)
+            fut_nokick = pool.submit(_run_arm, *shared, False, prepared_violation)
+            fut_kick = pool.submit(_run_arm, *shared, True, prepared_violation)
             arm_nokick = fut_nokick.result()
             arm_kick = fut_kick.result()
     else:
-        arm_nokick = _run_arm(cfg, lat, space, psi0, False)
-        arm_kick = _run_arm(cfg, lat, space, psi0, True)
+        arm_nokick = _run_arm(*shared, False, prepared_violation)
+        arm_kick = _run_arm(*shared, True, prepared_violation)
     return SignalingReport(
         p_q1_kick=arm_kick.p_q1,
         p_q1_nokick=arm_nokick.p_q1,

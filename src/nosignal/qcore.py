@@ -23,7 +23,7 @@ that build large operators switch to compressed sparse storage above it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -346,7 +346,8 @@ def expectation(obs: LinearOperator, x: StateLike) -> float:
     return float(value.real)
 
 
-def _check_projector_family(projectors: Sequence[LinearOperator]):
+def check_projector_family(projectors: Sequence[LinearOperator]):
+    """Raise ``ValueError`` unless the projectors form a complete orthogonal family."""
     if len(projectors) == 0:
         raise ValueError("luders_measure needs at least one projector")
     tag = projectors[0].basis_tag
@@ -389,7 +390,7 @@ def luders_measure(projectors: Sequence[LinearOperator], x: StateLike) -> Branch
     -------
     BranchEnsemble
     """
-    _check_projector_family(projectors)
+    check_projector_family(projectors)
     if isinstance(x, StateVector):
         if abs(x.norm - 1.0) > NORMALIZATION_ATOL:
             raise ValueError(f"luders_measure needs a normalized state, |norm - 1| = {abs(x.norm - 1.0):.3e}")
@@ -398,13 +399,17 @@ def luders_measure(projectors: Sequence[LinearOperator], x: StateLike) -> Branch
         raise TypeError(f"luders_measure expects a StateVector or BranchEnsemble, got {type(x).__name__}")
     if projectors[0].basis_tag != x.basis_tag or projectors[0].dim != x.dim:
         raise ValueError("projectors and state live on different bases")
+    return luders_update(x, lambda amps: (p.matrix @ amps for p in projectors))
+
+
+def luders_update(x: BranchEnsemble, outcomes: Callable) -> BranchEnsemble:
+    """Branch bookkeeping of :func:`luders_measure`; ``outcomes(amps)`` yields each ``P_i psi``."""
     out = []
     for w, state in x.branches:
         # Outcome probabilities are taken relative to the branch norm so the
         # output weights keep summing to 1 even after ~1e-15 rounding drift.
         base = float(np.vdot(state.amps, state.amps).real)
-        for p in projectors:
-            arm = p.matrix @ state.amps
+        for arm in outcomes(state.amps):
             prob = float(np.vdot(arm, arm).real) / base
             weight = w * prob
             if weight > BRANCH_PRUNE_THRESHOLD:

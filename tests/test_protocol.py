@@ -23,6 +23,7 @@ from nosignal import (
     is_exchange_symmetric,
     joint_measurement,
     kick_operator,
+    luders_measure,
     make_lattice,
     occupancy_projector,
     prepare_initial,
@@ -299,6 +300,79 @@ def test_joint_measurement_validates_mode_and_region():
         joint_measurement(space, "bell")
     with pytest.raises(ValueError):
         joint_measurement(space, "localized_bell", None)
+
+
+# ---------------------------------------------------------------------------
+# position-controlled kernels against their materialized operators
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_kernels_match_materialized_operators_exactly(n):
+    space = CompositeSpace(n)
+    region, o2 = Region(2, 5), Region(4, 7)
+    rng = np.random.default_rng(n)
+    ops = {f"kick {mode}": protocol_mod._kick_blocks(n, region, mode) for mode in ("position", "label1")}
+    for mode in ("global_bell", "localized_bell"):
+        p, q = protocol_mod._joint_outcomes(n, mode, o2)
+        ops[f"{mode} P"], ops[f"{mode} Q"] = p, q
+    for mode in ("position", "label2"):
+        ops[f"detector {mode}"] = protocol_mod._detector_blocks(n, region, mode)
+    for _ in range(3):
+        amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        psi = StateVector(amps / np.linalg.norm(amps), space.basis_tag)
+        for name, op in ops.items():
+            assert np.array_equal(op.apply(psi.amps), apply(op.operator(), psi).amps), name
+    # the public materializers are the same descriptions
+    for mode in ("position", "label1"):
+        np.testing.assert_array_equal(kick_operator(space, region, mode).to_dense(),
+                                      ops[f"kick {mode}"].operator().to_dense())
+    np.testing.assert_array_equal(position_detector_unitary(space, region).to_dense(),
+                                  ops["detector position"].operator().to_dense())
+    label2 = np.kron(np.eye(2 * n * n), detector_coupling().to_dense())
+    np.testing.assert_array_equal(ops["detector label2"].operator().to_dense(), label2)
+
+
+def test_joint_measurement_equals_luders_on_materialized_projectors():
+    n = 8
+    space = CompositeSpace(n)
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    ens = BranchEnsemble.pure(StateVector(amps / np.linalg.norm(amps), space.basis_tag))
+    for mode in ("global_bell", "localized_bell"):
+        got = joint_measurement(space, mode, Region(3, 6))(ens)
+        family = [op.operator() for op in protocol_mod._joint_outcomes(n, mode, Region(3, 6))]
+        want = luders_measure(family, ens)
+        assert [w for w, _ in got.branches] == [w for w, _ in want.branches]
+        for (_, a), (_, b) in zip(got.branches, want.branches):
+            assert np.array_equal(a.amps, b.amps)
+
+
+def test_build_rejects_tampered_8x8_maps(monkeypatch):
+    space = CompositeSpace(8)
+    o3 = Region(5, 8)
+    p8 = np.kron(bell_projector().to_dense(), np.eye(2))
+    with pytest.raises(ValueError, match="resolve the identity"):
+        protocol_mod._projective_measurement(8, None, p8, 0.5 * (np.eye(8) - p8))
+    monkeypatch.setattr(protocol_mod, "_both_in_region_coupling_8", lambda: 2.0 * np.eye(8))
+    with pytest.raises(ValueError, match="not unitary"):
+        detector_measurement(space, o3, "position")
+    with pytest.raises(ValueError, match="not unitary"):
+        position_detector_unitary(space, o3)
+
+
+def test_pipeline_builds_no_composite_operator(monkeypatch):
+    cfg = default_scenario(joint_mode="localized_bell")
+    dims = []
+    post_init = LinearOperator.__post_init__
+
+    def counting(self):
+        post_init(self)
+        dims.append(self.dim)
+
+    monkeypatch.setattr(LinearOperator, "__post_init__", counting)
+    run_scenario(cfg)
+    assert dims, "no LinearOperator was built at all"
+    assert 8 * cfg.n**2 not in dims
 
 
 # ---------------------------------------------------------------------------
