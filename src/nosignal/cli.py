@@ -344,7 +344,7 @@ def _cmd_naive(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = parse_config(_load_text(args.config))
     start = time.perf_counter()
-    report = run_scenario(cfg, threads=args.threads)
+    report = run_scenario(cfg)
     duration = time.perf_counter() - start
     payload = report_to_dict(report, cfg, seed=args.seed, duration_seconds=duration)
     _write_text(args.out, emit_report(payload))
@@ -407,12 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=0,
             help="echoed into the report manifest; reserved for randomized sweeps",
         )
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=0,
-            help="worker threads for the two scenario arms; 0 picks automatically",
-        )
 
     p = sub.add_parser("naive", help="closed-form two-spin pipeline, no spatial degrees of freedom")
     p.add_argument("--observable", required=True, choices=("sx", "sy", "sz", "identity", "file"))
@@ -454,9 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 0:
-        print("error: --threads must be >= 0", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ValueError as exc:

@@ -318,7 +318,9 @@ def evolve_positions(space: CompositeSpace, u_single: LinearOperator, state: Sta
 
     Computes ``(u (x) u (x) identity)`` on the reshaped amplitude tensor
     instead of materializing the ``8 n^2`` dimensional matrix, which is what
-    makes lattices near ``n = 100`` cheap to evolve.
+    makes lattices near ``n = 100`` cheap to evolve.  Only the ``(s1, s2, q)``
+    columns with a nonzero amplitude are contracted; the others map to
+    exact zeros, so skipping them changes no amplitude.
     """
     n = space.n_sites
     if u_single.dim != n or u_single.basis_tag != site_basis_tag(n):
@@ -327,9 +329,12 @@ def evolve_positions(space: CompositeSpace, u_single: LinearOperator, state: Sta
         raise ValueError(f"state tagged {state.basis_tag!r} is not on {space.basis_tag!r}")
     u = u_single.to_dense()
     tensor = state.amps.reshape(n, n, 8)
-    half = np.tensordot(u, tensor, axes=([1], [0]))           # (x1', x2, k)
-    full = np.tensordot(u, half, axes=([1], [1]))             # (x2', x1', k)
-    return StateVector(full.transpose(1, 0, 2).ravel(), space.basis_tag)
+    live = np.flatnonzero(tensor.any(axis=(0, 1)))
+    half = np.tensordot(u, tensor[:, :, live], axes=([1], [0]))  # (x1', x2, k)
+    full = np.tensordot(u, half, axes=([1], [1]))                # (x2', x1', k)
+    out = np.zeros((n, n, 8), dtype=complex)
+    out[:, :, live] = full.transpose(1, 0, 2)
+    return StateVector(out.ravel(), space.basis_tag)
 
 
 def position_occupancy(space: CompositeSpace, x: Union[StateVector, BranchEnsemble]) -> tuple:

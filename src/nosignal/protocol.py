@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
@@ -123,6 +122,13 @@ class ScenarioConfig:
         if int(self.n) != self.n or self.n < 8:
             raise ValueError(f"n must be an integer >= 8, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
+        state_bytes = 128 * self.n**2  # one (n, n, 8) complex128 tensor
+        memory_bytes = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if state_bytes > memory_bytes:
+            raise ValueError(
+                f"n={self.n} needs {state_bytes} bytes per state, more than the "
+                f"{memory_bytes} bytes of physical memory"
+            )
         if not (float(self.hopping) > 0.0) or not math.isfinite(float(self.hopping)):
             raise ValueError(f"hopping must be positive and finite, got {self.hopping}")
         object.__setattr__(self, "hopping", float(self.hopping))
@@ -616,15 +622,10 @@ def _run_arm(
     )
 
 
-def run_scenario(cfg: ScenarioConfig, threads: int = 0) -> SignalingReport:
+def run_scenario(cfg: ScenarioConfig) -> SignalingReport:
     """Run both arms of a scenario and assemble the signaling report.
 
-    Parameters
-    ----------
-    cfg : ScenarioConfig
-    threads : int
-        1 runs the two arms serially; 0 (auto) or >= 2 runs them in a small
-        thread pool.  Results are identical either way.
+    The arms run one after the other; BLAS parallelizes the drifts itself.
 
     Returns
     -------
@@ -637,20 +638,10 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 0) -> SignalingReport:
     """
     lat, space, psi0 = prepare_scenario(cfg)
     certificate = check_spacelike(lat, cfg.o1, cfg.o3, psi0, cfg.t_total, cfg.eps)
-    if threads == 0:
-        threads = min(2, os.cpu_count() or 1)
-    # Built before any thread dispatch, so the eigensystem cache is warm.
     shared = (cfg, space, psi0, propagator(lat, cfg.t1), propagator(lat, cfg.t2))
     prepared_violation = antisymmetry_violation(psi0)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fut_nokick = pool.submit(_run_arm, *shared, False, prepared_violation)
-            fut_kick = pool.submit(_run_arm, *shared, True, prepared_violation)
-            arm_nokick = fut_nokick.result()
-            arm_kick = fut_kick.result()
-    else:
-        arm_nokick = _run_arm(*shared, False, prepared_violation)
-        arm_kick = _run_arm(*shared, True, prepared_violation)
+    arm_nokick = _run_arm(*shared, False, prepared_violation)
+    arm_kick = _run_arm(*shared, True, prepared_violation)
     return SignalingReport(
         p_q1_kick=arm_kick.p_q1,
         p_q1_nokick=arm_nokick.p_q1,

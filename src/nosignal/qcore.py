@@ -349,7 +349,7 @@ def expectation(obs: LinearOperator, x: StateLike) -> float:
 def check_projector_family(projectors: Sequence[LinearOperator]):
     """Raise ``ValueError`` unless the projectors form a complete orthogonal family."""
     if len(projectors) == 0:
-        raise ValueError("luders_measure needs at least one projector")
+        raise ValueError("a projector family needs at least one projector")
     tag = projectors[0].basis_tag
     dim = projectors[0].dim
     for p in projectors:

@@ -255,7 +255,22 @@ def test_simulate_error_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(_config_dict(bogus=True)))
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x.json")]) == 2
-    assert main(["simulate", "--config", str(bad), "--out", "x", "--threads", "-1"]) == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "check-spacelike"])
+def test_oversized_lattice_exits_two_before_allocating(tmp_path, capsys, command):
+    # One state tensor at this n would take 12.8 PB, far beyond any memory.
+    cfg_path = _write_config(tmp_path, n=10_000_000)
+    out_path = tmp_path / "report.json"
+    argv = [command, "--config", cfg_path]
+    if command == "simulate":
+        argv += ["--out", str(out_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "physical memory" in captured.err
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -280,14 +280,21 @@ def test_is_exchange_symmetric():
 # evolution and marginals
 
 
-def test_evolve_positions_matches_kron_action():
+@pytest.mark.parametrize("live", [range(8), [0], [2, 4], [0, 6], []], ids=["all", "0", "2-4", "0-6", "none"])
+def test_evolve_positions_matches_kron_action(live):
+    # Columns are the (s1, s2, q) index; the drift contracts only the live ones.
     rng = np.random.default_rng(37)
     n = 6
     space, state = _random_composite_state(rng, n)
+    dead = np.setdiff1d(np.arange(8), list(live))
+    tensor = state.amps.reshape(n, n, 8).copy()
+    tensor[:, :, dead] = 0.0
+    state = StateVector(tensor.ravel(), space.basis_tag)
     u = oc.single_propagator(n, 1.0, 0.8)
     got = evolve_positions(space, LinearOperator(u, site_basis_tag(n)), state)
     want = oc.kron_all(u, u, np.eye(8)) @ state.amps
     np.testing.assert_allclose(got.amps, want, atol=1e-12)
+    assert np.all(got.amps.reshape(n, n, 8)[:, :, dead] == 0.0)
     assert got.basis_tag == space.basis_tag
 
 

@@ -491,7 +491,7 @@ def test_pipeline_matches_dense_density_matrix_reference(overrides):
 
 def test_run_scenario_report_consistency():
     cfg = _basic_config()
-    report = run_scenario(cfg, threads=1)
+    report = run_scenario(cfg)
     assert isinstance(report, SignalingReport)
     assert report.delta == pytest.approx(abs(report.p_q1_kick - report.p_q1_nokick), abs=1e-15)
     assert signaling_delta(report) == pytest.approx(report.delta, abs=1e-15)
@@ -503,22 +503,11 @@ def test_run_scenario_report_consistency():
     assert report.certificate.passed  # eps = 1 always certifies
 
 
-def test_run_scenario_threads_do_not_change_results():
-    cfg = _basic_config(joint_mode="global_bell")
-    serial = run_scenario(cfg, threads=1)
-    pooled = run_scenario(cfg, threads=2)
-    auto = run_scenario(cfg, threads=0)
-    assert serial.p_q1_kick == pooled.p_q1_kick == auto.p_q1_kick
-    assert serial.p_q1_nokick == pooled.p_q1_nokick == auto.p_q1_nokick
-    assert serial.delta == pooled.delta == auto.delta
-    assert serial.max_antisym_violation == pooled.max_antisym_violation
-
-
 def test_fermion_scenario_small_lattice_bounds():
     # On a small lattice the certificate leak is the honest bound: the
     # observed signaling must stay within a few leak widths of zero.
     cfg = _basic_config()
-    report = run_scenario(cfg, threads=1)
+    report = run_scenario(cfg)
     bound = max(1e-8, 4.0 * report.certificate.leak_13)
     assert report.delta <= bound
     assert report.max_antisym_violation <= 1e-10
