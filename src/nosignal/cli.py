@@ -41,8 +41,9 @@ Config schema (JSON object; unknown keys are rejected)::
     }
 
 Exit codes: 0 success, 1 certificate failure, 2 validation or parse error,
-3 I/O error.  Reports are byte-identical for identical config and seed,
-except for ``manifest.duration_seconds`` which records wall-clock time.
+3 I/O error, 4 any other error (running out of memory, say).  Reports are
+byte-identical for identical config and seed, except for
+``manifest.duration_seconds`` which records wall-clock time.
 """
 
 from __future__ import annotations
@@ -456,6 +457,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a defect or an exhausted resource, e.g. MemoryError
+        print(" ".join(f"internal error: {type(exc).__name__}: {exc}".split()), file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

@@ -30,6 +30,7 @@ from .qcore import (
     BranchEnsemble,
     LinearOperator,
     StateVector,
+    freeze,
 )
 
 # Norm threshold below which a state counts as having no component of the
@@ -37,6 +38,13 @@ from .qcore import (
 SYMMETRIZE_NORM_FLOOR = 1e-10
 
 EXCHANGE_SYMMETRY_ATOL = 1e-12
+
+# Side of the square tiles of position pairs in which the x1 <-> x2 transpose
+# is done, so that both the read and the write side of a tile stay in cache.
+PAIR_TILE = 32
+
+# Column (s1, s2, q) -> column (s2, s1, q) of the (n, n, 8) amplitude tensor.
+_SPIN_SWAP = np.array([0, 1, 4, 5, 2, 3, 6, 7])
 
 
 def site_basis_tag(n_sites: int) -> str:
@@ -126,8 +134,24 @@ def exchange_permutation(space: CompositeSpace) -> np.ndarray:
     return perm
 
 
-def _exchanged_amps(space: CompositeSpace, amps: np.ndarray) -> np.ndarray:
-    return amps.reshape(space.axis_dims).transpose(1, 0, 3, 2, 4).ravel()
+def _pair_tiles(n: int):
+    """Pairs of slices covering the ``n x n`` position pairs in square tiles."""
+    starts = range(0, n, PAIR_TILE)
+    return [(slice(i, i + PAIR_TILE), slice(j, j + PAIR_TILE)) for i in starts for j in starts]
+
+
+def _with_exchanged(ufunc: np.ufunc, space: CompositeSpace, amps: np.ndarray) -> np.ndarray:
+    """``ufunc(amps, S amps)`` for the exchange permutation ``S``, as a fresh flat array.
+
+    Tile ``(i, j)`` of the output reads tile ``(j, i)`` of the input with the
+    two spins swapped; each output entry is the same ``a[k] +- a[S k]``.
+    """
+    n = space.n_sites
+    a = amps.reshape(n, n, 8)
+    out = np.empty((n, n, 8), dtype=np.complex128)
+    for ti, tj in _pair_tiles(n):
+        ufunc(a[ti, tj], a[tj, ti][:, :, _SPIN_SWAP].transpose(1, 0, 2), out=out[ti, tj])
+    return out.reshape(-1)
 
 
 def exchange_operator(space: CompositeSpace) -> LinearOperator:
@@ -150,21 +174,21 @@ def antisymmetrize(s: StateVector) -> StateVector:
     the Pauli-blocked case of identical position and spin content.
     """
     space = _space_of(s)
-    amps = s.amps - _exchanged_amps(space, s.amps)
+    amps = _with_exchanged(np.subtract, space, s.amps)
     norm = np.linalg.norm(amps)
     if norm <= SYMMETRIZE_NORM_FLOOR:
         raise ValueError("state has no antisymmetric component (Pauli blocked)")
-    return StateVector(amps / norm, s.basis_tag)
+    return StateVector(freeze(amps / norm), s.basis_tag)
 
 
 def symmetrize(s: StateVector) -> StateVector:
     """Project onto the exchange-symmetric sector and renormalize."""
     space = _space_of(s)
-    amps = s.amps + _exchanged_amps(space, s.amps)
+    amps = _with_exchanged(np.add, space, s.amps)
     norm = np.linalg.norm(amps)
     if norm <= SYMMETRIZE_NORM_FLOOR:
         raise ValueError("state has no symmetric component")
-    return StateVector(amps / norm, s.basis_tag)
+    return StateVector(freeze(amps / norm), s.basis_tag)
 
 
 def antisymmetry_violation(s: StateVector) -> float:
@@ -175,7 +199,7 @@ def antisymmetry_violation(s: StateVector) -> float:
     disjoint packets with equal spins.
     """
     space = _space_of(s)
-    return float(np.linalg.norm(s.amps + _exchanged_amps(space, s.amps)) / 2.0)
+    return float(np.linalg.norm(_with_exchanged(np.add, space, s.amps)) / 2.0)
 
 
 def prepare_initial(
@@ -214,7 +238,7 @@ def prepare_initial(
             raise ValueError(f"{name} must be normalized, |norm - 1| = {abs(p.norm - 1.0):.3e}")
     tensor = np.zeros(space.axis_dims, dtype=np.complex128)
     tensor[:, :, 0, 0, 0] = np.outer(packet1.amps, packet2.amps)
-    state = StateVector(tensor.ravel(), space.basis_tag)
+    state = StateVector(freeze(tensor).ravel(), space.basis_tag)
     if statistics is Statistics.DISTINGUISHABLE:
         return state.normalized()
     overlap = np.abs(packet1.amps) * np.abs(packet2.amps)
@@ -333,8 +357,9 @@ def evolve_positions(space: CompositeSpace, u_single: LinearOperator, state: Sta
     half = np.tensordot(u, tensor[:, :, live], axes=([1], [0]))  # (x1', x2, k)
     full = np.tensordot(u, half, axes=([1], [1]))                # (x2', x1', k)
     out = np.zeros((n, n, 8), dtype=complex)
-    out[:, :, live] = full.transpose(1, 0, 2)
-    return StateVector(out.ravel(), space.basis_tag)
+    for ti, tj in _pair_tiles(n):
+        out[ti, tj, live] = full[tj, ti].transpose(1, 0, 2)
+    return StateVector(freeze(out).ravel(), space.basis_tag)
 
 
 def position_occupancy(space: CompositeSpace, x: Union[StateVector, BranchEnsemble]) -> tuple:

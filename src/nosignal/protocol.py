@@ -304,7 +304,7 @@ class PairBlocks:
         out = t + 0 if self.rest_identity else np.zeros_like(t)
         for mask, m in zip(self.masks, self.maps):
             out[mask] = _map_8(m, t[mask])
-        return out.reshape(-1)
+        return qcore.freeze(out).reshape(-1)
 
     def operator(self) -> LinearOperator:
         """The same operation as a CSR matrix, whose mat-vec sums as ``apply`` does."""
@@ -441,12 +441,12 @@ def _split_on_occupancy(
         p_in = float(np.vdot(inside, inside).real) / base
         p_out = float(np.vdot(outside, outside).real) / base
         if w * p_in > qcore.BRANCH_PRUNE_THRESHOLD:
-            hit = inside / np.linalg.norm(inside)
+            hit = qcore.freeze(inside / np.linalg.norm(inside))
             if post_hit is not None:
                 hit = post_hit.apply(hit)
             hits.append((w * p_in, StateVector(hit, state.basis_tag)))
         if not selective and w * p_out > qcore.BRANCH_PRUNE_THRESHOLD:
-            misses.append((w * p_out, StateVector(outside / np.linalg.norm(outside), state.basis_tag)))
+            misses.append((w * p_out, StateVector(qcore.freeze(outside / np.linalg.norm(outside)), state.basis_tag)))
     if selective:
         total = sum(w for w, _ in hits)
         if total <= 1e-12:

@@ -40,8 +40,29 @@ DENSE_DIM_LIMIT = 4096
 Matrix = Union[np.ndarray, sp.csr_array]
 
 
+def freeze(arr: np.ndarray) -> np.ndarray:
+    """Mark a freshly computed array read-only and return it.
+
+    :class:`StateVector` shares such an array instead of copying it.  Freeze
+    the array that owns the memory, then take any reshaped view of it.
+    """
+    arr.setflags(write=False)
+    return arr
+
+
+def _is_frozen(amps) -> bool:
+    """Whether ``amps`` is read-only complex128 memory that no writable array reaches."""
+    if not isinstance(amps, np.ndarray) or amps.dtype != np.complex128:
+        return False
+    while isinstance(amps, np.ndarray) and not amps.flags.writeable:
+        if amps.base is None:
+            return True
+        amps = amps.base
+    return False
+
+
 def _frozen_vector(amps) -> np.ndarray:
-    arr = np.array(amps, dtype=np.complex128)
+    arr = amps if _is_frozen(amps) else np.array(amps, dtype=np.complex128)
     if arr.ndim != 1:
         raise ValueError(f"state amplitudes must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -95,7 +116,7 @@ class StateVector:
         n = self.norm
         if n <= 1e-300:
             raise ValueError("cannot normalize a zero state")
-        return StateVector(self.amps / n, self.basis_tag)
+        return StateVector(freeze(self.amps / n), self.basis_tag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,7 +434,7 @@ def luders_update(x: BranchEnsemble, outcomes: Callable) -> BranchEnsemble:
             prob = float(np.vdot(arm, arm).real) / base
             weight = w * prob
             if weight > BRANCH_PRUNE_THRESHOLD:
-                out.append((weight, StateVector(arm / np.linalg.norm(arm), x.basis_tag)))
+                out.append((weight, StateVector(freeze(arm / np.linalg.norm(arm)), x.basis_tag)))
     return BranchEnsemble(tuple(out))
 
 

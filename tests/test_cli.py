@@ -273,6 +273,25 @@ def test_oversized_lattice_exits_two_before_allocating(tmp_path, capsys, command
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "exc",
+    [MemoryError("Unable to allocate 2.0 GiB"), RuntimeError("first line\nsecond line")],
+    ids=["memory", "runtime"],
+)
+def test_unexpected_error_exits_four(tmp_path, capsys, monkeypatch, exc):
+    def fail(cfg):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_scenario", fail)
+    out_path = tmp_path / "report.json"
+    assert main(["simulate", "--config", _write_config(tmp_path), "--out", str(out_path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert type(exc).__name__ in captured.err
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # check-spacelike command
 

@@ -124,6 +124,37 @@ def test_antisymmetrize_and_violation():
     )
 
 
+def _exchange_test_state(rng, n, kind):
+    space, state = _random_composite_state(rng, n)
+    tensor = state.amps.reshape(n, n, 8).copy()
+    if kind == "dead_columns":
+        tensor[:, :, [1, 3, 5, 6, 7]] = 0.0
+    elif kind == "negative_zero":
+        tensor.real[rng.random(tensor.shape) < 0.3] = -0.0
+        tensor.imag[rng.random(tensor.shape) < 0.3] = -0.0
+        tensor[:, :, [1, 7]] = complex(-0.0, -0.0)
+    return space, StateVector(tensor.ravel(), space.basis_tag)
+
+
+def _assert_same_floats(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
+
+
+# n is no multiple of the tile size, so partial tiles are covered too.
+@pytest.mark.parametrize("kind", ["random", "dead_columns", "negative_zero"])
+@pytest.mark.parametrize("n", [6, 37, 70])
+def test_exchange_sector_maps_equal_permutation_reference(n, kind):
+    rng = np.random.default_rng(n)
+    space, state = _exchange_test_state(rng, n, kind)
+    amps = state.amps
+    swapped = amps[exchange_permutation(space)]
+    plus, minus = amps + swapped, amps - swapped
+    assert antisymmetry_violation(state) == float(np.linalg.norm(plus) / 2.0)
+    _assert_same_floats(symmetrize(state).amps, plus / np.linalg.norm(plus))
+    _assert_same_floats(antisymmetrize(state).amps, minus / np.linalg.norm(minus))
+
+
 def test_antisymmetrize_rejects_symmetric_input():
     # identical packets in both slots: the antisymmetric part vanishes
     lat = make_lattice(12, 1.0)
@@ -280,11 +311,15 @@ def test_is_exchange_symmetric():
 # evolution and marginals
 
 
-@pytest.mark.parametrize("live", [range(8), [0], [2, 4], [0, 6], []], ids=["all", "0", "2-4", "0-6", "none"])
-def test_evolve_positions_matches_kron_action(live):
+@pytest.mark.parametrize(
+    "live, n",
+    [(range(8), 6), ([0], 6), ([2, 4], 6), ([0, 6], 6), ([], 6), ([0, 2, 4], 37)],
+    ids=["all", "0", "2-4", "0-6", "none", "n37-0-2-4"],
+)
+def test_evolve_positions_matches_kron_action(live, n):
     # Columns are the (s1, s2, q) index; the drift contracts only the live ones.
+    # n = 37 is no multiple of the tile size of the x1 <-> x2 scatter.
     rng = np.random.default_rng(37)
-    n = 6
     space, state = _random_composite_state(rng, n)
     dead = np.setdiff1d(np.arange(8), list(live))
     tensor = state.amps.reshape(n, n, 8).copy()
@@ -292,7 +327,8 @@ def test_evolve_positions_matches_kron_action(live):
     state = StateVector(tensor.ravel(), space.basis_tag)
     u = oc.single_propagator(n, 1.0, 0.8)
     got = evolve_positions(space, LinearOperator(u, site_basis_tag(n)), state)
-    want = oc.kron_all(u, u, np.eye(8)) @ state.amps
+    # (u (x) u (x) 1_8) v, with the identity factor acting on the 8 columns of v.
+    want = (oc.kron_all(u, u) @ state.amps.reshape(n * n, 8)).ravel()
     np.testing.assert_allclose(got.amps, want, atol=1e-12)
     assert np.all(got.amps.reshape(n, n, 8)[:, :, dead] == 0.0)
     assert got.basis_tag == space.basis_tag

@@ -62,6 +62,23 @@ def test_state_vector_basics():
         s.amps[0] = 0.0
 
 
+def test_state_vector_shares_only_frozen_memory():
+    src = np.array([1.0, 2.0j, 3.0])
+    s = StateVector(src, "t")
+    src[0] = 9.0
+    assert s.amps[0] == 1.0
+    # a read-only view does not protect a writable base
+    base = np.array([1.0, 2.0j, 3.0, 4.0])
+    view = base[:3]
+    view.setflags(write=False)
+    s = StateVector(view, "t")
+    base[0] = 9.0
+    assert s.amps[0] == 1.0
+    owned = np.array([1.0, 2.0j, 3.0])
+    owned.setflags(write=False)
+    assert np.shares_memory(StateVector(owned, "t").amps, owned)
+
+
 def test_operator_requires_square():
     with pytest.raises(ValueError):
         LinearOperator(np.zeros((2, 3)), "t")
