@@ -397,5 +397,5 @@ def joint_position_probability(
         return 0.0
     if idx1.min() < 0 or idx1.max() >= n or idx2.min() < 0 or idx2.max() >= n:
         raise ValueError("sites out of lattice range")
-    prob = np.abs(psi.amps.reshape(n, n, 8)) ** 2
-    return float(prob[np.ix_(idx1, idx2)].sum())
+    block = psi.amps.reshape(n, n, 8)[np.ix_(idx1, idx2)]
+    return float((np.abs(block) ** 2).sum())

@@ -67,7 +67,9 @@ def _frozen_vector(amps) -> np.ndarray:
         raise ValueError(f"state amplitudes must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("state must have dimension >= 1")
-    if not np.all(np.isfinite(arr)):
+    # A non-finite entry makes the sum of squares non-finite; only when that
+    # sum is not finite (an overflow, say) is every entry scanned.
+    if not np.isfinite(np.vdot(arr, arr).real) and not np.all(np.isfinite(arr)):
         raise ValueError("state amplitudes must be finite")
     arr.setflags(write=False)
     return arr

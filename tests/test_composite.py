@@ -367,3 +367,19 @@ def test_joint_position_probability():
     psi_f = prepare_initial(space, "fermion", p1, p2)
     # either ordering carries half the weight for the antisymmetrized state
     assert joint_position_probability(space, psi_f, range(0, 6), range(6, 12)) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_joint_position_probability_equals_full_tensor_formula():
+    # squaring only the selected block gives the bits of squaring the whole
+    # tensor and then selecting: same values, same summation order
+    rng = np.random.default_rng(17)
+    for n, k1, k2 in ((6, 3, 2), (13, 5, 7), (24, 12, 1)):
+        space, psi = _random_composite_state(rng, n)
+        amps = psi.amps.copy()
+        amps[rng.random(amps.size) < 0.3] = complex(-0.0, -0.0)
+        amps[rng.random(amps.size) < 0.2] *= 1e-160
+        psi = StateVector(amps, space.basis_tag)
+        sites1 = rng.choice(n, size=k1, replace=False)
+        sites2 = rng.choice(n, size=k2, replace=False)
+        old = float((np.abs(psi.amps.reshape(n, n, 8)) ** 2)[np.ix_(sites1, sites2)].sum())
+        assert joint_position_probability(space, psi, sites1, sites2) == old

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,6 +19,7 @@ from nosignal import (
     default_scenario,
     hamiltonian,
     leakage,
+    light_cone_bound,
     make_lattice,
     prepare_scenario,
     propagator,
@@ -148,29 +154,16 @@ def test_wavepacket_group_velocity():
 # leakage
 
 
-def test_leakage_dense_sparse_agree():
-    lat = make_lattice(96, 1.0)
-    src, dst = Region(8, 20), Region(44, 56)
-    for t in (4.0, 10.0):
-        dense = leakage(lat, src, dst, t, method="dense")
-        sparse = leakage(lat, src, dst, t, method="sparse")
-        auto = leakage(lat, src, dst, t, method="auto")
-        assert abs(dense - sparse) <= 1e-10
-        assert auto == pytest.approx(dense, abs=1e-10)
-
-
 def test_leakage_zero_time_disjoint_regions():
     lat = make_lattice(32, 1.0)
     assert leakage(lat, Region(0, 8), Region(16, 24), 0.0) == 0.0
-    assert leakage(lat, Region(0, 8), Region(16, 24), 0.0, method="sparse") == 0.0
 
 
 def test_leakage_single_site_destination():
     lat = make_lattice(32, 1.0)
-    dst = Region(20, 21)
-    dense = leakage(lat, Region(0, 8), dst, 3.0, method="dense")
-    sparse = leakage(lat, Region(0, 8), dst, 3.0, method="sparse")
-    assert abs(dense - sparse) <= 1e-12
+    got = leakage(lat, Region(0, 8), Region(20, 21), 3.0)
+    want = oc.block_leakage(32, 1.0, range(0, 8), range(20, 21), 3.0)
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_leakage_matches_direct_svd():
@@ -180,12 +173,6 @@ def test_leakage_matches_direct_svd():
         got = leakage(lat, src, dst, t)
         want = oc.block_leakage(48, 1.3, range(2, 10), range(30, 44), t)
         assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_leakage_rejects_unknown_method():
-    lat = make_lattice(32, 1.0)
-    with pytest.raises(ValueError):
-        leakage(lat, Region(0, 4), Region(8, 12), 1.0, method="magic")
 
 
 # Frozen distance/time samples on the 96-site chain: the gap between the
@@ -216,6 +203,99 @@ def test_leakage_large_inside_light_cone():
 
 
 # ---------------------------------------------------------------------------
+# light-cone bound
+
+# scipy's expm resolves the propagator to a few ulp of its norm (1), not to
+# relative precision in entries ~1e-30 deep in the dark region, and its
+# block norms can exceed 1 by an ulp or two.
+ORACLE_ATOL = 2e-15
+
+
+def _random_region_pair(rng, n, kind):
+    w1, w2 = (int(w) for w in rng.integers(1, n // 3 + 1, size=2))
+    # gap = lo of the second region minus hi of the first
+    if kind == "overlapping":
+        gap = -int(rng.integers(1, min(w1, w2) + 1))
+    elif kind == "adjacent":
+        gap = 0
+    else:
+        gap = int(rng.integers(1, n - w1 - w2 + 1))
+    lo1 = int(rng.integers(0, n - w1 - w2 - max(gap, 0) + 1))
+    src, dst = Region(lo1, lo1 + w1), Region(lo1 + w1 + gap, lo1 + w1 + gap + w2)
+    return (src, dst) if rng.random() < 0.5 else (dst, src)
+
+
+@pytest.mark.parametrize("kind", ["disjoint", "adjacent", "overlapping"])
+def test_light_cone_bound_dominates_oracle(kind):
+    rng = np.random.default_rng({"disjoint": 1, "adjacent": 2, "overlapping": 3}[kind])
+    for _ in range(2):
+        n = int(rng.integers(12, 41))
+        hopping = float(rng.uniform(0.2, 2.0))
+        t_end = float(rng.uniform(0.5, 6.0))
+        src, dst = _random_region_pair(rng, n, kind)
+        lat = make_lattice(n, hopping)
+        times = np.linspace(0.0, t_end, 200)
+        bounds = np.array([light_cone_bound(lat, src, dst, t) for t in times])
+        oracle = np.array([oc.block_leakage(n, hopping, src.sites(), dst.sites(), t) for t in times])
+        case = (n, hopping, t_end, src, dst)
+        assert np.all(oracle <= bounds + ORACLE_ATOL), case
+        # the certificate's claim: the value at t_end covers every earlier
+        # time (a block of a unitary has norm <= 1, whatever the roundoff)
+        assert np.minimum(oracle, 1.0).max() <= bounds[-1], case
+        assert np.all(np.diff(bounds) >= 0.0), case
+        assert np.all((bounds >= 0.0) & (bounds <= 1.0)), case
+        if kind == "overlapping":
+            assert bounds[0] == 1.0
+        else:
+            assert bounds[0] == 0.0
+            assert np.all(bounds[1:] > 0.0)
+        # symmetric in the two regions
+        assert light_cone_bound(lat, dst, src, t_end) == bounds[-1]
+
+
+def test_light_cone_bound_matches_its_closed_form():
+    # min(1, Frobenius norm of the entry bounds), summed pair by pair with
+    # exact factorials instead of in log space over distances
+    rng = np.random.default_rng(7)
+    for kind in ("disjoint", "adjacent", "overlapping") * 4:
+        n = int(rng.integers(12, 41))
+        hopping, t = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.5, 4.0))
+        src, dst = _random_region_pair(rng, n, kind)
+        z = hopping * t
+        total = 0.0
+        for x in src.sites():
+            for y in dst.sites():
+                d = abs(int(x) - int(y))
+                total += min(1.0, z**d / math.factorial(d) * math.exp(z * z / (d + 1))) ** 2
+        got = light_cone_bound(make_lattice(n, hopping), src, dst, t)
+        assert got == pytest.approx(min(1.0, math.sqrt(total)), rel=1e-12), (n, hopping, t, src, dst)
+
+
+def test_light_cone_bound_never_underflows_to_zero():
+    lat = make_lattice(40, 1.0)
+    src, dst = Region(0, 1), Region(39, 40)
+    assert light_cone_bound(lat, src, dst, 0.0) == 0.0
+    for t in (1e-300, 5e-324, 1e-3):
+        assert light_cone_bound(lat, src, dst, t) >= np.nextafter(0.0, 1.0)
+    # J t itself underflows to 0 here
+    assert light_cone_bound(make_lattice(40, 0.5), src, dst, 5e-324) > 0.0
+    # (1e-3)^39 / 39! = 4.9e-164, above the floor
+    assert light_cone_bound(lat, src, dst, 1e-3) == pytest.approx(4.9e-164, rel=0.01)
+    with pytest.raises(ValueError):
+        light_cone_bound(lat, src, dst, -1.0)
+    with pytest.raises(ValueError):
+        light_cone_bound(lat, src, Region(30, 41), 1.0)
+
+
+def test_import_leaves_sparse_linalg_unloaded():
+    code = "import sys, nosignal; print('scipy.sparse.linalg' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(lattice_mod.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
 # certificates
 
 
@@ -225,12 +305,15 @@ def test_certificate_on_default_geometry():
     cert = check_spacelike(lat, cfg.o1, cfg.o3, psi0, cfg.t_total, cfg.eps)
     assert cert.passed
     assert cert.epsilon == pytest.approx(1e-6)
-    # the stored leaks are exactly the maxima over the sampled time grid
-    times = np.linspace(0.0, cfg.t_total, lattice_mod.CERTIFICATE_TIME_SAMPLES)
-    want_13 = max(leakage(lat, cfg.o1, cfg.o3, t) for t in times)
-    want_31 = max(leakage(lat, cfg.o3, cfg.o1, t) for t in times)
-    assert cert.leak_13 == want_13
-    assert cert.leak_31 == want_31
+    # the stored leaks are the light-cone bound at the total time, and no
+    # smaller than the oracle block norm at any time of a fine grid
+    bound = light_cone_bound(lat, cfg.o1, cfg.o3, cfg.t_total)
+    assert cert.leak_13 == bound
+    assert cert.leak_31 == bound
+    sites1, sites3 = cfg.o1.sites(), cfg.o3.sites()
+    times = np.linspace(0.0, cfg.t_total, 41)
+    fine_max = max(oc.block_leakage(cfg.n, cfg.hopping, sites1, sites3, t) for t in times)
+    assert bound >= fine_max
     # and the overlaps are the joint occupancies of the initial state
     want_o1 = joint_position_probability(space, psi0, cfg.o1.sites(), cfg.o1.sites())
     want_o3 = joint_position_probability(space, psi0, cfg.o3.sites(), cfg.o3.sites())

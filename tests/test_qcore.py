@@ -79,6 +79,26 @@ def test_state_vector_shares_only_frozen_memory():
     assert np.shares_memory(StateVector(owned, "t").amps, owned)
 
 
+@pytest.mark.parametrize("bad", [complex(np.inf, 0.0), complex(-np.inf, 1.0), complex(0.0, np.inf),
+                                 complex(np.nan, 0.0), complex(0.0, np.nan)])
+@pytest.mark.parametrize("frozen", [False, True])
+def test_state_vector_rejects_non_finite_entries(bad, frozen):
+    amps = np.zeros(1000, dtype=np.complex128)
+    amps[617] = bad
+    amps.setflags(write=not frozen)
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(amps, "t")
+
+
+def test_state_vector_accepts_entries_whose_squares_overflow():
+    # |1e200|^2 overflows the sum of squares; the exact scan accepts it
+    amps = np.full(64, 1e200 - 1e200j)
+    assert np.array_equal(StateVector(amps, "t").amps, amps)
+    amps[5] = complex(np.inf, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(amps, "t")
+
+
 def test_operator_requires_square():
     with pytest.raises(ValueError):
         LinearOperator(np.zeros((2, 3)), "t")
