@@ -8,10 +8,11 @@ basis index is normative for every file format in this package:
 
 Particle labels 1 and 2 are bookkeeping slots, not physical identities.
 Physical states of indistinguishable particles are the antisymmetric
-(fermion) or symmetric (boson) vectors under the exchange operator built
-here; nothing in this module ever "fixes up" the symmetry of a state
-behind the caller's back, so symmetry violations introduced by label-based
-operations remain visible and measurable.
+(fermion) or symmetric (boson) vectors under particle exchange, the index
+permutation of :func:`exchange_permutation`; nothing in this module ever
+"fixes up" the symmetry of a state behind the caller's back, so symmetry
+violations introduced by label-based operations remain visible and
+measurable.
 """
 
 from __future__ import annotations
@@ -21,12 +22,9 @@ from enum import Enum
 from typing import Iterable, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .qcore import (
-    DENSE_DIM_LIMIT,
     NORMALIZATION_ATOL,
-    SPIN_TAG,
     BranchEnsemble,
     LinearOperator,
     StateVector,
@@ -36,8 +34,6 @@ from .qcore import (
 # Norm threshold below which a state counts as having no component of the
 # requested exchange sector (e.g. antisymmetrizing a Pauli-blocked state).
 SYMMETRIZE_NORM_FLOOR = 1e-10
-
-EXCHANGE_SYMMETRY_ATOL = 1e-12
 
 # Side of the square tiles of position pairs in which the x1 <-> x2 transpose
 # is done, so that both the read and the write side of a tile stay in cache.
@@ -111,7 +107,7 @@ def decode_basis_index(space: CompositeSpace, index: int) -> tuple:
     return (x1, x2, s1, s2, q)
 
 
-def _space_of(value: Union[StateVector, BranchEnsemble, LinearOperator]) -> CompositeSpace:
+def _space_of(value: StateVector) -> CompositeSpace:
     """Recover the composite space a value lives on, validating its tag."""
     dim = value.dim
     n = int(round(np.sqrt(dim / 8.0)))
@@ -152,19 +148,6 @@ def _with_exchanged(ufunc: np.ufunc, space: CompositeSpace, amps: np.ndarray) ->
     for ti, tj in _pair_tiles(n):
         ufunc(a[ti, tj], a[tj, ti][:, :, _SPIN_SWAP].transpose(1, 0, 2), out=out[ti, tj])
     return out.reshape(-1)
-
-
-def exchange_operator(space: CompositeSpace) -> LinearOperator:
-    """Unitary swapping the two particle slots: ``(x1,s1) <-> (x2,s2)``.
-
-    Exact permutation matrix; applying it twice is exactly the identity.
-    """
-    perm = exchange_permutation(space)
-    data = np.ones(space.dim, dtype=np.complex128)
-    mat = sp.csr_array((data, (np.arange(space.dim), perm)), shape=(space.dim, space.dim))
-    if space.dim <= DENSE_DIM_LIMIT:
-        return LinearOperator(mat.toarray(), space.basis_tag)
-    return LinearOperator(mat, space.basis_tag)
 
 
 def antisymmetrize(s: StateVector) -> StateVector:
@@ -250,91 +233,6 @@ def prepare_initial(
     if statistics is Statistics.FERMION:
         return antisymmetrize(state)
     return symmetrize(state)
-
-
-_FACTOR_AXES = {
-    ("position", 1): (0,),
-    ("position", 2): (1,),
-    ("spin", 1): (2,),
-    ("spin", 2): (3,),
-    ("both", 1): (0, 2),
-    ("both", 2): (1, 3),
-}
-
-
-def lift_one_particle(
-    space: CompositeSpace,
-    op_single: LinearOperator,
-    particle: int,
-    factor: str = "position",
-) -> LinearOperator:
-    """Embed a one-particle operator into the composite space.
-
-    Parameters
-    ----------
-    space : CompositeSpace
-    op_single : LinearOperator
-        Operator on the chosen factor: the ``n``-dimensional position basis,
-        the 2-dimensional spin basis, or their ``2n``-dimensional product
-        (position slow, spin fast) for ``factor="both"``.
-    particle : {1, 2}
-        Which particle slot the operator acts on.
-    factor : {"position", "spin", "both"}
-
-    Returns
-    -------
-    LinearOperator
-        Operator on the composite basis acting as the identity on every
-        other tensor factor (including the qubit).  Sparse above the dense
-        dimension limit.
-    """
-    if particle not in (1, 2):
-        raise ValueError(f"particle must be 1 or 2, got {particle}")
-    if factor not in ("position", "spin", "both"):
-        raise ValueError(f"factor must be position, spin, or both, got {factor!r}")
-    n = space.n_sites
-    expected = {
-        "position": (n, site_basis_tag(n)),
-        "spin": (2, SPIN_TAG),
-        "both": (2 * n, f"{site_basis_tag(n)}*{SPIN_TAG}"),
-    }[factor]
-    if op_single.dim != expected[0]:
-        raise ValueError(f"{factor} operator must have dimension {expected[0]}, got {op_single.dim}")
-    if op_single.basis_tag != expected[1]:
-        raise ValueError(f"{factor} operator tagged {op_single.basis_tag!r}, expected {expected[1]!r}")
-
-    axes = list(_FACTOR_AXES[(factor, particle)])
-    rest = [a for a in range(5) if a not in axes]
-    dims = space.axis_dims
-    rest_dim = int(np.prod([dims[a] for a in rest]))
-    # Flat index of each (axes..., rest...) position in the canonical layout.
-    back = np.arange(space.dim).reshape(dims).transpose(axes + rest).ravel()
-    op_coo = sp.coo_array(op_single.matrix if op_single.is_sparse else sp.csr_array(op_single.to_dense()))
-    kron = sp.kron(op_coo, sp.identity(rest_dim, dtype=np.complex128), format="coo")
-    rows = back[kron.row]
-    cols = back[kron.col]
-    mat = sp.csr_array((kron.data, (rows, cols)), shape=(space.dim, space.dim))
-    if space.dim <= DENSE_DIM_LIMIT:
-        return LinearOperator(mat.toarray(), space.basis_tag)
-    return LinearOperator(mat, space.basis_tag)
-
-
-def is_exchange_symmetric(op: LinearOperator, tol: float = EXCHANGE_SYMMETRY_ATOL) -> bool:
-    """Whether ``S op S`` equals ``op`` within ``tol`` (Frobenius norm).
-
-    The conjugation by the exchange permutation is evaluated exactly by
-    reindexing, for both dense and sparse storage.
-    """
-    space = _space_of(op)
-    perm = exchange_permutation(space)
-    if op.is_sparse:
-        coo = sp.coo_array(op.matrix)
-        swapped = sp.csr_array((coo.data, (perm[coo.row], perm[coo.col])), shape=coo.shape)
-        defect = sp.linalg.norm(swapped - op.matrix)
-    else:
-        mat = op.to_dense()
-        defect = np.linalg.norm(mat[np.ix_(perm, perm)] - mat)
-    return bool(defect <= tol)
 
 
 def evolve_positions(space: CompositeSpace, u_single: LinearOperator, state: StateVector) -> StateVector:

@@ -21,9 +21,10 @@ Operations come in two flavors throughout:
 After preparation every operation is diagonal in the positions: a
 :class:`PairBlocks` of position-pair masks with 8x8 maps on ``(s1, s2, q)``,
 validated once when built.  The pipeline applies it to the ``(n*n, 8)``
-amplitude tensor in CSR mat-vec order (output ``i`` sums ``m[i, j] * x_j``
-from zero over the nonzero ``j`` ascending), so amplitudes are bit-identical
-to the sparse matrix that ``kick_operator`` and friends materialize.
+amplitude tensor in CSR mat-vec order: output ``i`` sums ``m[i, j] * x_j``
+from zero over the nonzero ``j`` ascending.  The package builds no sparse
+matrix; the test suite checks that amplitudes are bit-identical to the CSR
+mat-vec of each operation's matrix.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import qcore
 from .composite import (
@@ -306,18 +306,6 @@ class PairBlocks:
             out[mask] = _map_8(m, t[mask])
         return qcore.freeze(out).reshape(-1)
 
-    def operator(self) -> LinearOperator:
-        """The same operation as a CSR matrix, whose mat-vec sums as ``apply`` does."""
-        diags = []
-        for mask in self.masks:
-            diags.append(np.zeros(self.n * self.n))
-            diags[-1][mask] = 1.0
-        blocks = list(zip(diags, self.maps))
-        if self.rest_identity:
-            blocks.append((1.0 - sum(diags), np.eye(8)))
-        mat = sum(sp.kron(sp.diags_array(d), sp.csr_array(m), format="csr") for d, m in blocks)
-        return LinearOperator(mat, CompositeSpace(self.n).basis_tag)
-
 
 def _inside(n: int, region: Region, name: str) -> np.ndarray:
     if region.hi > n:
@@ -380,36 +368,6 @@ def _joint_outcomes(n: int, mode: str, o2: Optional[Region]) -> tuple:
 def _occupied_pairs(n: int, region: Region) -> np.ndarray:
     inside = _inside(n, region, "region")
     return (inside[:, None] | inside[None, :]).ravel()
-
-
-def kick_operator(space: CompositeSpace, o1: Region, mode: str) -> LinearOperator:
-    """Spin-flip operation localized in O1.
-
-    ``position`` mode flips the spin of whichever particle occupies O1
-    (both, if both do); it is a unitary, exchange-symmetric operator.
-    ``label1`` mode flips the spin of particle slot 1 only (conditioned on
-    that slot's position being in O1) and is not exchange symmetric.
-    """
-    return _kick_blocks(space.n_sites, o1, mode).operator()
-
-
-def occupancy_projector(space: CompositeSpace, region: Region) -> LinearOperator:
-    """Projector onto states with at least one particle in ``region``.
-
-    Equal to ``P1 + P2 - P1 P2`` for the two lifted position projectors;
-    diagonal with exact 0/1 entries, and exchange symmetric.
-    """
-    return PairBlocks(space.n_sites, (_occupied_pairs(space.n_sites, region),), (np.eye(8),), False).operator()
-
-
-def position_detector_unitary(space: CompositeSpace, o3: Region) -> LinearOperator:
-    """Position-controlled detector coupling: exchange-symmetric unitary.
-
-    Applies the (spin, qubit) coupling to whichever particle occupies O3;
-    sectors where both particles occupy O3 use the symmetric two-particle
-    convention of :func:`_both_in_region_coupling_8`.
-    """
-    return _detector_blocks(space.n_sites, o3, "position").operator()
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +501,10 @@ def run_naive_sorkin(observable: LinearOperator, kick: bool) -> float:
 
 @dataclass(frozen=True)
 class _ArmResult:
-    stages: Mapping[str, BranchEnsemble]
     p_q1: float
     arrival: float
     max_violation: float
+    branch_count: int
 
 
 def qubit_one_probability(ens: BranchEnsemble) -> float:
@@ -575,7 +533,7 @@ def run_arm_stages(cfg: ScenarioConfig, kicked: bool) -> Mapping[str, BranchEnse
     """
     lat, space, psi0 = prepare_scenario(cfg)
     u1, u2 = propagator(lat, cfg.t1), propagator(lat, cfg.t2)
-    return _run_arm(cfg, space, psi0, u1, u2, kicked, antisymmetry_violation(psi0)).stages
+    return _run_arm(cfg, space, psi0, u1, u2, kicked, antisymmetry_violation(psi0))[0]
 
 
 def prepare_scenario(cfg: ScenarioConfig):
@@ -596,7 +554,8 @@ def _run_arm(
     u2: LinearOperator,
     kicked: bool,
     prepared_violation: float,
-) -> _ArmResult:
+) -> tuple:
+    """Run one arm; returns its stage snapshots and an ``_ArmResult`` summary."""
     stages = {}
     ens = BranchEnsemble.pure(psi0)
     stages["prepared"] = ens
@@ -614,11 +573,11 @@ def _run_arm(
     stages["final"] = ens
     # ``psi0``'s violation comes precomputed; an unkicked post_kick stage is psi0.
     later = [stages[name] for name in STAGES[1:] if stages[name] is not stages["prepared"]]
-    return _ArmResult(
-        stages=stages,
+    return stages, _ArmResult(
         p_q1=qubit_one_probability(ens),
         arrival=arrival,
         max_violation=max(prepared_violation, pre_detector_violation, *map(_max_violation, later)),
+        branch_count=ens.branch_count,
     )
 
 
@@ -640,8 +599,10 @@ def run_scenario(cfg: ScenarioConfig) -> SignalingReport:
     certificate = check_spacelike(lat, cfg.o1, cfg.o3, psi0, cfg.t_total, cfg.eps)
     shared = (cfg, space, psi0, propagator(lat, cfg.t1), propagator(lat, cfg.t2))
     prepared_violation = antisymmetry_violation(psi0)
-    arm_nokick = _run_arm(*shared, False, prepared_violation)
-    arm_kick = _run_arm(*shared, True, prepared_violation)
+    # Only the summary of an arm is kept, so the first arm's stage states are
+    # freed before the second arm runs.
+    arm_nokick = _run_arm(*shared, False, prepared_violation)[1]
+    arm_kick = _run_arm(*shared, True, prepared_violation)[1]
     return SignalingReport(
         p_q1_kick=arm_kick.p_q1,
         p_q1_nokick=arm_nokick.p_q1,
@@ -649,8 +610,8 @@ def run_scenario(cfg: ScenarioConfig) -> SignalingReport:
         arrival_prob=arm_nokick.arrival,
         certificate=certificate,
         max_antisym_violation=max(arm_kick.max_violation, arm_nokick.max_violation),
-        branch_count_kick=arm_kick.stages["final"].branch_count,
-        branch_count_nokick=arm_nokick.stages["final"].branch_count,
+        branch_count_kick=arm_kick.branch_count,
+        branch_count_nokick=arm_nokick.branch_count,
     )
 
 

@@ -2,9 +2,9 @@
 
 The protocol layers of this package never touch raw arrays directly; they
 go through the small vocabulary defined here: :class:`StateVector`,
-:class:`LinearOperator`, :class:`BranchEnsemble` (a weighted mixture of
+:class:`LinearOperator` and :class:`BranchEnsemble` (a weighted mixture of
 pure states, which stands in for a density matrix during non-selective
-measurements), and :class:`DensityMatrix` for reduced states.
+measurements).
 
 Conventions used throughout the package:
 
@@ -16,8 +16,9 @@ Conventions used throughout the package:
 * measurements are non-selective by default (selection happens at the
   protocol level, never silently in here).
 
-Dense storage is used for dimensions up to ``DENSE_DIM_LIMIT``; factories
-that build large operators switch to compressed sparse storage above it.
+Operators are dense matrices.  The scenario pipeline never builds one on
+the ``8 n^2``-dimensional composite space: it drifts the amplitude tensor
+and applies position-controlled 8x8 maps to it (see ``protocol``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 # Tolerances shared by every layer of the package.
 HERMITICITY_ATOL = 1e-10
@@ -35,9 +35,6 @@ NORMALIZATION_ATOL = 1e-8
 IMAG_RESIDUE_ATOL = 1e-10
 WEIGHT_SUM_ATOL = 1e-10
 BRANCH_PRUNE_THRESHOLD = 1e-14
-DENSE_DIM_LIMIT = 4096
-
-Matrix = Union[np.ndarray, sp.csr_array]
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:
@@ -75,15 +72,7 @@ def _frozen_vector(amps) -> np.ndarray:
     return arr
 
 
-def _frozen_matrix(matrix) -> Matrix:
-    if sp.issparse(matrix):
-        mat = sp.csr_array(matrix).astype(np.complex128)
-        mat.sum_duplicates()
-        for buf in (mat.data, mat.indices, mat.indptr):
-            buf.setflags(write=False)
-        if not np.all(np.isfinite(mat.data)):
-            raise ValueError("operator entries must be finite")
-        return mat
+def _frozen_matrix(matrix) -> np.ndarray:
     arr = np.array(matrix, dtype=np.complex128)
     if not np.all(np.isfinite(arr)):
         raise ValueError("operator entries must be finite")
@@ -123,9 +112,9 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class LinearOperator:
-    """Square operator over a tagged basis, stored dense or sparse."""
+    """Square dense operator over a tagged basis."""
 
-    matrix: Matrix
+    matrix: np.ndarray
     basis_tag: str
 
     def __post_init__(self):
@@ -138,18 +127,10 @@ class LinearOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.matrix)
-
     def to_dense(self) -> np.ndarray:
-        if self.is_sparse:
-            return self.matrix.toarray()
         return np.array(self.matrix)
 
     def dagger(self) -> "LinearOperator":
-        if self.is_sparse:
-            return LinearOperator(self.matrix.conj().T.tocsr(), self.basis_tag)
         return LinearOperator(self.matrix.conj().T, self.basis_tag)
 
     # -- small operator algebra; binary ops require matching tags ----------
@@ -182,27 +163,21 @@ class LinearOperator:
     # -- defect norms used by validation checks ----------------------------
 
     def frobenius_norm(self) -> float:
-        if self.is_sparse:
-            return float(sp.linalg.norm(self.matrix))
         return float(np.linalg.norm(self.matrix))
 
     def hermiticity_defect(self) -> float:
         return (self - self.dagger()).frobenius_norm()
 
     def unitarity_defect(self) -> float:
-        return (self.dagger() @ self - identity(self.dim, self.basis_tag, sparse=self.is_sparse)).frobenius_norm()
+        return (self.dagger() @ self - identity(self.dim, self.basis_tag)).frobenius_norm()
 
     def projector_defect(self) -> float:
         idem = (self @ self - self).frobenius_norm()
         return max(idem, self.hermiticity_defect())
 
 
-def identity(dim: int, basis_tag: str, sparse: bool | None = None) -> LinearOperator:
-    """Identity operator; storage follows ``DENSE_DIM_LIMIT`` unless forced."""
-    if sparse is None:
-        sparse = dim > DENSE_DIM_LIMIT
-    if sparse:
-        return LinearOperator(sp.identity(dim, dtype=np.complex128, format="csr"), basis_tag)
+def identity(dim: int, basis_tag: str) -> LinearOperator:
+    """Identity operator on ``dim`` basis states."""
     return LinearOperator(np.eye(dim, dtype=np.complex128), basis_tag)
 
 
@@ -255,30 +230,6 @@ class BranchEnsemble:
         return self.branches[0][1].dim
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix (dense)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        if np.linalg.norm(mat - mat.conj().T) > HERMITICITY_ATOL:
-            raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(mat).real - 1.0) > WEIGHT_SUM_ATOL:
-            raise ValueError(f"density matrix trace must be 1, got {np.trace(mat)!r}")
-        if np.linalg.eigvalsh(mat).min() < -1e-10:
-            raise ValueError("density matrix must be positive semidefinite")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 StateLike = Union[StateVector, BranchEnsemble]
 
 
@@ -302,10 +253,7 @@ def tensor_product(a, b):
     if isinstance(a, StateVector) and isinstance(b, StateVector):
         return StateVector(np.kron(a.amps, b.amps), f"{a.basis_tag}*{b.basis_tag}")
     if isinstance(a, LinearOperator) and isinstance(b, LinearOperator):
-        tag = f"{a.basis_tag}*{b.basis_tag}"
-        if a.is_sparse or b.is_sparse:
-            return LinearOperator(sp.kron(a.matrix, b.matrix, format="csr"), tag)
-        return LinearOperator(np.kron(a.matrix, b.matrix), tag)
+        return LinearOperator(np.kron(a.matrix, b.matrix), f"{a.basis_tag}*{b.basis_tag}")
     raise TypeError(
         f"tensor_product needs two states or two operators, got {type(a).__name__} and {type(b).__name__}"
     )
@@ -388,7 +336,7 @@ def check_projector_family(projectors: Sequence[LinearOperator]):
     total = projectors[0]
     for p in projectors[1:]:
         total = total + p
-    defect = (total - identity(dim, tag, sparse=total.is_sparse)).frobenius_norm()
+    defect = (total - identity(dim, tag)).frobenius_norm()
     if defect > RESOLUTION_ATOL:
         raise ValueError(f"projectors do not resolve the identity: defect {defect:.3e}")
 
@@ -438,52 +386,6 @@ def luders_update(x: BranchEnsemble, outcomes: Callable) -> BranchEnsemble:
             if weight > BRANCH_PRUNE_THRESHOLD:
                 out.append((weight, StateVector(freeze(arm / np.linalg.norm(arm)), x.basis_tag)))
     return BranchEnsemble(tuple(out))
-
-
-def reduced_density(x: StateLike, keep, dims: Sequence[int]) -> DensityMatrix:
-    """Partial trace onto the kept tensor factors.
-
-    Parameters
-    ----------
-    x : StateVector or BranchEnsemble
-        State on a tensor-product space whose factor dimensions are ``dims``
-        (slowest factor first, matching :func:`tensor_product` ordering).
-    keep : int or sequence of int
-        Indices into ``dims`` of the factors to keep, in ascending order.
-    dims : sequence of int
-        Dimensions of all tensor factors; their product must equal ``x.dim``.
-
-    Returns
-    -------
-    DensityMatrix
-        Reduced state on the kept factors.
-    """
-    dims = [int(d) for d in dims]
-    if isinstance(keep, (int, np.integer)):
-        keep = [int(keep)]
-    else:
-        keep = [int(k) for k in keep]
-    if any(d < 1 for d in dims):
-        raise ValueError("factor dimensions must be >= 1")
-    if sorted(set(keep)) != keep or not keep:
-        raise ValueError("keep must list distinct factor indices in ascending order")
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise ValueError(f"keep indices out of range for {len(dims)} factors")
-    total = int(np.prod(dims))
-    if isinstance(x, StateVector):
-        x = BranchEnsemble.pure(x)
-    if not isinstance(x, BranchEnsemble):
-        raise TypeError(f"reduced_density expects a StateVector or BranchEnsemble, got {type(x).__name__}")
-    if total != x.dim:
-        raise ValueError(f"product of dims {total} does not match state dimension {x.dim}")
-    drop = [i for i in range(len(dims)) if i not in keep]
-    dim_keep = int(np.prod([dims[i] for i in keep]))
-    rho = np.zeros((dim_keep, dim_keep), dtype=np.complex128)
-    for w, state in x.branches:
-        tensor = state.amps.reshape(dims)
-        mat = np.transpose(tensor, keep + drop).reshape(dim_keep, -1)
-        rho += w * (mat @ mat.conj().T)
-    return DensityMatrix(rho)
 
 
 # Single spin-1/2 constants in the (down, up) ordering of this package.

@@ -15,10 +15,7 @@ from nosignal import (
     basis_index,
     decode_basis_index,
     evolve_positions,
-    exchange_operator,
-    is_exchange_symmetric,
     joint_position_probability,
-    lift_one_particle,
     make_lattice,
     position_occupancy,
     prepare_initial,
@@ -28,7 +25,7 @@ from nosignal import (
     LinearOperator,
 )
 from nosignal.composite import exchange_permutation, site_basis_tag
-from nosignal.qcore import SPIN_TAG, PAULI_X
+from nosignal.qcore import PAULI_X
 
 
 def _packets(n=12):
@@ -102,12 +99,6 @@ def test_exchange_involution_is_exact():
         space = CompositeSpace(n)
         perm = exchange_permutation(space)
         assert np.array_equal(perm[perm], np.arange(space.dim))
-
-
-def test_exchange_operator_squares_to_identity():
-    space = CompositeSpace(6)
-    s = exchange_operator(space)
-    np.testing.assert_allclose((s @ s).to_dense(), np.eye(space.dim), atol=0)
 
 
 def test_antisymmetrize_and_violation():
@@ -222,89 +213,6 @@ def test_prepare_initial_validates_packets():
     with pytest.raises(ValueError):
         prepare_initial(space, "not-a-statistics", p1, p2)
     assert Statistics("fermion") is Statistics.FERMION
-
-
-# ---------------------------------------------------------------------------
-# lifted operators
-
-
-def test_lift_position_operator_matches_kron():
-    rng = np.random.default_rng(19)
-    n = 4
-    space = CompositeSpace(n)
-    mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    op = LinearOperator(mat, site_basis_tag(n))
-    eye_n = np.eye(n)
-    eye8 = np.eye(8)
-    lifted1 = lift_one_particle(space, op, 1, factor="position").to_dense()
-    np.testing.assert_allclose(lifted1, oc.kron_all(mat, eye_n, np.eye(2), np.eye(2), np.eye(2)), atol=1e-14)
-    lifted2 = lift_one_particle(space, op, 2, factor="position").to_dense()
-    np.testing.assert_allclose(lifted2, oc.kron_all(eye_n, mat, np.eye(2), np.eye(2), np.eye(2)), atol=1e-14)
-    assert eye8.shape == (8, 8)
-
-
-def test_lift_spin_operator_matches_kron():
-    n = 4
-    space = CompositeSpace(n)
-    x = PAULI_X.to_dense()
-    eye_n = np.eye(n)
-    got1 = lift_one_particle(space, PAULI_X, 1, factor="spin").to_dense()
-    np.testing.assert_allclose(got1, oc.kron_all(eye_n, eye_n, x, np.eye(2), np.eye(2)), atol=1e-14)
-    got2 = lift_one_particle(space, PAULI_X, 2, factor="spin").to_dense()
-    np.testing.assert_allclose(got2, oc.kron_all(eye_n, eye_n, np.eye(2), x, np.eye(2)), atol=1e-14)
-
-
-def test_lift_both_factor_matches_kron():
-    rng = np.random.default_rng(21)
-    n = 4
-    space = CompositeSpace(n)
-    mat = rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))
-    op = LinearOperator(mat, f"{site_basis_tag(n)}*{SPIN_TAG}")
-    got1 = lift_one_particle(space, op, 1, factor="both").to_dense()
-    # reorder (x1 s1) against the canonical (x1 x2 s1 s2 q) axis order
-    tensor = mat.reshape(n, 2, n, 2)
-    want = np.zeros((space.dim, space.dim), dtype=complex)
-    for x1 in range(n):
-        for s1 in (0, 1):
-            for xp in range(n):
-                for sp in (0, 1):
-                    val = tensor[x1, s1, xp, sp]
-                    if val == 0:
-                        continue
-                    for x2 in range(n):
-                        for s2 in (0, 1):
-                            for q in (0, 1):
-                                row = oc.basis_index(n, x1, x2, s1, s2, q)
-                                col = oc.basis_index(n, xp, x2, sp, s2, q)
-                                want[row, col] += val
-    np.testing.assert_allclose(got1, want, atol=1e-14)
-
-
-def test_lift_validates_factor_and_dims():
-    n = 4
-    space = CompositeSpace(n)
-    op = LinearOperator(np.eye(n), site_basis_tag(n))
-    with pytest.raises(ValueError):
-        lift_one_particle(space, op, 3, factor="position")
-    with pytest.raises(ValueError):
-        lift_one_particle(space, op, 1, factor="flavor")
-    with pytest.raises(ValueError):
-        lift_one_particle(space, PAULI_X, 1, factor="position")  # dim mismatch
-    with pytest.raises(ValueError):
-        lift_one_particle(space, op, 1, factor="spin")
-
-
-def test_is_exchange_symmetric():
-    n = 6
-    space = CompositeSpace(n)
-    proj = np.zeros((n, n))
-    proj[1, 1] = proj[2, 2] = 1.0
-    p = LinearOperator(proj, site_basis_tag(n))
-    one_sided = lift_one_particle(space, p, 1, factor="position")
-    assert not is_exchange_symmetric(one_sided)
-    both = one_sided + lift_one_particle(space, p, 2, factor="position")
-    assert is_exchange_symmetric(both)
-    assert is_exchange_symmetric(exchange_operator(space))
 
 
 # ---------------------------------------------------------------------------

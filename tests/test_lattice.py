@@ -288,11 +288,18 @@ def test_light_cone_bound_never_underflows_to_zero():
 
 
 def test_import_leaves_sparse_linalg_unloaded():
-    code = "import sys, nosignal; print('scipy.sparse.linalg' in sys.modules)"
+    # Importing and running the package, API and CLI alike, loads no scipy module at all.
+    code = (
+        "import sys, nosignal\n"
+        "from nosignal import cli\n"
+        "nosignal.run_scenario(nosignal.default_scenario())\n"
+        "assert cli.main(['naive', '--observable', 'sx']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
     src = os.path.dirname(os.path.dirname(lattice_mod.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles as oc
 from nosignal import (
@@ -15,17 +18,12 @@ from nosignal import (
     SignalingReport,
     StateVector,
     antisymmetry_violation,
-    apply,
     bell_projector,
     default_scenario,
     detector_coupling,
     detector_measurement,
-    is_exchange_symmetric,
     joint_measurement,
-    kick_operator,
-    luders_measure,
     make_lattice,
-    occupancy_projector,
     prepare_initial,
     prepare_scenario,
     qubit_one_probability,
@@ -36,8 +34,17 @@ from nosignal import (
     wavepacket,
 )
 from nosignal import protocol as protocol_mod
-from nosignal.protocol import STAGES, position_detector_unitary
-from nosignal.qcore import PAULI_X, PAULI_Y, PAULI_Z, SPIN_TAG, LinearOperator, identity
+from nosignal.protocol import STAGES, PairBlocks
+from nosignal.qcore import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    SPIN_TAG,
+    LinearOperator,
+    check_projector_family,
+    identity,
+    luders_update,
+)
 
 
 def _basic_config(**overrides):
@@ -53,6 +60,17 @@ def _basic_config(**overrides):
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def _kernel_matrix(op: PairBlocks) -> np.ndarray:
+    """Dense matrix of a position-controlled kernel: column j is ``op.apply(e_j)``."""
+    return np.column_stack([op.apply(e) for e in np.eye(8 * op.n**2, dtype=np.complex128)])
+
+
+def _exchange_defect(n: int, mat: np.ndarray) -> float:
+    """Frobenius norm of ``S mat S - mat`` for the oracle exchange matrix ``S``."""
+    s = oc.exchange_matrix(n)
+    return float(np.linalg.norm(s @ mat @ s - mat))
 
 
 # ---------------------------------------------------------------------------
@@ -132,22 +150,21 @@ def test_kick_operator_position_mode():
     n = 8
     space = CompositeSpace(n)
     o1 = Region(1, 4)
-    k = kick_operator(space, o1, "position")
-    np.testing.assert_allclose(k.to_dense(), oc.kick_unitary(n, range(1, 4), "position"), atol=1e-14)
-    assert is_exchange_symmetric(k)
-    assert k.unitarity_defect() < 1e-14
-    np.testing.assert_allclose((k @ k).to_dense(), np.eye(space.dim), atol=1e-14)
+    k = _kernel_matrix(protocol_mod._kick_blocks(n, o1, "position"))
+    np.testing.assert_allclose(k, oc.kick_unitary(n, range(1, 4), "position"), atol=1e-14)
+    assert _exchange_defect(n, k) <= 1e-12
+    assert LinearOperator(k, space.basis_tag).unitarity_defect() < 1e-14
+    np.testing.assert_allclose(k @ k, np.eye(space.dim), atol=1e-14)
 
 
 def test_kick_operator_label1_mode():
     n = 8
-    space = CompositeSpace(n)
     o1 = Region(1, 4)
-    k = kick_operator(space, o1, "label1")
-    np.testing.assert_allclose(k.to_dense(), oc.kick_unitary(n, range(1, 4), "label1"), atol=1e-14)
-    assert not is_exchange_symmetric(k)
+    k = _kernel_matrix(protocol_mod._kick_blocks(n, o1, "label1"))
+    np.testing.assert_allclose(k, oc.kick_unitary(n, range(1, 4), "label1"), atol=1e-14)
+    assert _exchange_defect(n, k) > 1e-12
     with pytest.raises(ValueError):
-        kick_operator(space, o1, "off")
+        protocol_mod._kick_blocks(n, o1, "off")
 
 
 def test_kick_flips_the_region_supported_wing():
@@ -161,7 +178,9 @@ def test_kick_flips_the_region_supported_wing():
     p2 = wavepacket(lat, Region(6, 12), 8.5, 1.0, 0.9)
     space = CompositeSpace(n)
     psi0 = prepare_initial(space, "fermion", p1, p2)
-    kicked = apply(kick_operator(space, o1, "position"), psi0)
+    kick = _kernel_matrix(protocol_mod._kick_blocks(n, o1, "position"))
+    np.testing.assert_allclose(kick, oc.kick_unitary(n, range(0, 6), "position"), atol=1e-14)
+    kicked = StateVector(kick @ psi0.amps, space.basis_tag)
 
     want = np.zeros(space.dim, dtype=np.complex128)
     for x1 in range(n):
@@ -178,22 +197,23 @@ def test_occupancy_projector_matches_reference():
     n = 8
     space = CompositeSpace(n)
     region = Region(5, 8)
-    p = occupancy_projector(space, region)
+    occupied = protocol_mod._occupied_pairs(n, region)
+    p = _kernel_matrix(PairBlocks(n, (occupied,), (np.eye(8),), False))
     want = np.diag(oc.union_occupancy_diag(n, range(5, 8)))
-    np.testing.assert_array_equal(p.to_dense(), want)
-    assert p.projector_defect() == 0.0
-    assert is_exchange_symmetric(p)
+    np.testing.assert_array_equal(p, want)
+    assert LinearOperator(p, space.basis_tag).projector_defect() == 0.0
+    assert _exchange_defect(n, p) <= 1e-12
 
 
 def test_position_detector_unitary_matches_reference():
     n = 8
     space = CompositeSpace(n)
     o3 = Region(5, 8)
-    v = position_detector_unitary(space, o3)
-    np.testing.assert_allclose(v.to_dense(), oc.position_detector(n, range(5, 8)), atol=1e-14)
-    assert v.unitarity_defect() < 1e-12
-    np.testing.assert_allclose((v @ v).to_dense(), np.eye(space.dim), atol=1e-12)
-    assert is_exchange_symmetric(v)
+    v = _kernel_matrix(protocol_mod._detector_blocks(n, o3, "position"))
+    np.testing.assert_allclose(v, oc.position_detector(n, range(5, 8)), atol=1e-14)
+    assert LinearOperator(v, space.basis_tag).unitarity_defect() < 1e-12
+    np.testing.assert_allclose(v @ v, np.eye(space.dim), atol=1e-12)
+    assert _exchange_defect(n, v) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +323,7 @@ def test_joint_measurement_validates_mode_and_region():
 
 
 # ---------------------------------------------------------------------------
-# position-controlled kernels against their materialized operators
+# position-controlled kernels against the CSR mat-vec of their matrices
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -317,19 +337,14 @@ def test_kernels_match_materialized_operators_exactly(n):
         ops[f"{mode} P"], ops[f"{mode} Q"] = p, q
     for mode in ("position", "label2"):
         ops[f"detector {mode}"] = protocol_mod._detector_blocks(n, region, mode)
+    matrices = {name: _kernel_matrix(op) for name, op in ops.items()}
     for _ in range(3):
         amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
         psi = StateVector(amps / np.linalg.norm(amps), space.basis_tag)
         for name, op in ops.items():
-            assert np.array_equal(op.apply(psi.amps), apply(op.operator(), psi).amps), name
-    # the public materializers are the same descriptions
-    for mode in ("position", "label1"):
-        np.testing.assert_array_equal(kick_operator(space, region, mode).to_dense(),
-                                      ops[f"kick {mode}"].operator().to_dense())
-    np.testing.assert_array_equal(position_detector_unitary(space, region).to_dense(),
-                                  ops["detector position"].operator().to_dense())
+            assert np.array_equal(op.apply(psi.amps), sp.csr_array(matrices[name]) @ psi.amps), name
     label2 = np.kron(np.eye(2 * n * n), detector_coupling().to_dense())
-    np.testing.assert_array_equal(ops["detector label2"].operator().to_dense(), label2)
+    np.testing.assert_array_equal(matrices["detector label2"], label2)
 
 
 def test_joint_measurement_equals_luders_on_materialized_projectors():
@@ -340,8 +355,10 @@ def test_joint_measurement_equals_luders_on_materialized_projectors():
     ens = BranchEnsemble.pure(StateVector(amps / np.linalg.norm(amps), space.basis_tag))
     for mode in ("global_bell", "localized_bell"):
         got = joint_measurement(space, mode, Region(3, 6))(ens)
-        family = [op.operator() for op in protocol_mod._joint_outcomes(n, mode, Region(3, 6))]
-        want = luders_measure(family, ens)
+        matrices = [_kernel_matrix(op) for op in protocol_mod._joint_outcomes(n, mode, Region(3, 6))]
+        check_projector_family([LinearOperator(m, space.basis_tag) for m in matrices])
+        csrs = [sp.csr_array(m) for m in matrices]
+        want = luders_update(ens, lambda amps: (c @ amps for c in csrs))
         assert [w for w, _ in got.branches] == [w for w, _ in want.branches]
         for (_, a), (_, b) in zip(got.branches, want.branches):
             assert np.array_equal(a.amps, b.amps)
@@ -356,8 +373,6 @@ def test_build_rejects_tampered_8x8_maps(monkeypatch):
     monkeypatch.setattr(protocol_mod, "_both_in_region_coupling_8", lambda: 2.0 * np.eye(8))
     with pytest.raises(ValueError, match="not unitary"):
         detector_measurement(space, o3, "position")
-    with pytest.raises(ValueError, match="not unitary"):
-        position_detector_unitary(space, o3)
 
 
 def test_pipeline_builds_no_composite_operator(monkeypatch):
@@ -446,6 +461,30 @@ def test_run_arm_stages_structure():
     w0, s0 = quiet["prepared"].branches[0]
     w1, s1 = quiet["post_kick"].branches[0]
     np.testing.assert_array_equal(s0.amps, s1.amps)
+
+
+def test_run_scenario_frees_the_first_arms_stages(monkeypatch):
+    run_arm = protocol_mod._run_arm
+    refs = []  # weak references to the memory of the first arm's computed states
+
+    def tracking(cfg, space, psi0, *rest):
+        if refs:  # the second arm starts
+            assert [r() for r in refs] == [None] * len(refs)
+        stages, result = run_arm(cfg, space, psi0, *rest)
+        if not refs:
+            for ens in stages.values():
+                for _, state in ens.branches:
+                    owner = state.amps
+                    while owner.base is not None:
+                        owner = owner.base
+                    if state is not psi0:
+                        refs.append(weakref.ref(owner))
+        return stages, result
+
+    monkeypatch.setattr(protocol_mod, "_run_arm", tracking)
+    report = run_scenario(_basic_config(joint_mode="global_bell"))
+    assert len(refs) >= 4  # post_o2 and final hold two branches each
+    assert report.branch_count_kick >= 1
 
 
 PIPELINE_COMBOS = [

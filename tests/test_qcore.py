@@ -4,21 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from nosignal import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     BranchEnsemble,
-    DensityMatrix,
     LinearOperator,
     StateVector,
     apply,
     expectation,
     identity,
     luders_measure,
-    reduced_density,
     tensor_product,
 )
 from nosignal import qcore
@@ -132,12 +129,8 @@ def test_operator_defects():
 
 def test_identity_storage_threshold():
     small = identity(8, "t")
-    assert not small.is_sparse
-    big = identity(qcore.DENSE_DIM_LIMIT + 1, "t")
-    assert big.is_sparse
-    forced = identity(8, "t", sparse=True)
-    assert forced.is_sparse
-    np.testing.assert_allclose(forced.to_dense(), np.eye(8))
+    assert isinstance(small.matrix, np.ndarray)
+    np.testing.assert_array_equal(small.matrix, np.eye(8))
 
 
 def test_tensor_product_matches_kron():
@@ -160,12 +153,6 @@ def test_tensor_product_kind_mismatch():
     s = StateVector(np.array([1.0, 0.0]), "a")
     with pytest.raises(TypeError):
         tensor_product(s, PAULI_X)
-
-
-def test_tensor_product_sparse_propagates():
-    a = LinearOperator(sp.csr_array(np.eye(3)), "a")
-    b = LinearOperator(np.eye(2), "b")
-    assert tensor_product(a, b).is_sparse
 
 
 def test_apply_matches_matrix_action():
@@ -236,16 +223,6 @@ def test_branch_ensemble_validation():
     assert ens.basis_tag == "t"
 
 
-def test_density_matrix_validation():
-    DensityMatrix(np.eye(3) / 3)
-    with pytest.raises(ValueError):
-        DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
-    with pytest.raises(ValueError):
-        DensityMatrix(np.eye(2))
-    with pytest.raises(ValueError):
-        DensityMatrix(np.diag([1.5, -0.5]))
-
-
 # ---------------------------------------------------------------------------
 # measurements
 
@@ -310,53 +287,3 @@ def test_luders_chains_through_ensembles():
     fam2 = _random_projector_family(rng, 8, 4)
     ens = luders_measure(fam2, luders_measure(fam1, state))
     assert abs(sum(w for w, _ in ens.branches) - 1.0) <= qcore.WEIGHT_SUM_ATOL
-
-
-# ---------------------------------------------------------------------------
-# partial trace
-
-
-def test_reduced_density_of_product_state():
-    rng = np.random.default_rng(5)
-    a = _random_state(rng, 3, "a")
-    b = _random_state(rng, 4, "b")
-    joint = tensor_product(a, b)
-    rho_a = reduced_density(joint, 0, (3, 4))
-    np.testing.assert_allclose(rho_a.matrix, np.outer(a.amps, a.amps.conj()), atol=1e-12)
-    rho_b = reduced_density(joint, 1, (3, 4))
-    np.testing.assert_allclose(rho_b.matrix, np.outer(b.amps, b.amps.conj()), atol=1e-12)
-
-
-def test_reduced_density_of_entangled_pair():
-    bell = StateVector(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0), "spin*spin")
-    rho = reduced_density(bell, 0, (2, 2))
-    np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
-
-
-def test_reduced_density_matches_explicit_sum():
-    rng = np.random.default_rng(31)
-    dims = (2, 3, 2)
-    state = _random_state(rng, int(np.prod(dims)))
-    rho = reduced_density(state, (0, 2), dims).matrix
-    # independent computation with explicit index loops
-    t = state.amps.reshape(dims)
-    want = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for k in range(2):
-            for i2 in range(2):
-                for k2 in range(2):
-                    val = 0.0 + 0.0j
-                    for j in range(3):
-                        val += t[i, j, k] * np.conj(t[i2, j, k2])
-                    want[i * 2 + k, i2 * 2 + k2] = val
-    np.testing.assert_allclose(rho, want, atol=1e-12)
-
-
-def test_reduced_density_validates_arguments():
-    state = StateVector(np.array([1.0, 0.0, 0.0, 0.0]), "t")
-    with pytest.raises(ValueError):
-        reduced_density(state, 2, (2, 2))
-    with pytest.raises(ValueError):
-        reduced_density(state, (1, 0), (2, 2))
-    with pytest.raises(ValueError):
-        reduced_density(state, 0, (2, 3))
