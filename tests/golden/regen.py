@@ -1,0 +1,159 @@
+"""Rewrite ``reports.json``, the byte-identity record of the pipeline.
+
+Run from the root of a source checkout::
+
+    python3 tests/golden/regen.py
+
+Every config of :func:`configs` goes through ``nosignal simulate``.  Per
+config the file stores the exit code, the SHA-256 of the report without
+``manifest.duration_seconds``, the ``repr`` of every float field of the
+report, and the SHA-256 of the weight and amplitude bytes of every branch
+of both arms at every stage.  Float bytes depend on the BLAS build and its
+thread count, so the file also stores the :func:`fingerprint` of the
+machine that wrote it; ``tests/test_golden.py`` reads it.  A change that
+means to move bytes runs this script and lists every changed field.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[2]
+GOLDEN = Path(__file__).resolve().with_name("reports.json")
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+
+from nosignal import cli, protocol  # noqa: E402
+from perfbench import workloads  # noqa: E402
+
+
+def _random_geometries() -> dict:
+    """The four n = 26-32 geometries of ``test_no_signaling_across_randomized_certified_geometries``."""
+    rng = np.random.default_rng(31)
+    out = {}
+    for k in range(4):
+        n = int(rng.integers(26, 33))
+        w2 = float(rng.uniform(1.0, (n - 18) / 4.0))
+        c2 = float(rng.uniform(9 + w2, n - 10 - w2))
+        base = {
+            "n": n,
+            "o1": {"lo": 0, "hi": 8},
+            "o3": {"lo": n - 8, "hi": n},
+            "packet1": {"support": {"lo": 0, "hi": 8}, "center": float(rng.uniform(2.5, 5.5)),
+                        "width": float(rng.uniform(1.0, 2.0)), "momentum": 0.0},
+            "packet2": {"support": {"lo": 9, "hi": n - 9}, "center": c2, "width": w2,
+                        "momentum": float(rng.uniform(0.3, 1.5))},
+            "t2": float(rng.uniform(0.8, 1.8)),
+            "eps": 1e-2,
+        }
+        for statistics in workloads.STATISTICS:
+            out[f"random{k}/n={n}/{statistics}"] = dict(base, statistics=statistics)
+    return out
+
+
+def configs() -> dict:
+    """Name -> JSON scenario config of every golden case.
+
+    The 18 matrix96 kinds under both detectors, with and without
+    ``selective_o3``; the 6 label192 configs; scale288; and the four
+    randomized small geometries under the three statistics.  The benchmark
+    geometries take a packet offset of 0.
+    """
+    out = {}
+    for workload in ("matrix96", "label192", "scale288"):
+        for scale, *kind in workloads._kinds(workload):
+            detectors = ("position", "label2") if workload == "matrix96" else (kind[-1],)
+            for detector in detectors:
+                cfg = workloads.scenario(scale, 0.0, *kind[:-1], detector)
+                name = f"{workload}/{workloads.scenario_key(cfg)}"
+                out[name] = cfg
+                if workload == "matrix96":
+                    out[f"{name}/selective"] = dict(cfg, selective_o3=True)
+    out.update(_random_geometries())
+    return out
+
+
+def fingerprint() -> dict:
+    """numpy and BLAS versions, BLAS threads as found, and the CPU model.
+
+    OpenBLAS takes its thread count from ``OPENBLAS_NUM_THREADS``, then
+    ``OMP_NUM_THREADS``, then the CPUs this process may run on.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next(line.split(":", 1)[1].strip() for line in fh if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": int(threads) if threads else len(os.sched_getaffinity(0)),
+        "cpu": cpu,
+    }
+
+
+def _float_fields(obj, prefix: str = "") -> dict:
+    """``path -> repr`` of every float leaf of a parsed report."""
+    if isinstance(obj, dict):
+        out = {}
+        for key, value in obj.items():
+            out.update(_float_fields(value, f"{prefix}{key}."))
+        return out
+    return {prefix[:-1]: repr(obj)} if isinstance(obj, float) else {}
+
+
+def _branch_digests(ens) -> list:
+    return [hashlib.sha256(np.float64(w).tobytes() + s.amps.tobytes()).hexdigest() for w, s in ens.branches]
+
+
+def record(cfg: dict, workdir: Path) -> dict:
+    """Run one config through ``nosignal simulate`` and return its golden entry."""
+    config_path, report_path = workdir / "config.json", workdir / "report.json"
+    config_path.write_text(json.dumps(cfg), encoding="utf-8")
+    stages = {}
+    run_arm = protocol._run_arm
+
+    def recording(*args):
+        arm_stages, result = run_arm(*args)
+        stages["kick" if args[5] else "nokick"] = {
+            name: _branch_digests(ens) for name, ens in arm_stages.items()
+        }
+        return arm_stages, result
+
+    protocol._run_arm = recording
+    try:
+        code = cli.main(["simulate", "--config", str(config_path), "--out", str(report_path)])
+    finally:
+        protocol._run_arm = run_arm
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    del report["manifest"]["duration_seconds"]
+    return {
+        "exit_code": code,
+        "report_sha256": hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest(),
+        "floats": _float_fields(report),
+        "stages": stages,
+    }
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        entries = {name: record(cfg, Path(tmp)) for name, cfg in configs().items()}
+    payload = {"fingerprint": fingerprint(), "configs": entries}
+    GOLDEN.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(entries)} configs to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    main()
