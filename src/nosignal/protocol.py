@@ -19,12 +19,17 @@ Operations come in two flavors throughout:
   goes wrong when they are used on indistinguishable particles.
 
 After preparation every operation is diagonal in the positions: a
-:class:`PairBlocks` of position-pair masks with 8x8 maps on ``(s1, s2, q)``,
-validated once when built.  The pipeline applies it to the ``(n*n, 8)``
-amplitude tensor in CSR mat-vec order: output ``i`` sums ``m[i, j] * x_j``
-from zero over the nonzero ``j`` ascending.  The package builds no sparse
-matrix; the test suite checks that amplitudes are bit-identical to the CSR
-mat-vec of each operation's matrix.
+:class:`PairBlocks` of rectangles of site slices ``(x1 in rows, x2 in
+cols)``, each with an 8x8 map on ``(s1, s2, q)``, validated once when built.
+Every region is an interval, so "slot 1 only in R" is the two rectangles
+``(R, [0, lo))`` and ``(R, [hi, n))``, "both in R" is ``(R, R)``, and a
+global map is ``(all, all)``.  The pipeline applies the maps to the
+``(n, n, 8)`` amplitude tensor in CSR mat-vec order: output ``i`` sums
+``m[i, j] * x_j`` from zero over the nonzero ``j`` ascending.  Measurements
+are pairs ``(P, Q)`` of such operations, and branch through
+:func:`nosignal.qcore.luders_update`.  The package builds no sparse matrix;
+the test suite checks that amplitudes are bit-identical to the CSR mat-vec
+of each operation's matrix.
 """
 
 from __future__ import annotations
@@ -143,7 +148,6 @@ class ScenarioConfig:
                 f"O1, O3 disjoint violated: O1=[{self.o1.lo}, {self.o1.hi}) overlaps "
                 f"O3=[{self.o3.lo}, {self.o3.hi})"
             )
-        Statistics(self.statistics)
         object.__setattr__(self, "statistics", str(Statistics(self.statistics).value))
         if self.kick_mode not in KICK_MODES:
             raise ValueError(f"kick_mode must be one of {KICK_MODES}, got {self.kick_mode!r}")
@@ -151,12 +155,9 @@ class ScenarioConfig:
             raise ValueError(f"joint_mode must be one of {JOINT_MODES}, got {self.joint_mode!r}")
         if self.detector_mode not in DETECTOR_MODES:
             raise ValueError(f"detector_mode must be one of {DETECTOR_MODES}, got {self.detector_mode!r}")
-        if self.joint_mode == "localized_bell":
-            if self.o2 is None:
-                raise ValueError("joint_mode localized_bell requires an O2 region")
-            if not isinstance(self.o2, Region) or self.o2.hi > self.n:
-                raise ValueError("O2 must be a region inside the lattice")
-        elif self.o2 is not None and (not isinstance(self.o2, Region) or self.o2.hi > self.n):
+        if self.joint_mode == "localized_bell" and self.o2 is None:
+            raise ValueError("joint_mode localized_bell requires an O2 region")
+        if self.o2 is not None and (not isinstance(self.o2, Region) or self.o2.hi > self.n):
             raise ValueError("O2 must be a region inside the lattice")
         for name in ("t1", "t2"):
             v = float(getattr(self, name))
@@ -276,53 +277,54 @@ def _both_in_region_coupling_8() -> np.ndarray:
 
 
 def _map_8(m: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """Apply the 8x8 matrix ``m`` to each row of ``src``, summing in CSR order."""
+    """Apply the 8x8 matrix ``m`` to the last axis of ``src``, summing in CSR order."""
     out = np.zeros_like(src)
     for i, j in zip(*np.nonzero(m)):  # row-major: ascending j within each row
-        out[:, i] += m[i, j] * src[:, j]
+        out[..., i] += m[i, j] * src[..., j]
     return out
+
+
+_ALL = slice(None)
 
 
 @dataclass(frozen=True, eq=False)
 class PairBlocks:
     """An operation diagonal in the positions ``(x1, x2)``.
 
-    It acts by the 8x8 map ``maps[k]`` on the pairs selected by ``masks[k]``
-    (disjoint boolean masks over the ``n*n`` pairs, or ``slice(None)`` for
-    all of them), and as the identity (when ``rest_identity``) or zero on
-    every other pair.
+    It acts by the 8x8 map ``maps[k]`` on the rectangle ``rects[k]`` of the
+    ``(n, n, 8)`` amplitude tensor, a pair ``(rows, cols)`` of site slices
+    for slot 1 and slot 2, and as the identity (when ``rest_identity``) or
+    zero on every pair outside the rectangles, which are disjoint.
     """
 
     n: int
-    masks: tuple
+    rects: tuple
     maps: tuple
     rest_identity: bool
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
-        t = amps.reshape(self.n * self.n, 8)
+        t = amps.reshape(self.n, self.n, 8)
         # ``t + 0`` turns -0.0 into +0.0, as the CSR sum ``0 + 1 * x`` does.
         out = t + 0 if self.rest_identity else np.zeros_like(t)
-        for mask, m in zip(self.masks, self.maps):
-            out[mask] = _map_8(m, t[mask])
+        for rect, m in zip(self.rects, self.maps):
+            out[rect] = _map_8(m, t[rect])
         return qcore.freeze(out).reshape(-1)
 
 
-def _inside(n: int, region: Region, name: str) -> np.ndarray:
+def _sites(n: int, region: Region, name: str) -> slice:
+    """The sites of ``region`` as a slice; a region past the lattice is an error, not clipped."""
     if region.hi > n:
         raise ValueError(f"{name} [{region.lo}, {region.hi}) exceeds the {n}-site lattice")
-    inside = np.zeros(n, dtype=bool)
-    inside[region.lo:region.hi] = True
-    return inside
+    return slice(region.lo, region.hi)
 
 
 def _by_occupant(n: int, region: Region, name: str, only1, only2, both) -> PairBlocks:
     """Unitary acting by ``only1``/``only2``/``both`` as slot 1, slot 2 or both occupy ``region``."""
-    inside = _inside(n, region, name)
-    return _unitary_blocks(n, [
-        (np.outer(inside, ~inside).ravel(), only1),
-        (np.outer(~inside, inside).ravel(), only2),
-        (np.outer(inside, inside).ravel(), both),
-    ])
+    r = _sites(n, region, name)
+    rest = (slice(0, r.start), slice(r.stop, n))
+    return _unitary_blocks(
+        n, [((r, c), only1) for c in rest] + [((c, r), only2) for c in rest] + [((r, r), both)]
+    )
 
 
 def _unitary_blocks(n: int, blocks) -> PairBlocks:
@@ -333,41 +335,44 @@ def _unitary_blocks(n: int, blocks) -> PairBlocks:
     return PairBlocks(n, *zip(*blocks), rest_identity=True)
 
 
-def _projective_measurement(n: int, mask, p8: np.ndarray, q8: np.ndarray) -> tuple:
-    """``(P, Q)``: ``p8``/``q8`` on the ``mask`` pairs, zero/identity elsewhere."""
+def _projective_measurement(n: int, rects, p8: np.ndarray, q8: np.ndarray) -> tuple:
+    """``(P, Q)``: ``p8``/``q8`` on the ``rects``, zero/identity elsewhere."""
     qcore.check_projector_family([LinearOperator(p8, SPINS_QUBIT_TAG), LinearOperator(q8, SPINS_QUBIT_TAG)])
-    return PairBlocks(n, (mask,), (p8,), False), PairBlocks(n, (mask,), (q8,), True)
+    rects = tuple(rects)
+    return PairBlocks(n, rects, (p8,) * len(rects), False), PairBlocks(n, rects, (q8,) * len(rects), True)
 
 
 def _kick_blocks(n: int, o1: Region, mode: str) -> PairBlocks:
     if mode == "position":
         return _by_occupant(n, o1, "O1", _spin_flip_8(1), _spin_flip_8(2), _spin_flip_8(1, 2))
     if mode == "label1":
-        return _unitary_blocks(n, [(np.repeat(_inside(n, o1, "O1"), n), _spin_flip_8(1))])
+        return _unitary_blocks(n, [((_sites(n, o1, "O1"), _ALL), _spin_flip_8(1))])
     raise ValueError(f"kick mode must be position or label1, got {mode!r}")
 
 
 def _detector_blocks(n: int, o3: Region, mode: str) -> PairBlocks:
     if mode == "label2":
-        return _unitary_blocks(n, [(slice(None), _spin_qubit_map_8(2))])
+        return _unitary_blocks(n, [((_ALL, _ALL), _spin_qubit_map_8(2))])
     return _by_occupant(n, o3, "O3", _spin_qubit_map_8(1), _spin_qubit_map_8(2), _both_in_region_coupling_8())
 
 
 def _joint_outcomes(n: int, mode: str, o2: Optional[Region]) -> tuple:
     if mode == "global_bell":
-        mask = slice(None)
+        rect = (_ALL, _ALL)
     elif o2 is None:
         raise ValueError("localized_bell needs an O2 region")
     else:
-        in2 = _inside(n, o2, "O2")
-        mask = np.outer(in2, in2).ravel()
+        r = _sites(n, o2, "O2")
+        rect = (r, r)
     p8 = np.kron(bell_projector().to_dense(), SPIN_IDENTITY.to_dense())
-    return _projective_measurement(n, mask, p8, np.eye(8) - p8)
+    return _projective_measurement(n, [rect], p8, np.eye(8) - p8)
 
 
-def _occupied_pairs(n: int, region: Region) -> np.ndarray:
-    inside = _inside(n, region, "region")
-    return (inside[:, None] | inside[None, :]).ravel()
+def _occupancy_outcomes(n: int, o3: Region) -> tuple:
+    """``(P, Q)``: the projector onto the pairs with a particle in O3, and its complement."""
+    r = _sites(n, o3, "O3")
+    rects = [(r, _ALL), (slice(0, r.start), r), (slice(r.stop, n), r)]
+    return _projective_measurement(n, rects, np.eye(8), np.zeros((8, 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,40 +383,9 @@ def _apply_each(op: PairBlocks, ens: BranchEnsemble) -> BranchEnsemble:
     return BranchEnsemble(tuple((w, StateVector(op.apply(s.amps), s.basis_tag)) for w, s in ens.branches))
 
 
-def _split_on_occupancy(
-    ens: BranchEnsemble,
-    occupied: np.ndarray,
-    post_hit: Optional[PairBlocks],
-    selective: bool,
-) -> BranchEnsemble:
-    """Branch every ensemble member on the projector onto the ``occupied`` pairs.
-
-    ``post_hit`` (a unitary) is applied to the projected branch.  With
-    ``selective`` true only the projected branches survive, renormalized
-    over the surviving weight.
-    """
-    hits = []
-    misses = []
-    for w, state in ens.branches:
-        base = float(np.vdot(state.amps, state.amps).real)
-        inside = (state.amps.reshape(occupied.size, 8) * occupied[:, None]).reshape(-1)
-        outside = state.amps - inside
-        p_in = float(np.vdot(inside, inside).real) / base
-        p_out = float(np.vdot(outside, outside).real) / base
-        if w * p_in > qcore.BRANCH_PRUNE_THRESHOLD:
-            hit = qcore.freeze(inside / np.linalg.norm(inside))
-            if post_hit is not None:
-                hit = post_hit.apply(hit)
-            hits.append((w * p_in, StateVector(hit, state.basis_tag)))
-        if not selective and w * p_out > qcore.BRANCH_PRUNE_THRESHOLD:
-            misses.append((w * p_out, StateVector(qcore.freeze(outside / np.linalg.norm(outside)), state.basis_tag)))
-    if selective:
-        total = sum(w for w, _ in hits)
-        if total <= 1e-12:
-            raise ValueError("selective detection post-selected on an empty outcome")
-        hits = [(w / total, s) for w, s in hits]
-        return BranchEnsemble(tuple(hits))
-    return BranchEnsemble(tuple(hits + misses))
+def _branches(outcomes: tuple, ens: BranchEnsemble) -> tuple:
+    """Lueders branches of ``ens`` on the ``PairBlocks`` projectors ``outcomes``, outcome by outcome."""
+    return luders_update(ens, lambda amps: (op.apply(amps) for op in outcomes))
 
 
 def detector_measurement(
@@ -430,6 +404,10 @@ def detector_measurement(
     regardless of which particle actually sits in O3.  It is not exchange
     symmetric and breaks the antisymmetry of fermionic states.
 
+    Branching is the Lueders update on the occupancy projectors ``(P, Q)``:
+    the occupied branches come first, then the unoccupied ones, each in the
+    order of the input branches.
+
     Returns
     -------
     callable
@@ -437,14 +415,23 @@ def detector_measurement(
     """
     if mode not in DETECTOR_MODES:
         raise ValueError(f"detector mode must be one of {DETECTOR_MODES}, got {mode!r}")
-    occupied = _occupied_pairs(space.n_sites, o3)
     coupling = _detector_blocks(space.n_sites, o3, mode)
+    occupancy = _occupancy_outcomes(space.n_sites, o3)
 
     def procedure(ens: BranchEnsemble) -> BranchEnsemble:
-        if mode == "label2":
-            return _split_on_occupancy(ens, occupied, coupling, selective)
-        moved = _apply_each(coupling, ens)
-        return _split_on_occupancy(moved, occupied, None, True) if selective else moved
+        if mode == "position":
+            ens = _apply_each(coupling, ens)
+            if not selective:
+                return ens
+        hits, misses = _branches(occupancy, ens)
+        if mode == "label2":  # on the normalized branch: normalizing after the coupling rounds differently
+            hits = tuple((w, StateVector(coupling.apply(s.amps), s.basis_tag)) for w, s in hits)
+        if not selective:
+            return BranchEnsemble(hits + misses)
+        total = sum(w for w, _ in hits)
+        if total <= 1e-12:
+            raise ValueError("selective detection post-selected on an empty outcome")
+        return BranchEnsemble(tuple((w / total, s) for w, s in hits))
 
     return procedure
 
@@ -469,7 +456,7 @@ def joint_measurement(
     outcomes = _joint_outcomes(space.n_sites, mode, o2)
 
     def procedure(ens: BranchEnsemble) -> BranchEnsemble:
-        return luders_update(ens, lambda amps: (op.apply(amps) for op in outcomes))
+        return BranchEnsemble(sum(_branches(outcomes, ens), ()))
 
     return procedure
 

@@ -348,6 +348,8 @@ def luders_measure(projectors: Sequence[LinearOperator], x: StateLike) -> Branch
     ``(w * |P_i psi|^2, P_i psi / |P_i psi|)`` per outcome ``i``; branches
     whose total weight falls at or below ``BRANCH_PRUNE_THRESHOLD`` are
     dropped.  Weights across outputs still sum to 1 (within tolerance).
+    The output lists the branches outcome by outcome: every surviving branch
+    of outcome 0 in input order, then those of outcome 1, and so on.
 
     Parameters
     ----------
@@ -370,22 +372,29 @@ def luders_measure(projectors: Sequence[LinearOperator], x: StateLike) -> Branch
         raise TypeError(f"luders_measure expects a StateVector or BranchEnsemble, got {type(x).__name__}")
     if projectors[0].basis_tag != x.basis_tag or projectors[0].dim != x.dim:
         raise ValueError("projectors and state live on different bases")
-    return luders_update(x, lambda amps: (p.matrix @ amps for p in projectors))
+    return BranchEnsemble(sum(luders_update(x, lambda amps: (p.matrix @ amps for p in projectors)), ()))
 
 
-def luders_update(x: BranchEnsemble, outcomes: Callable) -> BranchEnsemble:
-    """Branch bookkeeping of :func:`luders_measure`; ``outcomes(amps)`` yields each ``P_i psi``."""
-    out = []
+def luders_update(x: BranchEnsemble, outcomes: Callable) -> tuple:
+    """Branch bookkeeping of :func:`luders_measure`, outcome by outcome.
+
+    ``outcomes(amps)`` yields each ``P_i psi``.  Entry ``i`` of the result
+    holds the surviving ``(weight, state)`` branches of outcome ``i``, in the
+    order of the input branches; the weights of all entries sum to 1.
+    """
+    by_outcome = []
     for w, state in x.branches:
         # Outcome probabilities are taken relative to the branch norm so the
         # output weights keep summing to 1 even after ~1e-15 rounding drift.
         base = float(np.vdot(state.amps, state.amps).real)
-        for arm in outcomes(state.amps):
+        for i, arm in enumerate(outcomes(state.amps)):
+            if i == len(by_outcome):
+                by_outcome.append([])
             prob = float(np.vdot(arm, arm).real) / base
             weight = w * prob
             if weight > BRANCH_PRUNE_THRESHOLD:
-                out.append((weight, StateVector(freeze(arm / np.linalg.norm(arm)), x.basis_tag)))
-    return BranchEnsemble(tuple(out))
+                by_outcome[i].append((weight, StateVector(freeze(arm / np.linalg.norm(arm)), x.basis_tag)))
+    return tuple(map(tuple, by_outcome))
 
 
 # Single spin-1/2 constants in the (down, up) ordering of this package.

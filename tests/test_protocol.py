@@ -34,7 +34,7 @@ from nosignal import (
     wavepacket,
 )
 from nosignal import protocol as protocol_mod
-from nosignal.protocol import STAGES, PairBlocks
+from nosignal.protocol import DETECTOR_MODES, STAGES, PairBlocks
 from nosignal.qcore import (
     PAULI_X,
     PAULI_Y,
@@ -196,11 +196,10 @@ def test_kick_flips_the_region_supported_wing():
 def test_occupancy_projector_matches_reference():
     n = 8
     space = CompositeSpace(n)
-    region = Region(5, 8)
-    occupied = protocol_mod._occupied_pairs(n, region)
-    p = _kernel_matrix(PairBlocks(n, (occupied,), (np.eye(8),), False))
+    p, q = (_kernel_matrix(op) for op in protocol_mod._occupancy_outcomes(n, Region(5, 8)))
     want = np.diag(oc.union_occupancy_diag(n, range(5, 8)))
     np.testing.assert_array_equal(p, want)
+    np.testing.assert_array_equal(q, np.eye(space.dim) - want)
     assert LinearOperator(p, space.basis_tag).projector_defect() == 0.0
     assert _exchange_defect(n, p) <= 1e-12
 
@@ -291,6 +290,51 @@ def test_selective_detection_on_empty_window_raises():
         procedure(BranchEnsemble.pure(psi))
 
 
+def test_selective_hit_branch_is_the_csr_projection_byte_for_byte():
+    n = 8
+    space = CompositeSpace(n)
+    o3 = Region(5, 8)
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    psi = StateVector(amps / np.linalg.norm(amps), space.basis_tag)
+    out = detector_measurement(space, o3, "position", selective=True)(BranchEnsemble.pure(psi))
+    moved = protocol_mod._detector_blocks(n, o3, "position").apply(psi.amps)
+    arm = sp.csr_array(np.diag(oc.union_occupancy_diag(n, range(5, 8))).astype(np.complex128)) @ moved
+    assert out.branch_count == 1
+    assert out.branches[0][0] == 1.0
+    assert out.branches[0][1].amps.tobytes() == (arm / np.linalg.norm(arm)).tobytes()
+
+
+def test_label2_detector_lists_every_hit_before_every_miss():
+    n = 8
+    space = CompositeSpace(n)
+    occupied = oc.union_occupancy_diag(n, range(5, 8)).astype(bool)
+    rng = np.random.default_rng(11)
+    states = []
+    for scale_inside in (1.0, 3.0):  # two branches with different occupancies
+        amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        amps[occupied] *= scale_inside
+        states.append(amps / np.linalg.norm(amps))
+    ens = BranchEnsemble(tuple((w, StateVector(a, space.basis_tag)) for w, a in zip((0.3, 0.7), states)))
+    out = detector_measurement(space, Region(5, 8), "label2")(ens)
+    p_in = [float(np.sum(np.abs(a[occupied]) ** 2)) for a in states]
+    want = [0.3 * p_in[0], 0.7 * p_in[1], 0.3 * (1 - p_in[0]), 0.7 * (1 - p_in[1])]
+    assert [w for w, _ in out.branches] == pytest.approx(want, rel=1e-12)
+    for k, (_, state) in enumerate(out.branches):
+        outside_outcome = ~occupied if k < 2 else occupied
+        assert not np.any(state.amps[outside_outcome])
+
+
+def test_detector_and_localized_joint_reject_a_region_past_the_lattice():
+    space = CompositeSpace(8)
+    for mode in DETECTOR_MODES:
+        for selective in (False, True):
+            with pytest.raises(ValueError, match="exceeds the 8-site lattice"):
+                detector_measurement(space, Region(5, 9), mode, selective)
+    with pytest.raises(ValueError, match="exceeds the 8-site lattice"):
+        joint_measurement(space, "localized_bell", Region(5, 9))
+
+
 def test_joint_measurement_none_is_identity():
     cfg = _basic_config()
     _, space, psi0 = prepare_scenario(cfg)
@@ -328,6 +372,7 @@ def test_joint_measurement_validates_mode_and_region():
 
 @pytest.mark.parametrize("n", [8, 12])
 def test_kernels_match_materialized_operators_exactly(n):
+    # Bytes, not ``==``: -0.0 and +0.0 differ.  The inputs hold both.
     space = CompositeSpace(n)
     region, o2 = Region(2, 5), Region(4, 7)
     rng = np.random.default_rng(n)
@@ -335,14 +380,18 @@ def test_kernels_match_materialized_operators_exactly(n):
     for mode in ("global_bell", "localized_bell"):
         p, q = protocol_mod._joint_outcomes(n, mode, o2)
         ops[f"{mode} P"], ops[f"{mode} Q"] = p, q
+    ops["occupancy P"], ops["occupancy Q"] = protocol_mod._occupancy_outcomes(n, region)
     for mode in ("position", "label2"):
         ops[f"detector {mode}"] = protocol_mod._detector_blocks(n, region, mode)
     matrices = {name: _kernel_matrix(op) for name, op in ops.items()}
     for _ in range(3):
         amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-        psi = StateVector(amps / np.linalg.norm(amps), space.basis_tag)
+        parts = amps.view(np.float64)
+        parts[rng.random(parts.size) < 0.2] = -0.0
+        parts[rng.random(parts.size) < 0.1] = 0.0
         for name, op in ops.items():
-            assert np.array_equal(op.apply(psi.amps), sp.csr_array(matrices[name]) @ psi.amps), name
+            want = sp.csr_array(matrices[name]) @ amps
+            assert op.apply(amps).view(np.float64).tobytes() == want.view(np.float64).tobytes(), name
     label2 = np.kron(np.eye(2 * n * n), detector_coupling().to_dense())
     np.testing.assert_array_equal(matrices["detector label2"], label2)
 
@@ -358,7 +407,7 @@ def test_joint_measurement_equals_luders_on_materialized_projectors():
         matrices = [_kernel_matrix(op) for op in protocol_mod._joint_outcomes(n, mode, Region(3, 6))]
         check_projector_family([LinearOperator(m, space.basis_tag) for m in matrices])
         csrs = [sp.csr_array(m) for m in matrices]
-        want = luders_update(ens, lambda amps: (c @ amps for c in csrs))
+        want = BranchEnsemble(sum(luders_update(ens, lambda amps: (c @ amps for c in csrs)), ()))
         assert [w for w, _ in got.branches] == [w for w, _ in want.branches]
         for (_, a), (_, b) in zip(got.branches, want.branches):
             assert np.array_equal(a.amps, b.amps)

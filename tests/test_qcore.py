@@ -248,6 +248,19 @@ def test_luders_prunes_zero_weight_branch():
     assert ens.branches[0][0] == pytest.approx(1.0)
 
 
+def test_luders_lists_branches_outcome_by_outcome():
+    # Every branch of outcome 0, in input order, then every branch of outcome 1.
+    p0 = LinearOperator(np.diag([1.0, 0.0]), "spin")
+    p1 = LinearOperator(np.diag([0.0, 1.0]), "spin")
+    a = StateVector(np.array([0.6, 0.8]), "spin")
+    b = StateVector(np.array([0.8, 0.6j]), "spin")
+    ens = luders_measure([p0, p1], BranchEnsemble(((0.25, a), (0.75, b))))
+    assert [w for w, _ in ens.branches] == pytest.approx([0.25 * 0.36, 0.75 * 0.64, 0.25 * 0.64, 0.75 * 0.36])
+    want = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0j]]
+    for (_, state), amps in zip(ens.branches, want):
+        np.testing.assert_allclose(state.amps, amps, atol=1e-15)
+
+
 def test_luders_family_validation():
     p0 = LinearOperator(np.diag([1.0, 0.0]), "spin")
     tilted = LinearOperator(np.array([[0.5, 0.5], [0.5, 0.5]]), "spin")
