@@ -31,7 +31,6 @@ from .lattice import (
     light_cone_bound,
     make_lattice,
     propagator,
-    region_projector,
     wavepacket,
 )
 from .protocol import (
@@ -48,7 +47,6 @@ from .protocol import (
     run_arm_stages,
     run_naive_sorkin,
     run_scenario,
-    signaling_delta,
 )
 from .qcore import (
     PAULI_X,
@@ -106,11 +104,9 @@ __all__ = [
     "prepare_scenario",
     "propagator",
     "qubit_one_probability",
-    "region_projector",
     "run_arm_stages",
     "run_naive_sorkin",
     "run_scenario",
-    "signaling_delta",
     "symmetrize",
     "tensor_product",
     "wavepacket",

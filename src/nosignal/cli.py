@@ -18,27 +18,9 @@ Four subcommands, all driven by a JSON scenario config:
     Writes the per-site occupancies of one arm at one pipeline stage as CSV,
     optionally together with the full branch amplitudes.
 
-Config schema (JSON object; unknown keys are rejected)::
-
-    {
-      "n": 96,                                   // required, lattice sites
-      "o1": {"lo": 8, "hi": 20},                 // required, half-open region
-      "o3": {"lo": 76, "hi": 88},                // required
-      "packet1": {"support": {"lo": 8, "hi": 20},
-                  "center": 14.0, "width": 3.0,
-                  "momentum": 0.0},              // required
-      "packet2": {...},                          // required
-      "t2": 10.0,                                // required, second drift time
-      "hopping": 1.0,                            // optional, default 1.0
-      "o2": {"lo": 40, "hi": 52},                // optional, default null
-      "statistics": "fermion",                   // fermion|boson|distinguishable
-      "kick_mode": "position",                   // off|position|label1
-      "joint_mode": "none",                      // none|global_bell|localized_bell
-      "detector_mode": "position",               // position|label2
-      "t1": 0.0,                                 // optional, default 0.0
-      "eps": 1e-6,                               // optional, default 1e-6
-      "selective_o3": false                      // optional, default false
-    }
+The config is a JSON object whose keys are the fields of
+:class:`nosignal.protocol.ScenarioConfig`, in its order, with its defaults;
+unknown keys are rejected.  README "Command line" shows an example.
 
 Exit codes: 0 success, 1 certificate failure, 2 validation or parse error,
 3 I/O error, 4 any other error (running out of memory, say).  Reports are
@@ -50,18 +32,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import json
 import sys
 import time
-from typing import Optional
+import typing
 
 import numpy as np
 
 from .composite import CompositeSpace, position_occupancy
-from .lattice import Region, SpacelikeCertificate, check_spacelike
+from .lattice import SpacelikeCertificate, check_spacelike
 from .protocol import (
     STAGES,
-    PacketSpec,
     ScenarioConfig,
     SignalingReport,
     prepare_scenario,
@@ -73,31 +56,17 @@ from .qcore import PAULI_X, PAULI_Y, PAULI_Z, SPIN_TAG, LinearOperator, identity
 
 from . import __version__
 
-_REQUIRED_KEYS = ("n", "o1", "o3", "packet1", "packet2", "t2")
-_OPTIONAL_KEYS = {
-    "hopping": 1.0,
-    "o2": None,
-    "statistics": "fermion",
-    "kick_mode": "position",
-    "joint_mode": "none",
-    "detector_mode": "position",
-    "t1": 0.0,
-    "eps": 1e-6,
-    "selective_o3": False,
-}
-
 
 # ---------------------------------------------------------------------------
 # config parsing
 
 
-def _check_keys(obj, required, optional, ctx: str) -> None:
+def _check_keys(obj, required, allowed, ctx: str) -> None:
     if not isinstance(obj, dict):
         raise ValueError(f"{ctx} must be a JSON object")
-    unknown = sorted(set(obj) - set(required) - set(optional))
+    unknown = sorted(set(obj) - set(allowed))
     if unknown:
-        allowed = sorted(set(required) | set(optional))
-        raise ValueError(f"{ctx}: unknown key(s) {unknown}; allowed keys are {allowed}")
+        raise ValueError(f"{ctx}: unknown key(s) {unknown}; allowed keys are {sorted(allowed)}")
     missing = sorted(set(required) - set(obj))
     if missing:
         raise ValueError(f"{ctx}: missing required key(s) {missing}")
@@ -127,19 +96,27 @@ def _as_str(value, ctx: str) -> str:
     return value
 
 
-def _region_from(obj, ctx: str) -> Region:
-    _check_keys(obj, ("lo", "hi"), (), ctx)
-    return Region(_as_int(obj["lo"], f"{ctx}.lo"), _as_int(obj["hi"], f"{ctx}.hi"))
+_SCALARS = {int: _as_int, float: _as_float, str: _as_str, bool: _as_bool}
 
 
-def _packet_from(obj, ctx: str) -> PacketSpec:
-    _check_keys(obj, ("support", "center", "width", "momentum"), (), ctx)
-    return PacketSpec(
-        support=_region_from(obj["support"], f"{ctx}.support"),
-        center=_as_float(obj["center"], f"{ctx}.center"),
-        width=_as_float(obj["width"], f"{ctx}.width"),
-        momentum=_as_float(obj["momentum"], f"{ctx}.momentum"),
-    )
+@functools.cache
+def _schema(cls) -> tuple:
+    """``(name, type, required)`` of each field of dataclass ``cls``, in declaration order."""
+    types = typing.get_type_hints(cls)
+    return tuple((f.name, types[f.name], f.default is dataclasses.MISSING) for f in dataclasses.fields(cls))
+
+
+def _from_json(tp, value, ctx: str):
+    """``value`` type-checked against annotation ``tp``; a dataclass is built from a JSON object."""
+    args = typing.get_args(tp)  # Optional[X] is Union[X, None]
+    if args:
+        return None if value is None else _from_json(args[0], value, ctx)
+    if not dataclasses.is_dataclass(tp):
+        return _SCALARS[tp](value, ctx)
+    schema = _schema(tp)
+    _check_keys(value, [name for name, _, req in schema if req], [name for name, _, _ in schema], ctx)
+    # Fields are checked in declaration order; the dataclass fills in its own defaults.
+    return tp(**{name: _from_json(t, value[name], f"{ctx}.{name}") for name, t, _ in schema if name in value})
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -155,60 +132,12 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ValueError(
             f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    _check_keys(raw, _REQUIRED_KEYS, _OPTIONAL_KEYS, "config")
-    merged = dict(_OPTIONAL_KEYS)
-    merged.update(raw)
-    o2 = merged["o2"]
-    return ScenarioConfig(
-        n=_as_int(merged["n"], "config.n"),
-        hopping=_as_float(merged["hopping"], "config.hopping"),
-        o1=_region_from(merged["o1"], "config.o1"),
-        o2=None if o2 is None else _region_from(o2, "config.o2"),
-        o3=_region_from(merged["o3"], "config.o3"),
-        packet1=_packet_from(merged["packet1"], "config.packet1"),
-        packet2=_packet_from(merged["packet2"], "config.packet2"),
-        statistics=_as_str(merged["statistics"], "config.statistics"),
-        kick_mode=_as_str(merged["kick_mode"], "config.kick_mode"),
-        joint_mode=_as_str(merged["joint_mode"], "config.joint_mode"),
-        detector_mode=_as_str(merged["detector_mode"], "config.detector_mode"),
-        t1=_as_float(merged["t1"], "config.t1"),
-        t2=_as_float(merged["t2"], "config.t2"),
-        eps=_as_float(merged["eps"], "config.eps"),
-        selective_o3=_as_bool(merged["selective_o3"], "config.selective_o3"),
-    )
+    return _from_json(ScenarioConfig, raw, "config")
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
     """Effective config (defaults applied) in the schema the parser accepts."""
-
-    def region(r: Optional[Region]):
-        return None if r is None else {"lo": r.lo, "hi": r.hi}
-
-    def packet(p: PacketSpec):
-        return {
-            "support": region(p.support),
-            "center": p.center,
-            "width": p.width,
-            "momentum": p.momentum,
-        }
-
-    return {
-        "n": cfg.n,
-        "hopping": cfg.hopping,
-        "o1": region(cfg.o1),
-        "o2": region(cfg.o2),
-        "o3": region(cfg.o3),
-        "packet1": packet(cfg.packet1),
-        "packet2": packet(cfg.packet2),
-        "statistics": cfg.statistics,
-        "kick_mode": cfg.kick_mode,
-        "joint_mode": cfg.joint_mode,
-        "detector_mode": cfg.detector_mode,
-        "t1": cfg.t1,
-        "t2": cfg.t2,
-        "eps": cfg.eps,
-        "selective_o3": cfg.selective_o3,
-    }
+    return dataclasses.asdict(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +145,9 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 
 def certificate_to_dict(cert: SpacelikeCertificate) -> dict:
-    return {
-        "epsilon": cert.epsilon,
-        "leak_13": cert.leak_13,
-        "leak_31": cert.leak_31,
-        "overlap_O1": cert.overlap_O1,
-        "overlap_O3": cert.overlap_O3,
-        "pass": cert.passed,
-    }
+    out = dataclasses.asdict(cert)
+    out["pass"] = out.pop("passed")
+    return out
 
 
 def report_to_dict(
@@ -233,22 +157,15 @@ def report_to_dict(
     duration_seconds: float,
 ) -> dict:
     """Assemble the full report payload, manifest included."""
-    return {
-        "p_q1_kick": report.p_q1_kick,
-        "p_q1_nokick": report.p_q1_nokick,
-        "delta": report.delta,
-        "arrival_prob": report.arrival_prob,
-        "certificate": certificate_to_dict(report.certificate),
-        "max_antisym_violation": report.max_antisym_violation,
-        "branch_count_kick": report.branch_count_kick,
-        "branch_count_nokick": report.branch_count_nokick,
-        "manifest": {
-            "config": config_to_dict(cfg),
-            "version": __version__,
-            "duration_seconds": duration_seconds,
-            "seed": seed,
-        },
+    out = dataclasses.asdict(report)
+    out["certificate"] = certificate_to_dict(report.certificate)
+    out["manifest"] = {
+        "config": config_to_dict(cfg),
+        "version": __version__,
+        "duration_seconds": duration_seconds,
+        "seed": seed,
     }
+    return out
 
 
 def emit_report(payload: dict) -> str:
@@ -401,14 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=0,
-            help="echoed into the report manifest; reserved for randomized sweeps",
-        )
-
     p = sub.add_parser("naive", help="closed-form two-spin pipeline, no spatial degrees of freedom")
     p.add_argument("--observable", required=True, choices=("sx", "sy", "sz", "identity", "file"))
     p.add_argument(
@@ -417,18 +326,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON 2x2 matrix, entries are numbers or [re, im] pairs (use with --observable file)",
     )
     p.add_argument("--kick", action="store_true", help="flip spin 1 before the joint measurement")
-    add_common(p)
     p.set_defaults(func=_cmd_naive)
 
     p = sub.add_parser("simulate", help="run both arms of a scenario and write the signaling report")
     p.add_argument("--config", required=True, help="path to a JSON scenario config")
     p.add_argument("--out", required=True, help="path for the JSON report")
-    add_common(p)
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="echoed into the report manifest; reserved for randomized sweeps",
+    )
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("check-spacelike", help="print the causal-disconnection certificate")
     p.add_argument("--config", required=True, help="path to a JSON scenario config")
-    add_common(p)
     p.set_defaults(func=_cmd_check_spacelike)
 
     p = sub.add_parser("dump-density", help="write per-site occupancies of one arm as CSV")
@@ -441,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write every branch amplitude (branch, weight, index, re, im) to this CSV path",
     )
-    add_common(p)
     p.set_defaults(func=_cmd_dump_density)
     return parser
 

@@ -74,6 +74,12 @@ class Region:
     def overlaps(self, other: "Region") -> bool:
         return self.lo < other.hi and other.lo < self.hi
 
+    def slice_in(self, n: int, name: str) -> slice:
+        """The sites as a slice of an ``n``-site lattice; past the lattice is an error, not clipped."""
+        if self.hi > n:
+            raise ValueError(f"{name} [{self.lo}, {self.hi}) exceeds the {n}-site lattice")
+        return slice(self.lo, self.hi)
+
 
 @dataclass(frozen=True)
 class SpacelikeCertificate:
@@ -115,19 +121,6 @@ class SpacelikeCertificate:
 def make_lattice(n_sites: int, hopping: float) -> Lattice1D:
     """Construct a validated hard-wall lattice."""
     return Lattice1D(n_sites, hopping)
-
-
-def _check_region(lat: Lattice1D, region: Region, name: str = "region"):
-    if region.hi > lat.n_sites:
-        raise ValueError(f"{name} [{region.lo}, {region.hi}) exceeds the {lat.n_sites}-site lattice")
-
-
-def region_projector(lat: Lattice1D, region: Region) -> LinearOperator:
-    """Diagonal projector onto the sites of ``region`` (exact 0/1 entries)."""
-    _check_region(lat, region)
-    diag = np.zeros(lat.n_sites, dtype=np.complex128)
-    diag[region.lo:region.hi] = 1.0
-    return LinearOperator(np.diag(diag), lat.site_tag)
 
 
 def hamiltonian(lat: Lattice1D) -> LinearOperator:
@@ -205,7 +198,7 @@ def wavepacket(lat: Lattice1D, support: Region, center: float, width: float, mom
     StateVector
         Unit-norm single-particle state, exactly zero outside ``support``.
     """
-    _check_region(lat, support, "packet support")
+    support.slice_in(lat.n_sites, "packet support")
     center = float(center)
     width = float(width)
     momentum = float(momentum)
@@ -236,9 +229,9 @@ def leakage(lat: Lattice1D, src: Region, dst: Region, t: float) -> float:
     cone this reads the ~1e-15 roundoff of the eigendecomposition, not the
     true block norm; :func:`light_cone_bound` is the rigorous bound.
     """
-    _check_region(lat, src, "src")
-    _check_region(lat, dst, "dst")
-    block = propagator(lat, t).to_dense()[dst.lo:dst.hi, src.lo:src.hi]
+    cols = src.slice_in(lat.n_sites, "src")
+    rows = dst.slice_in(lat.n_sites, "dst")
+    block = propagator(lat, t).to_dense()[rows, cols]
     return float(np.linalg.svd(block, compute_uv=False)[0])
 
 
@@ -262,8 +255,8 @@ def light_cone_bound(lat: Lattice1D, src: Region, dst: Region, t: float) -> floa
     for disjoint regions; for ``t > 0`` it is never below the smallest
     positive double, so an underflow still gives an upper bound.
     """
-    _check_region(lat, src, "src")
-    _check_region(lat, dst, "dst")
+    src.slice_in(lat.n_sites, "src")
+    dst.slice_in(lat.n_sites, "dst")
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"bound time must be finite and >= 0, got {t}")
@@ -317,8 +310,8 @@ def check_spacelike(
     -------
     SpacelikeCertificate
     """
-    _check_region(lat, o1, "O1")
-    _check_region(lat, o3, "O3")
+    o1.slice_in(lat.n_sites, "O1")
+    o3.slice_in(lat.n_sites, "O3")
     t_total = float(t_total)
     if not math.isfinite(t_total) or t_total < 0.0:
         raise ValueError(f"t_total must be finite and >= 0, got {t_total}")

@@ -103,23 +103,28 @@ class PacketSpec:
             object.__setattr__(self, name, v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
-    """Full description of one signaling experiment (both arms)."""
+    """Full description of one signaling experiment (both arms).
+
+    The single statement of the JSON config schema: the CLI parses and
+    serializes configs field by field, in this order, from these
+    annotations and defaults; a field with no default is required.
+    """
 
     n: int
+    hopping: float = 1.0
     o1: Region
+    o2: Optional[Region] = None
     o3: Region
     packet1: PacketSpec
     packet2: PacketSpec
-    t2: float
-    hopping: float = 1.0
-    o2: Optional[Region] = None
     statistics: str = "fermion"
     kick_mode: str = "position"
     joint_mode: str = "none"
     detector_mode: str = "position"
     t1: float = 0.0
+    t2: float
     eps: float = 1e-6
     selective_o3: bool = False
 
@@ -141,8 +146,7 @@ class ScenarioConfig:
             region = getattr(self, name)
             if not isinstance(region, Region):
                 raise ValueError(f"{name} must be a Region")
-            if region.hi > self.n:
-                raise ValueError(f"{name} [{region.lo}, {region.hi}) exceeds the {self.n}-site lattice")
+            region.slice_in(self.n, name)
         if self.o1.overlaps(self.o3):
             raise ValueError(
                 f"O1, O3 disjoint violated: O1=[{self.o1.lo}, {self.o1.hi}) overlaps "
@@ -192,11 +196,6 @@ class SignalingReport:
     max_antisym_violation: float
     branch_count_kick: int
     branch_count_nokick: int
-
-
-def signaling_delta(report: SignalingReport) -> float:
-    """Absolute difference of the detector-qubit excitation probabilities."""
-    return abs(report.p_q1_kick - report.p_q1_nokick)
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +310,9 @@ class PairBlocks:
         return qcore.freeze(out).reshape(-1)
 
 
-def _sites(n: int, region: Region, name: str) -> slice:
-    """The sites of ``region`` as a slice; a region past the lattice is an error, not clipped."""
-    if region.hi > n:
-        raise ValueError(f"{name} [{region.lo}, {region.hi}) exceeds the {n}-site lattice")
-    return slice(region.lo, region.hi)
-
-
 def _by_occupant(n: int, region: Region, name: str, only1, only2, both) -> PairBlocks:
     """Unitary acting by ``only1``/``only2``/``both`` as slot 1, slot 2 or both occupy ``region``."""
-    r = _sites(n, region, name)
+    r = region.slice_in(n, name)
     rest = (slice(0, r.start), slice(r.stop, n))
     return _unitary_blocks(
         n, [((r, c), only1) for c in rest] + [((c, r), only2) for c in rest] + [((r, r), both)]
@@ -346,7 +338,7 @@ def _kick_blocks(n: int, o1: Region, mode: str) -> PairBlocks:
     if mode == "position":
         return _by_occupant(n, o1, "O1", _spin_flip_8(1), _spin_flip_8(2), _spin_flip_8(1, 2))
     if mode == "label1":
-        return _unitary_blocks(n, [((_sites(n, o1, "O1"), _ALL), _spin_flip_8(1))])
+        return _unitary_blocks(n, [((o1.slice_in(n, "O1"), _ALL), _spin_flip_8(1))])
     raise ValueError(f"kick mode must be position or label1, got {mode!r}")
 
 
@@ -362,7 +354,7 @@ def _joint_outcomes(n: int, mode: str, o2: Optional[Region]) -> tuple:
     elif o2 is None:
         raise ValueError("localized_bell needs an O2 region")
     else:
-        r = _sites(n, o2, "O2")
+        r = o2.slice_in(n, "O2")
         rect = (r, r)
     p8 = np.kron(bell_projector().to_dense(), SPIN_IDENTITY.to_dense())
     return _projective_measurement(n, [rect], p8, np.eye(8) - p8)
@@ -370,7 +362,7 @@ def _joint_outcomes(n: int, mode: str, o2: Optional[Region]) -> tuple:
 
 def _occupancy_outcomes(n: int, o3: Region) -> tuple:
     """``(P, Q)``: the projector onto the pairs with a particle in O3, and its complement."""
-    r = _sites(n, o3, "O3")
+    r = o3.slice_in(n, "O3")
     rects = [(r, _ALL), (slice(0, r.start), r), (slice(r.stop, n), r)]
     return _projective_measurement(n, rects, np.eye(8), np.zeros((8, 8)))
 
@@ -612,20 +604,12 @@ def default_scenario(**overrides) -> ScenarioConfig:
     """
     base = dict(
         n=96,
-        hopping=1.0,
         o1=Region(8, 20),
         o2=Region(40, 52),
         o3=Region(76, 88),
         packet1=PacketSpec(support=Region(8, 20), center=14.0, width=3.0, momentum=0.0),
         packet2=PacketSpec(support=Region(50, 74), center=62.0, width=6.0, momentum=float(np.pi / 2)),
-        statistics="fermion",
-        kick_mode="position",
-        joint_mode="none",
-        detector_mode="position",
-        t1=0.0,
         t2=10.0,
-        eps=1e-6,
-        selective_o3=False,
     )
     base.update(overrides)
     return ScenarioConfig(**base)

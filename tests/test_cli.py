@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from nosignal import Region, cli
+from nosignal import PacketSpec, Region, ScenarioConfig, cli
 from nosignal.cli import (
     certificate_to_dict,
     config_to_dict,
@@ -58,6 +58,16 @@ def test_parse_config_applies_defaults():
     assert cfg.o2 is None
     assert not cfg.selective_o3
     assert cfg.o1 == Region(0, 4)
+    required = dict(
+        n=10,
+        o1=Region(0, 4),
+        o3=Region(6, 10),
+        packet1=PacketSpec(Region(0, 4), 1.5, 0.8, 0.0),
+        packet2=PacketSpec(Region(4, 8), 5.5, 0.8, 1.2),
+        t2=0.8,
+    )
+    only_required = {key: value for key, value in _config_dict().items() if key in required}
+    assert parse_config(json.dumps(only_required)) == ScenarioConfig(**required)
 
 
 def test_parse_config_accepts_o2():
@@ -197,6 +207,14 @@ def test_naive_error_paths(tmp_path, capsys):
     skew = tmp_path / "skew.json"
     skew.write_text("[[0, 1], [0, 0]]")
     assert main(["naive", "--observable", "file", "--observable-file", str(skew)]) == 2
+    capsys.readouterr()
+
+
+def test_naive_rejects_seed(capsys):
+    # --seed is echoed into the simulate report; no other command takes it.
+    with pytest.raises(SystemExit) as err:
+        main(["naive", "--observable", "sz", "--seed", "1"])
+    assert err.value.code == 2
     capsys.readouterr()
 
 

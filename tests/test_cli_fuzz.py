@@ -1,8 +1,9 @@
-"""Property tests: ``main`` maps any config or observable file to exit 0, 1 or 2.
+"""Property tests: ``main`` maps any config or observable file to exit 0, 1 or 2,
+and every config that parses comes back equal through ``config_to_dict``.
 
-Configs follow the README schema, with arbitrary JSON in place of any key's
-value.  Integer ``n`` stays at most 64, so no example allocates more than a
-few MB.
+Configs have the keys of ``ScenarioConfig``, with arbitrary JSON in place of
+any key's value.  Integer ``n`` stays at most 64, so no example allocates
+more than a few MB.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nosignal.cli import main  # noqa: E402
+from nosignal.cli import config_to_dict, main, parse_config  # noqa: E402
 
 MAX_N = 64
 
@@ -106,6 +107,11 @@ def test_main_exit_code_on_arbitrary_configs(cfg, command):
         return [command, "--config", config] + (["--out", out] if command == "simulate" else [])
 
     assert _run(argv, json.dumps(cfg)) in (0, 1, 2)
+    try:
+        parsed = parse_config(json.dumps(cfg))
+    except ValueError:
+        return
+    assert parse_config(json.dumps(config_to_dict(parsed))) == parsed
 
 
 # The hermiticity check squares entries; past about 1e154 that overflows to inf,

@@ -23,7 +23,6 @@ from nosignal import (
     make_lattice,
     prepare_scenario,
     propagator,
-    region_projector,
     wavepacket,
 )
 from nosignal import lattice as lattice_mod
@@ -57,16 +56,6 @@ def test_region_behavior():
         Region(5, 5)
     with pytest.raises(ValueError):
         Region(-1, 3)
-
-
-def test_region_projector_is_exact():
-    lat = make_lattice(10, 1.0)
-    p = region_projector(lat, Region(3, 6))
-    want = np.zeros((10, 10))
-    want[3, 3] = want[4, 4] = want[5, 5] = 1.0
-    np.testing.assert_array_equal(p.to_dense(), want)  # bit-exact 0/1 entries
-    with pytest.raises(ValueError):
-        region_projector(lat, Region(3, 11))
 
 
 # ---------------------------------------------------------------------------

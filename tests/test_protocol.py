@@ -30,7 +30,6 @@ from nosignal import (
     run_arm_stages,
     run_naive_sorkin,
     run_scenario,
-    signaling_delta,
     wavepacket,
 )
 from nosignal import protocol as protocol_mod
@@ -582,7 +581,6 @@ def test_run_scenario_report_consistency():
     report = run_scenario(cfg)
     assert isinstance(report, SignalingReport)
     assert report.delta == pytest.approx(abs(report.p_q1_kick - report.p_q1_nokick), abs=1e-15)
-    assert signaling_delta(report) == pytest.approx(report.delta, abs=1e-15)
     assert 0.0 <= report.p_q1_kick <= 1.0
     assert 0.0 <= report.p_q1_nokick <= 1.0
     assert report.arrival_prob >= 0.0
