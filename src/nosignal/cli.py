@@ -81,7 +81,10 @@ def _as_int(value, ctx: str) -> int:
 def _as_float(value, ctx: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{ctx} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal too large for a double
+        raise ValueError(f"{ctx} must be a finite number, got a {value.bit_length()}-bit integer") from None
 
 
 def _as_bool(value, ctx: str) -> bool:

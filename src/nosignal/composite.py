@@ -235,6 +235,18 @@ def prepare_initial(
     return symmetrize(state)
 
 
+def _live_columns(tensor: np.ndarray) -> np.ndarray:
+    """Indices of the nonzero columns of the last axis of a complex ``(n, n, 8)`` tensor.
+
+    ORs the raw 64-bit words over ``x1`` and then over ``x2``, and masks off
+    the sign bit: ``-0.0`` counts as zero and a subnormal as nonzero, as in
+    ``tensor.any(axis=(0, 1))``.
+    """
+    bits = np.bitwise_or.reduce(tensor.view(np.uint64).reshape(tensor.shape[0], -1), axis=0)
+    bits = np.bitwise_or.reduce(bits.reshape(-1, 16), axis=0) & np.uint64(2**63 - 1)
+    return np.flatnonzero(bits.reshape(8, 2).any(axis=1))
+
+
 def evolve_positions(space: CompositeSpace, u_single: LinearOperator, state: StateVector) -> StateVector:
     """Apply a one-particle position operator to both slots at once.
 
@@ -251,7 +263,7 @@ def evolve_positions(space: CompositeSpace, u_single: LinearOperator, state: Sta
         raise ValueError(f"state tagged {state.basis_tag!r} is not on {space.basis_tag!r}")
     u = u_single.to_dense()
     tensor = state.amps.reshape(n, n, 8)
-    live = np.flatnonzero(tensor.any(axis=(0, 1)))
+    live = _live_columns(tensor)
     half = np.tensordot(u, tensor[:, :, live], axes=([1], [0]))  # (x1', x2, k)
     full = np.tensordot(u, half, axes=([1], [1]))                # (x2', x1', k)
     out = np.zeros((n, n, 8), dtype=complex)

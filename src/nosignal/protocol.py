@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -275,12 +275,19 @@ def _both_in_region_coupling_8() -> np.ndarray:
 # position-controlled operations
 
 
-def _map_8(m: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """Apply the 8x8 matrix ``m`` to the last axis of ``src``, summing in CSR order."""
-    out = np.zeros_like(src)
-    for i, j in zip(*np.nonzero(m)):  # row-major: ascending j within each row
-        out[..., i] += m[i, j] * src[..., j]
-    return out
+def _map_8(m: np.ndarray, src: np.ndarray, out: np.ndarray) -> None:
+    """Write the 8x8 matrix ``m`` applied to the last axis of ``src`` into ``out``, in CSR order.
+
+    Pass ``k`` adds the ``k``-th nonzero term of every row at once, gathered
+    with one ``np.take``.  A row with fewer terms adds coefficient 0, which
+    leaves a sum that began at ``+0`` unchanged.
+    """
+    cols = [np.flatnonzero(row) for row in m]
+    for k in range(max(1, *map(len, cols))):
+        idx = [c[k] if k < len(c) else 0 for c in cols]
+        term = np.take(src, idx, axis=-1)
+        term *= [m[i, j] if k < len(c) else 0 for i, (c, j) in enumerate(zip(cols, idx))]
+        np.add(out if k else 0, term, out=out)
 
 
 _ALL = slice(None)
@@ -302,12 +309,15 @@ class PairBlocks:
     rest_identity: bool
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
-        t = amps.reshape(self.n, self.n, 8)
-        # ``t + 0`` turns -0.0 into +0.0, as the CSR sum ``0 + 1 * x`` does.
-        out = t + 0 if self.rest_identity else np.zeros_like(t)
+        """The image of the flat ``amps`` as a fresh, writable flat array; the caller freezes it."""
+        if self.rects == ((_ALL, _ALL),):
+            flat = np.empty_like(amps)
+        else:  # ``amps + 0`` turns -0.0 into +0.0, as the CSR sum ``0 + 1 * x`` does.
+            flat = amps + 0 if self.rest_identity else np.zeros_like(amps)
+        t, out = amps.reshape(self.n, self.n, 8), flat.reshape(self.n, self.n, 8)
         for rect, m in zip(self.rects, self.maps):
-            out[rect] = _map_8(m, t[rect])
-        return qcore.freeze(out).reshape(-1)
+            _map_8(m, t[rect], out[rect])
+        return flat
 
 
 def _by_occupant(n: int, region: Region, name: str, only1, only2, both) -> PairBlocks:
@@ -343,8 +353,8 @@ def _kick_blocks(n: int, o1: Region, mode: str) -> PairBlocks:
 
 
 def _detector_blocks(n: int, o3: Region, mode: str) -> PairBlocks:
-    if mode == "label2":
-        return _unitary_blocks(n, [((_ALL, _ALL), _spin_qubit_map_8(2))])
+    if mode == "label2":  # applied to occupied branches only, which are +0.0 off these rectangles
+        return _unitary_blocks(n, [(rect, _spin_qubit_map_8(2)) for rect in _occupied_rects(n, o3)])
     return _by_occupant(n, o3, "O3", _spin_qubit_map_8(1), _spin_qubit_map_8(2), _both_in_region_coupling_8())
 
 
@@ -360,11 +370,15 @@ def _joint_outcomes(n: int, mode: str, o2: Optional[Region]) -> tuple:
     return _projective_measurement(n, [rect], p8, np.eye(8) - p8)
 
 
+def _occupied_rects(n: int, o3: Region) -> list:
+    """The disjoint rectangles of the pairs with a particle in O3."""
+    r = o3.slice_in(n, "O3")
+    return [(r, _ALL), (slice(0, r.start), r), (slice(r.stop, n), r)]
+
+
 def _occupancy_outcomes(n: int, o3: Region) -> tuple:
     """``(P, Q)``: the projector onto the pairs with a particle in O3, and its complement."""
-    r = o3.slice_in(n, "O3")
-    rects = [(r, _ALL), (slice(0, r.start), r), (slice(r.stop, n), r)]
-    return _projective_measurement(n, rects, np.eye(8), np.zeros((8, 8)))
+    return _projective_measurement(n, _occupied_rects(n, o3), np.eye(8), np.zeros((8, 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +386,11 @@ def _occupancy_outcomes(n: int, o3: Region) -> tuple:
 
 
 def _apply_each(op: PairBlocks, ens: BranchEnsemble) -> BranchEnsemble:
-    return BranchEnsemble(tuple((w, StateVector(op.apply(s.amps), s.basis_tag)) for w, s in ens.branches))
+    return BranchEnsemble(tuple((w, _applied(op, s)) for w, s in ens.branches))
+
+
+def _applied(op: PairBlocks, state: StateVector) -> StateVector:
+    return StateVector(qcore.freeze(op.apply(state.amps)), state.basis_tag)
 
 
 def _branches(outcomes: tuple, ens: BranchEnsemble) -> tuple:
@@ -415,9 +433,10 @@ def detector_measurement(
             ens = _apply_each(coupling, ens)
             if not selective:
                 return ens
-        hits, misses = _branches(occupancy, ens)
+        hits, misses = map(list, _branches(occupancy, ens))
         if mode == "label2":  # on the normalized branch: normalizing after the coupling rounds differently
-            hits = tuple((w, StateVector(coupling.apply(s.amps), s.basis_tag)) for w, s in hits)
+            for k, (w, s) in enumerate(hits):  # each hit is freed once its coupled state is built
+                hits[k] = (w, _applied(coupling, s))
         if not selective:
             return BranchEnsemble(hits + misses)
         total = sum(w for w, _ in hits)
@@ -478,24 +497,12 @@ def run_naive_sorkin(observable: LinearOperator, kick: bool) -> float:
     return qcore.expectation(tensor_product(SPIN_IDENTITY, observable), ens)
 
 
-@dataclass(frozen=True)
-class _ArmResult:
-    p_q1: float
-    arrival: float
-    max_violation: float
-    branch_count: int
-
-
 def qubit_one_probability(ens: BranchEnsemble) -> float:
     """Probability that the detector qubit reads 1 (qubit is the fastest index)."""
     total = 0.0
     for w, state in ens.branches:
         total += w * float(np.sum(np.abs(state.amps[1::2]) ** 2))
     return total
-
-
-def _max_violation(ens: BranchEnsemble) -> float:
-    return max(antisymmetry_violation(state) for _, state in ens.branches)
 
 
 def _evolve_ensemble(space: CompositeSpace, u: LinearOperator, ens: BranchEnsemble) -> BranchEnsemble:
@@ -511,8 +518,8 @@ def run_arm_stages(cfg: ScenarioConfig, kicked: bool) -> Mapping[str, BranchEnse
     detector measurement).
     """
     lat, space, psi0 = prepare_scenario(cfg)
-    u1, u2 = propagator(lat, cfg.t1), propagator(lat, cfg.t2)
-    return _run_arm(cfg, space, psi0, u1, u2, kicked, antisymmetry_violation(psi0))[0]
+    arm = _run_arm(cfg, space, psi0, propagator(lat, cfg.t1), propagator(lat, cfg.t2), kicked)
+    return {name: ens for name, ens in arm if name in STAGES}
 
 
 def prepare_scenario(cfg: ScenarioConfig):
@@ -532,38 +539,32 @@ def _run_arm(
     u1: LinearOperator,
     u2: LinearOperator,
     kicked: bool,
-    prepared_violation: float,
-) -> tuple:
-    """Run one arm; returns its stage snapshots and an ``_ArmResult`` summary."""
-    stages = {}
+) -> Iterator[tuple]:
+    """Run one arm, yielding ``(name, ensemble)`` per stage as it is built.
+
+    The stages are the four of ``STAGES`` and ``pre_detector``, after the t2
+    evolution.  The arm holds only the stage it is working on: a consumer
+    that drops each stage before asking for the next frees it.
+    """
     ens = BranchEnsemble.pure(psi0)
-    stages["prepared"] = ens
+    yield "prepared", ens
     if kicked and cfg.kick_mode != "off":
         ens = _apply_each(_kick_blocks(cfg.n, cfg.o1, cfg.kick_mode), ens)
-    stages["post_kick"] = ens
+    yield "post_kick", ens
     ens = _evolve_ensemble(space, u1, ens)
     ens = joint_measurement(space, cfg.joint_mode, cfg.o2)(ens)
-    stages["post_o2"] = ens
+    yield "post_o2", ens
     ens = _evolve_ensemble(space, u2, ens)
-    occ1, occ2 = position_occupancy(space, ens)
-    arrival = float(occ1[cfg.o3.lo:cfg.o3.hi].sum() + occ2[cfg.o3.lo:cfg.o3.hi].sum())
-    pre_detector_violation = _max_violation(ens)
+    yield "pre_detector", ens
     ens = detector_measurement(space, cfg.o3, cfg.detector_mode, cfg.selective_o3)(ens)
-    stages["final"] = ens
-    # ``psi0``'s violation comes precomputed; an unkicked post_kick stage is psi0.
-    later = [stages[name] for name in STAGES[1:] if stages[name] is not stages["prepared"]]
-    return stages, _ArmResult(
-        p_q1=qubit_one_probability(ens),
-        arrival=arrival,
-        max_violation=max(prepared_violation, pre_detector_violation, *map(_max_violation, later)),
-        branch_count=ens.branch_count,
-    )
+    yield "final", ens
 
 
 def run_scenario(cfg: ScenarioConfig) -> SignalingReport:
     """Run both arms of a scenario and assemble the signaling report.
 
-    The arms run one after the other; BLAS parallelizes the drifts itself.
+    The arms run one after the other, each stage freed before the next is
+    built; BLAS parallelizes the drifts itself.
 
     Returns
     -------
@@ -576,21 +577,27 @@ def run_scenario(cfg: ScenarioConfig) -> SignalingReport:
     """
     lat, space, psi0 = prepare_scenario(cfg)
     certificate = check_spacelike(lat, cfg.o1, cfg.o3, psi0, cfg.t_total, cfg.eps)
-    shared = (cfg, space, psi0, propagator(lat, cfg.t1), propagator(lat, cfg.t2))
-    prepared_violation = antisymmetry_violation(psi0)
-    # Only the summary of an arm is kept, so the first arm's stage states are
-    # freed before the second arm runs.
-    arm_nokick = _run_arm(*shared, False, prepared_violation)[1]
-    arm_kick = _run_arm(*shared, True, prepared_violation)[1]
+    u1, u2 = propagator(lat, cfg.t1), propagator(lat, cfg.t2)
+    violation, arrival, p_q1, branch_count = antisymmetry_violation(psi0), 0.0, {}, {}
+    for kicked in (False, True):
+        for name, ens in _run_arm(cfg, space, psi0, u1, u2, kicked):
+            if ens.branches[0][1] is not psi0:  # psi0's own violation is taken once, above
+                violation = max(violation, *(antisymmetry_violation(s) for _, s in ens.branches))
+            if name == "pre_detector" and not kicked:
+                occ1, occ2 = position_occupancy(space, ens)
+                arrival = float(occ1[cfg.o3.lo:cfg.o3.hi].sum() + occ2[cfg.o3.lo:cfg.o3.hi].sum())
+            elif name == "final":
+                p_q1[kicked], branch_count[kicked] = qubit_one_probability(ens), ens.branch_count
+            del ens
     return SignalingReport(
-        p_q1_kick=arm_kick.p_q1,
-        p_q1_nokick=arm_nokick.p_q1,
-        delta=abs(arm_kick.p_q1 - arm_nokick.p_q1),
-        arrival_prob=arm_nokick.arrival,
+        p_q1_kick=p_q1[True],
+        p_q1_nokick=p_q1[False],
+        delta=abs(p_q1[True] - p_q1[False]),
+        arrival_prob=arrival,
         certificate=certificate,
-        max_antisym_violation=max(arm_kick.max_violation, arm_nokick.max_violation),
-        branch_count_kick=arm_kick.branch_count,
-        branch_count_nokick=arm_nokick.branch_count,
+        max_antisym_violation=violation,
+        branch_count_kick=branch_count[True],
+        branch_count_nokick=branch_count[False],
     )
 
 

@@ -378,9 +378,11 @@ def luders_measure(projectors: Sequence[LinearOperator], x: StateLike) -> Branch
 def luders_update(x: BranchEnsemble, outcomes: Callable) -> tuple:
     """Branch bookkeeping of :func:`luders_measure`, outcome by outcome.
 
-    ``outcomes(amps)`` yields each ``P_i psi``.  Entry ``i`` of the result
-    holds the surviving ``(weight, state)`` branches of outcome ``i``, in the
-    order of the input branches; the weights of all entries sum to 1.
+    ``outcomes(amps)`` yields each ``P_i psi`` as a fresh array that it gives
+    up: a kept outcome is normalized in place and frozen, and a pruned one is
+    released before the next is built.  Entry ``i`` of the result holds the
+    surviving ``(weight, state)`` branches of outcome ``i``, in the order of
+    the input branches; the weights of all entries sum to 1.
     """
     by_outcome = []
     for w, state in x.branches:
@@ -393,7 +395,9 @@ def luders_update(x: BranchEnsemble, outcomes: Callable) -> tuple:
             prob = float(np.vdot(arm, arm).real) / base
             weight = w * prob
             if weight > BRANCH_PRUNE_THRESHOLD:
-                by_outcome[i].append((weight, StateVector(freeze(arm / np.linalg.norm(arm)), x.basis_tag)))
+                arm /= np.linalg.norm(arm)
+                by_outcome[i].append((weight, StateVector(freeze(arm), x.basis_tag)))
+            del arm
     return tuple(map(tuple, by_outcome))
 
 

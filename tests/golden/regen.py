@@ -125,12 +125,13 @@ def record(cfg: dict, workdir: Path) -> dict:
     stages = {}
     run_arm = protocol._run_arm
 
-    def recording(*args):
-        arm_stages, result = run_arm(*args)
-        stages["kick" if args[5] else "nokick"] = {
-            name: _branch_digests(ens) for name, ens in arm_stages.items()
-        }
-        return arm_stages, result
+    def recording(cfg, space, psi0, u1, u2, kicked):
+        digests = stages["kick" if kicked else "nokick"] = {}
+        for name, ens in run_arm(cfg, space, psi0, u1, u2, kicked):
+            if name in protocol.STAGES:
+                digests[name] = _branch_digests(ens)
+            yield name, ens
+            del ens
 
     protocol._run_arm = recording
     try:

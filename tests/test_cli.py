@@ -291,6 +291,17 @@ def test_oversized_lattice_exits_two_before_allocating(tmp_path, capsys, command
     assert not out_path.exists()
 
 
+def test_huge_json_integer_exits_two(tmp_path, capsys):
+    # float() of a 400-digit integer overflows; that is bad input, not an internal error.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_config_dict()).replace('"t2": 0.8', '"t2": 1' + "0" * 399))
+    assert main(["check-spacelike", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: config.t2 must be a finite number")
+
+
 @pytest.mark.parametrize(
     "exc",
     [MemoryError("Unable to allocate 2.0 GiB"), RuntimeError("first line\nsecond line")],

@@ -24,7 +24,7 @@ from nosignal import (
     Region,
     LinearOperator,
 )
-from nosignal.composite import exchange_permutation, site_basis_tag
+from nosignal.composite import _live_columns, exchange_permutation, site_basis_tag
 from nosignal.qcore import PAULI_X
 
 
@@ -240,6 +240,21 @@ def test_evolve_positions_matches_kron_action(live, n):
     np.testing.assert_allclose(got.amps, want, atol=1e-12)
     assert np.all(got.amps.reshape(n, n, 8)[:, :, dead] == 0.0)
     assert got.basis_tag == space.basis_tag
+
+
+def test_live_column_scan_equals_any():
+    # n = 97 is odd; column 3 holds only -0.0 (dead) and column 5 one subnormal (live).
+    n = 97
+    rng = np.random.default_rng(97)
+    tensor = np.zeros((n, n, 8), dtype=np.complex128)
+    tensor[:, :, [0, 6]] = rng.normal(size=(n, n, 2)) + 1j * rng.normal(size=(n, n, 2))
+    tensor[:, :, 3] = complex(-0.0, -0.0)
+    tensor[n - 1, 2, 5] = complex(0.0, 5e-324)
+    tensor[:, :, 7].real[rng.random((n, n)) < 0.5] = -0.0
+    for t in (tensor, tensor[:, :, ::-1].copy()):
+        want = np.flatnonzero(t.any(axis=(0, 1)))
+        np.testing.assert_array_equal(_live_columns(t), want)
+    np.testing.assert_array_equal(_live_columns(tensor), [0, 5, 6])
 
 
 def test_evolve_positions_requires_square_site_operator():

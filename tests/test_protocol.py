@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -391,8 +393,28 @@ def test_kernels_match_materialized_operators_exactly(n):
         for name, op in ops.items():
             want = sp.csr_array(matrices[name]) @ amps
             assert op.apply(amps).view(np.float64).tobytes() == want.view(np.float64).tobytes(), name
-    label2 = np.kron(np.eye(2 * n * n), detector_coupling().to_dense())
+    # label2: the coupling on slot 2's spin on the O3-occupied pairs, the identity elsewhere.
+    occupied = oc.union_occupancy_diag(n, region.sites()).astype(bool)
+    coupling = np.kron(np.eye(2 * n * n), detector_coupling().to_dense())
+    label2 = np.where(occupied[:, None], coupling, np.eye(space.dim))
     np.testing.assert_array_equal(matrices["detector label2"], label2)
+
+
+def test_label2_coupling_on_occupied_branches_equals_the_global_map_byte_for_byte():
+    n = 12
+    space = CompositeSpace(n)
+    o3 = Region(7, 11)
+    rng = np.random.default_rng(3)
+    coupling = protocol_mod._detector_blocks(n, o3, "label2")
+    everywhere = PairBlocks(n, ((slice(None), slice(None)),), (protocol_mod._spin_qubit_map_8(2),), True)
+    occupied, _ = protocol_mod._occupancy_outcomes(n, o3)
+    for _ in range(3):
+        amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        parts = amps.view(np.float64)
+        parts[rng.random(parts.size) < 0.2] = -0.0
+        hit = occupied.apply(amps)
+        hit /= np.linalg.norm(hit)
+        assert coupling.apply(hit).tobytes() == everywhere.apply(hit).tobytes()
 
 
 def test_joint_measurement_equals_luders_on_materialized_projectors():
@@ -512,27 +534,59 @@ def test_run_arm_stages_structure():
 
 
 def test_run_scenario_frees_the_first_arms_stages(monkeypatch):
+    # Stronger than "the first arm is freed before the second": each stage is
+    # freed before the next one is yielded, in both arms.
     run_arm = protocol_mod._run_arm
-    refs = []  # weak references to the memory of the first arm's computed states
+    seen = []
+
+    def owner(state):
+        arr = state.amps
+        while arr.base is not None:
+            arr = arr.base
+        return arr
 
     def tracking(cfg, space, psi0, *rest):
-        if refs:  # the second arm starts
-            assert [r() for r in refs] == [None] * len(refs)
-        stages, result = run_arm(cfg, space, psi0, *rest)
-        if not refs:
-            for ens in stages.values():
-                for _, state in ens.branches:
-                    owner = state.amps
-                    while owner.base is not None:
-                        owner = owner.base
-                    if state is not psi0:
-                        refs.append(weakref.ref(owner))
-        return stages, result
+        refs = []  # weak references to the memory of the previous stage's states
+        for name, ens in run_arm(cfg, space, psi0, *rest):
+            assert [r() for r in refs] == [None] * len(refs), name
+            refs = [weakref.ref(owner(s)) for _, s in ens.branches if s is not psi0]
+            seen.append((name, len(refs)))
+            yield name, ens
+            del ens
 
     monkeypatch.setattr(protocol_mod, "_run_arm", tracking)
     report = run_scenario(_basic_config(joint_mode="global_bell"))
-    assert len(refs) >= 4  # post_o2 and final hold two branches each
+    assert [name for name, _ in seen] == [*STAGES[:3], "pre_detector", "final"] * 2
+    assert sum(count for _, count in seen) >= 8  # post_o2 and later hold two branches each
     assert report.branch_count_kick >= 1
+
+
+def test_run_scenario_peak_memory_in_states():
+    # label1 kick, global Bell joint, label2 detector: four branches an arm
+    # after the detector.  Traced peak in units of one 128 n^2-byte state:
+    # 13.4 when every stage was kept to the end of its arm, 8.6 streamed.
+    cfg = ScenarioConfig(
+        n=48,
+        o1=Region(4, 10),
+        o2=Region(20, 26),
+        o3=Region(38, 44),
+        packet1=PacketSpec(Region(4, 10), 7.0, 1.5, 0.0),
+        packet2=PacketSpec(Region(25, 37), 31.0, 3.0, math.pi / 2),
+        kick_mode="label1",
+        joint_mode="global_bell",
+        detector_mode="label2",
+        t1=1.5,
+        t2=3.5,
+    )
+    run_scenario(cfg)  # fills the lattice caches outside the trace
+    tracemalloc.start()
+    try:
+        report = run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.branch_count_kick == report.branch_count_nokick == 4
+    assert peak / (128 * cfg.n**2) < 11.0
 
 
 PIPELINE_COMBOS = [
