@@ -150,28 +150,26 @@ def _with_exchanged(ufunc: np.ufunc, space: CompositeSpace, amps: np.ndarray) ->
     return out.reshape(-1)
 
 
+def _sector(ufunc: np.ufunc, s: StateVector, blocked: str) -> StateVector:
+    """``ufunc(s, S s)``, renormalized; raises ``state has no {blocked}`` if it is (numerically) zero."""
+    state = StateVector(freeze(_with_exchanged(ufunc, _space_of(s), s.amps)), s.basis_tag)
+    if state.norm <= SYMMETRIZE_NORM_FLOOR:
+        raise ValueError(f"state has no {blocked}")
+    return state.normalized()
+
+
 def antisymmetrize(s: StateVector) -> StateVector:
     """Project onto the exchange-antisymmetric sector and renormalize.
 
     Raises if the antisymmetric component is (numerically) zero, which is
     the Pauli-blocked case of identical position and spin content.
     """
-    space = _space_of(s)
-    amps = _with_exchanged(np.subtract, space, s.amps)
-    norm = np.linalg.norm(amps)
-    if norm <= SYMMETRIZE_NORM_FLOOR:
-        raise ValueError("state has no antisymmetric component (Pauli blocked)")
-    return StateVector(freeze(amps / norm), s.basis_tag)
+    return _sector(np.subtract, s, "antisymmetric component (Pauli blocked)")
 
 
 def symmetrize(s: StateVector) -> StateVector:
     """Project onto the exchange-symmetric sector and renormalize."""
-    space = _space_of(s)
-    amps = _with_exchanged(np.add, space, s.amps)
-    norm = np.linalg.norm(amps)
-    if norm <= SYMMETRIZE_NORM_FLOOR:
-        raise ValueError("state has no symmetric component")
-    return StateVector(freeze(amps / norm), s.basis_tag)
+    return _sector(np.add, s, "symmetric component")
 
 
 def antisymmetry_violation(s: StateVector) -> float:

@@ -385,8 +385,9 @@ def _occupancy_outcomes(n: int, o3: Region) -> tuple:
 # measurement procedures
 
 
-def _apply_each(op: PairBlocks, ens: BranchEnsemble) -> BranchEnsemble:
-    return BranchEnsemble(tuple((w, _applied(op, s)) for w, s in ens.branches))
+def _each(f: Callable[[StateVector], StateVector], ens: BranchEnsemble) -> BranchEnsemble:
+    """``ens`` with ``f`` applied to the state of every branch."""
+    return BranchEnsemble(tuple((w, f(s)) for w, s in ens.branches))
 
 
 def _applied(op: PairBlocks, state: StateVector) -> StateVector:
@@ -430,7 +431,7 @@ def detector_measurement(
 
     def procedure(ens: BranchEnsemble) -> BranchEnsemble:
         if mode == "position":
-            ens = _apply_each(coupling, ens)
+            ens = _each(lambda s: _applied(coupling, s), ens)
             if not selective:
                 return ens
         hits, misses = map(list, _branches(occupancy, ens))
@@ -505,10 +506,6 @@ def qubit_one_probability(ens: BranchEnsemble) -> float:
     return total
 
 
-def _evolve_ensemble(space: CompositeSpace, u: LinearOperator, ens: BranchEnsemble) -> BranchEnsemble:
-    return BranchEnsemble(tuple((w, evolve_positions(space, u, s)) for w, s in ens.branches))
-
-
 def run_arm_stages(cfg: ScenarioConfig, kicked: bool) -> Mapping[str, BranchEnsemble]:
     """Run one arm of a scenario and return the four stage snapshots.
 
@@ -549,12 +546,13 @@ def _run_arm(
     ens = BranchEnsemble.pure(psi0)
     yield "prepared", ens
     if kicked and cfg.kick_mode != "off":
-        ens = _apply_each(_kick_blocks(cfg.n, cfg.o1, cfg.kick_mode), ens)
+        kick = _kick_blocks(cfg.n, cfg.o1, cfg.kick_mode)
+        ens = _each(lambda s: _applied(kick, s), ens)
     yield "post_kick", ens
-    ens = _evolve_ensemble(space, u1, ens)
+    ens = _each(lambda s: evolve_positions(space, u1, s), ens)
     ens = joint_measurement(space, cfg.joint_mode, cfg.o2)(ens)
     yield "post_o2", ens
-    ens = _evolve_ensemble(space, u2, ens)
+    ens = _each(lambda s: evolve_positions(space, u2, s), ens)
     yield "pre_detector", ens
     ens = detector_measurement(space, cfg.o3, cfg.detector_mode, cfg.selective_o3)(ens)
     yield "final", ens

@@ -1,10 +1,11 @@
 """Finite-dimensional states, operators, and measurement updates.
 
-The protocol layers of this package never touch raw arrays directly; they
-go through the small vocabulary defined here: :class:`StateVector`,
-:class:`LinearOperator` and :class:`BranchEnsemble` (a weighted mixture of
-pure states, which stands in for a density matrix during non-selective
-measurements).
+The scenario pipeline passes the typed values defined here between its
+stages: :class:`StateVector`, :class:`LinearOperator` and
+:class:`BranchEnsemble` (a weighted mixture of pure states, which stands in
+for a density matrix during non-selective measurements).  The kernels inside
+a stage (the drift, ``PairBlocks.apply``) work on raw ``(n, n, 8)`` tensors,
+and each state they build is checked once, by :class:`StateVector`.
 
 Conventions used throughout the package:
 
@@ -23,7 +24,7 @@ and applies position-controlled 8x8 maps to it (see ``protocol``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -58,20 +59,6 @@ def _is_frozen(amps) -> bool:
     return False
 
 
-def _frozen_vector(amps) -> np.ndarray:
-    arr = amps if _is_frozen(amps) else np.array(amps, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValueError(f"state amplitudes must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError("state must have dimension >= 1")
-    # A non-finite entry makes the sum of squares non-finite; only when that
-    # sum is not finite (an overflow, say) is every entry scanned.
-    if not np.isfinite(np.vdot(arr, arr).real) and not np.all(np.isfinite(arr)):
-        raise ValueError("state amplitudes must be finite")
-    arr.setflags(write=False)
-    return arr
-
-
 def _frozen_matrix(matrix) -> np.ndarray:
     arr = np.array(matrix, dtype=np.complex128)
     if not np.all(np.isfinite(arr)):
@@ -86,21 +73,35 @@ class StateVector:
 
     ``basis_tag`` is an opaque label naming the basis convention; operations
     refuse to mix values whose tags differ.
+
+    It is checked once, when built: ``norm`` is ``np.linalg.norm(amps)``, and
+    a non-finite entry raises.  ``norm`` cannot go stale, because ``amps`` is
+    read-only memory that no writable array reaches.
     """
 
     amps: np.ndarray
     basis_tag: str
+    norm: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "amps", _frozen_vector(self.amps))
+        arr = self.amps if _is_frozen(self.amps) else np.array(self.amps, dtype=np.complex128)
+        if arr.ndim != 1:
+            raise ValueError(f"state amplitudes must be one-dimensional, got shape {arr.shape}")
+        if arr.size == 0:
+            raise ValueError("state must have dimension >= 1")
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(arr))
+        # A non-finite entry makes the norm non-finite; only when the norm is
+        # not finite (an overflow, say) is every entry scanned.
+        if not np.isfinite(norm) and not np.all(np.isfinite(arr)):
+            raise ValueError("state amplitudes must be finite")
+        arr.setflags(write=False)
+        object.__setattr__(self, "amps", arr)
+        object.__setattr__(self, "norm", norm)
 
     @property
     def dim(self) -> int:
         return self.amps.size
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
     def normalized(self) -> "StateVector":
         """Return the unit-norm version of this state; error on (near-)zero norm."""
@@ -300,18 +301,16 @@ def expectation(obs: LinearOperator, x: StateLike) -> float:
         Real expectation value; the imaginary residue (bounded by the
         hermiticity tolerance) is checked and discarded.
     """
-    if isinstance(x, BranchEnsemble):
-        _check_observable(obs, x.dim, x.basis_tag)
-        value = 0.0 + 0.0j
-        for w, state in x.branches:
-            value += w * np.vdot(state.amps, obs.matrix @ state.amps)
-    elif isinstance(x, StateVector):
-        _check_observable(obs, x.dim, x.basis_tag)
+    if isinstance(x, StateVector):
         if abs(x.norm - 1.0) > NORMALIZATION_ATOL:
             raise ValueError(f"expectation needs a normalized state, |norm - 1| = {abs(x.norm - 1.0):.3e}")
-        value = np.vdot(x.amps, obs.matrix @ x.amps)
-    else:
+        x = BranchEnsemble.pure(x)
+    if not isinstance(x, BranchEnsemble):
         raise TypeError(f"expectation expects a StateVector or BranchEnsemble, got {type(x).__name__}")
+    _check_observable(obs, x.dim, x.basis_tag)
+    value = 0.0 + 0.0j
+    for w, state in x.branches:
+        value += w * np.vdot(state.amps, obs.matrix @ state.amps)
     if abs(value.imag) > IMAG_RESIDUE_ATOL:
         raise ValueError(f"expectation value has imaginary residue {value.imag:.3e}")
     return float(value.real)

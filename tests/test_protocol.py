@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 import weakref
@@ -35,6 +36,7 @@ from nosignal import (
     wavepacket,
 )
 from nosignal import protocol as protocol_mod
+from nosignal.cli import config_to_dict, main as cli_main
 from nosignal.protocol import DETECTOR_MODES, STAGES, PairBlocks
 from nosignal.qcore import (
     PAULI_X,
@@ -443,6 +445,29 @@ def test_build_rejects_tampered_8x8_maps(monkeypatch):
     monkeypatch.setattr(protocol_mod, "_both_in_region_coupling_8", lambda: 2.0 * np.eye(8))
     with pytest.raises(ValueError, match="not unitary"):
         detector_measurement(space, o3, "position")
+
+
+@pytest.mark.parametrize("tamper, message", [("scale", "not normalized"), ("nan", "finite")])
+def test_pipeline_rejects_a_tampered_branch(monkeypatch, tmp_path, capsys, tamper, message):
+    # A kernel's output is checked where the pipeline wraps it: the run fails with the check's ValueError.
+    apply = PairBlocks.apply
+
+    def tampered(self, amps):
+        out = apply(self, amps)
+        if tamper == "scale":
+            out *= 1.5  # finite, but not normalized
+        else:
+            out[out.size // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(PairBlocks, "apply", tampered)
+    cfg = _basic_config()
+    with pytest.raises(ValueError, match=message):
+        run_scenario(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config_to_dict(cfg)))
+    assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "report.json")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_pipeline_builds_no_composite_operator(monkeypatch):

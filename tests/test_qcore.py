@@ -96,6 +96,31 @@ def test_state_vector_accepts_entries_whose_squares_overflow():
         StateVector(amps, "t")
 
 
+def test_each_state_is_scanned_once_when_built(monkeypatch):
+    dim = 4096
+    rng = np.random.default_rng(5)
+    fresh = [a / np.linalg.norm(a) for a in rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))]
+    calls = []
+
+    def counted(f):
+        def wrapper(a, *args, **kwargs):
+            if np.size(a) == dim:
+                calls.append(f.__name__)
+            return f(a, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "vdot", counted(np.vdot))
+    monkeypatch.setattr(np.linalg, "norm", counted(np.linalg.norm))
+    states = []
+    for amps in fresh:
+        calls.clear()
+        states.append(StateVector(amps, "t"))
+        assert len(calls) == 1, calls
+    calls.clear()
+    BranchEnsemble(tuple(zip((0.2, 0.3, 0.5), states)))
+    assert calls == []
+
+
 def test_operator_requires_square():
     with pytest.raises(ValueError):
         LinearOperator(np.zeros((2, 3)), "t")
