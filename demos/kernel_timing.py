@@ -1,0 +1,114 @@
+"""Per-call times of the kernels that dominate a scenario.
+
+Each kernel runs on a seeded random state whose live (s1, s2, q) columns
+are ones the benchmark workloads hand it (column c = 4*s1 + 2*s2 + q, so 0
+is |dd 0>, 4 is |ud 0> and 6 is |uu 0>), in the workloads' geometry scaled
+to n sites: O1 = [n/12, 5n/24), O3 = [19n/24, 11n/12), t2 = 7n/96.
+
+  exchange  composite._with_exchanged(np.add, ...), the sum psi + S psi
+            behind every stage's exchange-sector defect
+  drift     composite.evolve_positions with the t2 propagator
+  kick      PairBlocks.apply of the position kick in O1
+  bell-P    PairBlocks.apply of the global Bell projector
+  label2    PairBlocks.apply of the label2 detector coupling in O3
+  luders    qcore.luders_update on the global Bell pair (P, Q)
+
+It prints the best of --repeat calls of each after one untimed call, in
+milliseconds, with the machine's processor count and the Python and numpy
+versions.
+
+Run:  PYTHONPATH=src python demos/kernel_timing.py [--n 192 288] [--repeat 15] [--seed 0]
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import platform
+import time
+
+import numpy as np
+
+from nosignal import BranchEnsemble, CompositeSpace, Region, StateVector, evolve_positions, make_lattice, propagator
+from nosignal.composite import _with_exchanged
+from nosignal.protocol import _detector_blocks, _joint_outcomes, _kick_blocks
+from nosignal.qcore import luders_update
+
+# (kernel, live columns of its input), in the order of the table.
+ROWS = [
+    ("exchange", (0,)),
+    ("exchange", (0, 6)),
+    ("exchange", (2, 4)),
+    ("exchange", (0, 4, 6)),
+    ("drift", (0,)),
+    ("drift", (0, 6)),
+    ("drift", (2, 4)),
+    ("drift", (0, 4, 6)),
+    ("kick", (0,)),
+    ("bell-P", (0, 4)),
+    ("label2", (0, 4)),
+    ("luders", (0, 4)),
+]
+
+
+def seeded_state(space: CompositeSpace, live: tuple, rng: np.random.Generator) -> StateVector:
+    """A normalized state with random amplitudes in the ``live`` columns and exact zeros elsewhere."""
+    n = space.n_sites
+    tensor = np.zeros((n, n, 8), dtype=np.complex128)
+    tensor[:, :, list(live)] = rng.normal(size=(n, n, len(live))) + 1j * rng.normal(size=(n, n, len(live)))
+    return StateVector(tensor.ravel() / np.linalg.norm(tensor), space.basis_tag)
+
+
+def kernels(n: int) -> dict:
+    """Each kernel of ``ROWS`` as a function of one state."""
+    space = CompositeSpace(n)
+    u2 = propagator(make_lattice(n, 1.0), 7.0 * n / 96)
+    o1, o3 = Region(n // 12, 5 * n // 24), Region(19 * n // 24, 11 * n // 12)
+    kick = _kick_blocks(n, o1, "position")
+    bell = _joint_outcomes(n, "global_bell", None)
+    label2 = _detector_blocks(n, o3, "label2")
+    return {
+        "exchange": lambda s: _with_exchanged(np.add, space, s.amps),
+        "drift": lambda s: evolve_positions(space, u2, s),
+        "kick": lambda s: kick.apply(s.amps),
+        "bell-P": lambda s: bell[0].apply(s.amps),
+        "label2": lambda s: label2.apply(s.amps),
+        "luders": lambda s: luders_update(BranchEnsemble.pure(s), lambda amps: (op.apply(amps) for op in bell)),
+    }
+
+
+def best_ms(f, state: StateVector, repeat: int) -> float:
+    f(state)  # warms BLAS threads and caches; untimed
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        f(state)
+        times.append(time.perf_counter() - t0)
+    return 1e3 * min(times)
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n", type=int, nargs="+", default=[192, 288], help="lattice sizes")
+    parser.add_argument("--repeat", type=int, default=15, help="calls per kernel; the best is printed")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the random states")
+    args = parser.parse_args(argv)
+    if args.repeat < 1 or min(args.n) < 24:
+        parser.error("--repeat must be >= 1 and every --n >= 24")
+    print(
+        f"best of {args.repeat} calls, ms; nproc {os.cpu_count()}, "
+        f"Python {platform.python_version()}, numpy {np.__version__}"
+    )
+    print(f"{'kernel':<10}{'live':<10}" + "".join(f"{f'n={n}':>10}" for n in args.n))
+    rng = np.random.default_rng(args.seed)
+    table = {row: [] for row in ROWS}
+    for n in args.n:
+        space, fns = CompositeSpace(n), kernels(n)
+        for name, live in ROWS:
+            table[name, live].append(best_ms(fns[name], seeded_state(space, live, rng), args.repeat))
+    for (name, live), times in table.items():
+        print(f"{name:<10}{','.join(map(str, live)):<10}" + "".join(f"{t:10.3f}" for t in times))
+
+
+if __name__ == "__main__":
+    main()

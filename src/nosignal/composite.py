@@ -35,12 +35,9 @@ from .qcore import (
 # requested exchange sector (e.g. antisymmetrizing a Pauli-blocked state).
 SYMMETRIZE_NORM_FLOOR = 1e-10
 
-# Side of the square tiles of position pairs in which the x1 <-> x2 transpose
-# is done, so that both the read and the write side of a tile stay in cache.
-PAIR_TILE = 32
-
-# Column (s1, s2, q) -> column (s2, s1, q) of the (n, n, 8) amplitude tensor.
-_SPIN_SWAP = np.array([0, 1, 4, 5, 2, 3, 6, 7])
+# Output rows per gather of the x1 <-> x2 transpose: its slab index holds
+# PAIR_TILE * n * k entries, a sixteenth of a state at n = 64 and k = 4.
+PAIR_TILE = 16
 
 
 def site_basis_tag(n_sites: int) -> str:
@@ -130,24 +127,36 @@ def exchange_permutation(space: CompositeSpace) -> np.ndarray:
     return perm
 
 
-def _pair_tiles(n: int):
-    """Pairs of slices covering the ``n x n`` position pairs in square tiles."""
-    starts = range(0, n, PAIR_TILE)
-    return [(slice(i, i + PAIR_TILE), slice(j, j + PAIR_TILE)) for i in starts for j in starts]
+def _pair_transpose(records: np.ndarray, n: int, fields) -> np.ndarray:
+    """``out[x1, x2, f] = records[x2, x1, fields[f]]`` as a fresh flat array.
+
+    ``records`` holds ``k = len(fields)`` fixed-size records per position
+    pair, in ``(x2, x1)`` order.  Each slab of ``PAIR_TILE`` output rows is
+    one ``np.take`` with one slab index, shifted by ``k`` a row; the indices
+    are in range, and ``mode="clip"`` lets ``take`` write into the slab unbuffered.
+    """
+    k = len(fields)
+    out = np.empty((n, n, k), dtype=records.dtype)
+    idx = np.full((PAIR_TILE, n, k), k, dtype=np.intp)
+    idx[0] = np.add.outer(np.arange(0, n * n * k, n * k), fields)
+    np.cumsum(idx, axis=0, out=idx)  # in place: a broadcast sum would allocate ufunc buffers
+    for i0 in range(0, n, PAIR_TILE):
+        slab = out[i0 : i0 + PAIR_TILE]
+        np.take(records, idx[: len(slab)], mode="clip", out=slab)
+        idx += PAIR_TILE * k
+    return out.reshape(-1)
 
 
 def _with_exchanged(ufunc: np.ufunc, space: CompositeSpace, amps: np.ndarray) -> np.ndarray:
     """``ufunc(amps, S amps)`` for the exchange permutation ``S``, as a fresh flat array.
 
-    Tile ``(i, j)`` of the output reads tile ``(j, i)`` of the input with the
-    two spins swapped; each output entry is the same ``a[k] +- a[S k]``.
+    ``amps`` must be C-contiguous, as every ``StateVector``'s amplitudes are.
+    ``S amps`` is a pure copy: read as 32-byte records, one ``q`` pair per
+    ``(s1, s2)`` block of a position pair, pair ``(j, i)`` moves to ``(i, j)``
+    with the two spins swapped.  Each output entry is the same ``a[k] +- a[S k]``.
     """
-    n = space.n_sites
-    a = amps.reshape(n, n, 8)
-    out = np.empty((n, n, 8), dtype=np.complex128)
-    for ti, tj in _pair_tiles(n):
-        ufunc(a[ti, tj], a[tj, ti][:, :, _SPIN_SWAP].transpose(1, 0, 2), out=out[ti, tj])
-    return out.reshape(-1)
+    out = _pair_transpose(amps.view("V32"), space.n_sites, (0, 2, 1, 3)).view(np.complex128)
+    return ufunc(amps, out, out=out)
 
 
 def _sector(ufunc: np.ufunc, s: StateVector, blocked: str) -> StateVector:
@@ -265,8 +274,9 @@ def evolve_positions(space: CompositeSpace, u_single: LinearOperator, state: Sta
     half = np.tensordot(u, tensor[:, :, live], axes=([1], [0]))  # (x1', x2, k)
     full = np.tensordot(u, half, axes=([1], [1]))                # (x2', x1', k)
     out = np.zeros((n, n, 8), dtype=complex)
-    for ti, tj in _pair_tiles(n):
-        out[ti, tj, live] = full[tj, ti].transpose(1, 0, 2)
+    if live.size:  # one record of the live columns per pair
+        records = full.view(f"V{16 * live.size}").reshape(-1)
+        out[:, :, live] = _pair_transpose(records, n, (0,)).view(complex).reshape(n, n, -1)
     return StateVector(freeze(out).ravel(), space.basis_tag)
 
 

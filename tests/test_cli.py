@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -289,6 +290,27 @@ def test_oversized_lattice_exits_two_before_allocating(tmp_path, capsys, command
     assert len(captured.err.splitlines()) == 1
     assert "physical memory" in captured.err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("states, code", [(5, 2), (20, 0)])
+def test_simulate_checks_the_peak_against_physical_memory(tmp_path, capsys, monkeypatch, states, code):
+    # A scenario peaks near PEAK_STATES = 9 states of 128 n^2 bytes: at n = 64
+    # a machine that holds 5 of them refuses the config up front, and one that
+    # holds 20 runs it.
+    n, page = 64, 4096
+    fake = {"SC_PAGE_SIZE": page, "SC_PHYS_PAGES": states * 128 * n**2 // page}
+    real = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: fake[name] if name in fake else real(name))
+    out_path = tmp_path / "report.json"
+    assert main(["simulate", "--config", _write_config(tmp_path, n=n), "--out", str(out_path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if code == 2:
+        assert len(captured.err.splitlines()) == 1
+        assert "9 states" in captured.err and "physical memory" in captured.err
+        assert not out_path.exists()
+    else:
+        assert json.loads(out_path.read_text())["manifest"]["config"]["n"] == n
 
 
 def test_huge_json_integer_exits_two(tmp_path, capsys):

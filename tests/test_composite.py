@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,7 +134,7 @@ def _assert_same_floats(got, want):
     assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
 
 
-# n is no multiple of the tile size, so partial tiles are covered too.
+# n is no multiple of the slab size, so partial slabs are covered too.
 @pytest.mark.parametrize("kind", ["random", "dead_columns", "negative_zero"])
 @pytest.mark.parametrize("n", [6, 37, 70])
 def test_exchange_sector_maps_equal_permutation_reference(n, kind):
@@ -144,6 +146,21 @@ def test_exchange_sector_maps_equal_permutation_reference(n, kind):
     assert antisymmetry_violation(state) == float(np.linalg.norm(plus) / 2.0)
     _assert_same_floats(symmetrize(state).amps, plus / np.linalg.norm(plus))
     _assert_same_floats(antisymmetrize(state).amps, minus / np.linalg.norm(minus))
+
+
+def test_antisymmetry_violation_allocates_one_state_beyond_its_input():
+    # S psi is gathered slab by slab into the one output state; an intp index
+    # of the exchange permutation, cached or not, would add a quarter of a
+    # state or more.
+    n = 64
+    space, state = _random_composite_state(np.random.default_rng(64), n)
+    tracemalloc.start()
+    try:
+        antisymmetry_violation(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 128 * n**2
 
 
 def test_antisymmetrize_rejects_symmetric_input():
@@ -226,7 +243,7 @@ def test_prepare_initial_validates_packets():
 )
 def test_evolve_positions_matches_kron_action(live, n):
     # Columns are the (s1, s2, q) index; the drift contracts only the live ones.
-    # n = 37 is no multiple of the tile size of the x1 <-> x2 scatter.
+    # n = 37 is no multiple of the slab size of the x1 <-> x2 transpose.
     rng = np.random.default_rng(37)
     space, state = _random_composite_state(rng, n)
     dead = np.setdiff1d(np.arange(8), list(live))
@@ -240,6 +257,26 @@ def test_evolve_positions_matches_kron_action(live, n):
     np.testing.assert_allclose(got.amps, want, atol=1e-12)
     assert np.all(got.amps.reshape(n, n, 8)[:, :, dead] == 0.0)
     assert got.basis_tag == space.basis_tag
+
+
+@pytest.mark.parametrize("live", [[], [0], [2, 4], list(range(8))], ids=["none", "0", "2-4", "all"])
+@pytest.mark.parametrize("n", [37, 70])
+def test_drift_placement_is_byte_exact(n, live):
+    # The last slab of the x1 <-> x2 transpose is partial at both n.  Dead
+    # columns hold -0.0, and so do some live entries.
+    rng = np.random.default_rng(n)
+    space, state = _random_composite_state(rng, n)
+    tensor = state.amps.reshape(n, n, 8).copy()
+    tensor.real[rng.random(tensor.shape) < 0.2] = -0.0
+    tensor.imag[rng.random(tensor.shape) < 0.2] = -0.0
+    tensor[:, :, np.setdiff1d(np.arange(8), live)] = complex(-0.0, -0.0)
+    u = oc.single_propagator(n, 1.0, 0.8)
+    got = evolve_positions(space, LinearOperator(u, site_basis_tag(n)), StateVector(tensor.ravel(), space.basis_tag))
+    # the same two tensordots, placed with a plain transpose
+    half = np.tensordot(u, tensor[:, :, live], axes=([1], [0]))
+    want = np.zeros((n, n, 8), dtype=complex)
+    want[:, :, live] = np.tensordot(u, half, axes=([1], [1])).transpose(1, 0, 2)
+    assert np.array_equal(got.amps.view(np.uint64), want.ravel().view(np.uint64))
 
 
 def test_live_column_scan_equals_any():

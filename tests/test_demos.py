@@ -1,0 +1,31 @@
+"""Smoke tests of the scripts under demos/."""
+
+from __future__ import annotations
+
+import importlib.util
+import time
+from pathlib import Path
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, DEMOS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kernel_timing_runs_small(capsys):
+    kernel_timing = _load("kernel_timing")
+    t0 = time.perf_counter()
+    kernel_timing.main(["--n", "32", "--repeat", "1"])
+    elapsed = time.perf_counter() - t0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("best of 1 calls, ms; nproc ")
+    assert "Python" in lines[0] and "numpy" in lines[0]
+    assert lines[1].split() == ["kernel", "live", "n=32"]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == [name for name, _ in kernel_timing.ROWS]
+    assert all(float(row[-1]) >= 0.0 for row in rows)
+    assert elapsed < 2.0

@@ -37,7 +37,7 @@ from nosignal import (
 )
 from nosignal import protocol as protocol_mod
 from nosignal.cli import config_to_dict, main as cli_main
-from nosignal.protocol import DETECTOR_MODES, STAGES, PairBlocks
+from nosignal.protocol import DETECTOR_MODES, PEAK_STATES, STAGES, PairBlocks
 from nosignal.qcore import (
     PAULI_X,
     PAULI_Y,
@@ -590,6 +590,7 @@ def test_run_scenario_peak_memory_in_states():
     # label1 kick, global Bell joint, label2 detector: four branches an arm
     # after the detector.  Traced peak in units of one 128 n^2-byte state:
     # 13.4 when every stage was kept to the end of its arm, 8.6 streamed.
+    # ScenarioConfig refuses an n whose PEAK_STATES states exceed memory.
     cfg = ScenarioConfig(
         n=48,
         o1=Region(4, 10),
@@ -611,7 +612,7 @@ def test_run_scenario_peak_memory_in_states():
     finally:
         tracemalloc.stop()
     assert report.branch_count_kick == report.branch_count_nokick == 4
-    assert peak / (128 * cfg.n**2) < 11.0
+    assert peak / (128 * cfg.n**2) < PEAK_STATES
 
 
 PIPELINE_COMBOS = [
