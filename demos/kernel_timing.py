@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 
-from nosignal import BranchEnsemble, CompositeSpace, Region, StateVector, evolve_positions, make_lattice, propagator
+from nosignal import CompositeSpace, Region, StateVector, evolve_positions, make_lattice, propagator
 from nosignal.composite import _with_exchanged
 from nosignal.protocol import _detector_blocks, _joint_outcomes, _kick_blocks
 from nosignal.qcore import luders_update
@@ -73,7 +73,7 @@ def kernels(n: int) -> dict:
         "kick": lambda s: kick.apply(s.amps),
         "bell-P": lambda s: bell[0].apply(s.amps),
         "label2": lambda s: label2.apply(s.amps),
-        "luders": lambda s: luders_update(BranchEnsemble.pure(s), lambda amps: (op.apply(amps) for op in bell)),
+        "luders": lambda s: luders_update([(1.0, s)], lambda amps: (op.apply(amps) for op in bell)),
     }
 
 

@@ -45,10 +45,10 @@ from .composite import CompositeSpace, position_occupancy
 from .lattice import SpacelikeCertificate, check_spacelike
 from .protocol import (
     STAGES,
+    _arm,
     ScenarioConfig,
     SignalingReport,
     prepare_scenario,
-    run_arm_stages,
     run_naive_sorkin,
     run_scenario,
 )
@@ -282,8 +282,10 @@ def _cmd_check_spacelike(args) -> int:
 
 def _cmd_dump_density(args) -> int:
     cfg = parse_config(_load_text(args.config))
-    stages = run_arm_stages(cfg, kicked=(args.arm == "kick"))
-    ens = stages[args.stage]
+    for name, ens in _arm(cfg, kicked=(args.arm == "kick")):
+        if name == args.stage:
+            break
+        del ens  # keeps only the requested stage, as run_scenario does
     space = CompositeSpace(cfg.n)
     occ1, occ2 = position_occupancy(space, ens)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -273,6 +273,7 @@ def evolve_positions(space: CompositeSpace, u_single: LinearOperator, state: Sta
     live = _live_columns(tensor)
     half = np.tensordot(u, tensor[:, :, live], axes=([1], [0]))  # (x1', x2, k)
     full = np.tensordot(u, half, axes=([1], [1]))                # (x2', x1', k)
+    del half  # freed before the output is allocated
     out = np.zeros((n, n, 8), dtype=complex)
     if live.size:  # one record of the live columns per pair
         records = full.view(f"V{16 * live.size}").reshape(-1)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -84,10 +84,10 @@ DETECTOR_MODES = ("position", "label2")
 STAGES = ("prepared", "post_kick", "post_o2", "final")
 
 # Bound on a scenario's peak memory in (n, n, 8) complex128 states, live
-# branches and temporaries included; the measured worst is 8.56.
-PEAK_STATES = 9
+# branches and temporaries included; the measured worst is 6.69.
+PEAK_STATES = 7
 
-MeasurementProcedure = Callable[[BranchEnsemble], BranchEnsemble]
+MeasurementProcedure = Callable[[Union[BranchEnsemble, list]], BranchEnsemble]
 
 
 @dataclass(frozen=True)
@@ -389,18 +389,27 @@ def _occupancy_outcomes(n: int, o3: Region) -> tuple:
 # measurement procedures
 
 
-def _each(f: Callable[[StateVector], StateVector], ens: BranchEnsemble) -> BranchEnsemble:
-    """``ens`` with ``f`` applied to the state of every branch."""
-    return BranchEnsemble(tuple((w, f(s)) for w, s in ens.branches))
+def _handed(ens: Union[BranchEnsemble, list]) -> list:
+    """The branches of a stage as a list the next step empties: a list handed over, or a copy."""
+    return ens if isinstance(ens, list) else list(ens.branches)
+
+
+def _each(f: Callable[[StateVector], StateVector], ens: Union[BranchEnsemble, list]) -> list:
+    """``ens`` with ``f`` applied to every state, as a checked list; a list ``ens`` is emptied front to back."""
+    branches, out = _handed(ens), []
+    while branches:
+        w, s = branches.pop(0)
+        out.append((w, f(s)))
+    return list(BranchEnsemble(out).branches)
 
 
 def _applied(op: PairBlocks, state: StateVector) -> StateVector:
     return StateVector(qcore.freeze(op.apply(state.amps)), state.basis_tag)
 
 
-def _branches(outcomes: tuple, ens: BranchEnsemble) -> tuple:
+def _branches(outcomes: tuple, ens: Union[BranchEnsemble, list]) -> tuple:
     """Lueders branches of ``ens`` on the ``PairBlocks`` projectors ``outcomes``, outcome by outcome."""
-    return luders_update(ens, lambda amps: (op.apply(amps) for op in outcomes))
+    return luders_update(_handed(ens), lambda amps: (op.apply(amps) for op in outcomes))
 
 
 def detector_measurement(
@@ -426,18 +435,19 @@ def detector_measurement(
     Returns
     -------
     callable
-        Maps a :class:`BranchEnsemble` to the post-measurement ensemble.
+        Maps a :class:`BranchEnsemble`, or a list of branches that it
+        empties, to the post-measurement ensemble.
     """
     if mode not in DETECTOR_MODES:
         raise ValueError(f"detector mode must be one of {DETECTOR_MODES}, got {mode!r}")
     coupling = _detector_blocks(space.n_sites, o3, mode)
     occupancy = _occupancy_outcomes(space.n_sites, o3)
 
-    def procedure(ens: BranchEnsemble) -> BranchEnsemble:
+    def procedure(ens: Union[BranchEnsemble, list]) -> BranchEnsemble:
         if mode == "position":
             ens = _each(lambda s: _applied(coupling, s), ens)
             if not selective:
-                return ens
+                return BranchEnsemble(ens)
         hits, misses = map(list, _branches(occupancy, ens))
         if mode == "label2":  # on the normalized branch: normalizing after the coupling rounds differently
             for k, (w, s) in enumerate(hits):  # each hit is freed once its coupled state is built
@@ -463,7 +473,8 @@ def joint_measurement(
     the spins wherever the particles are; ``localized_bell`` applies it only
     on the sector where both particles occupy O2 (the projector is the
     product of the two position projectors and the spin projector, which all
-    commute).  ``none`` returns the ensemble unchanged.
+    commute).  ``none`` returns its input unchanged; the Bell modes empty a
+    list of branches handed to them, as :func:`detector_measurement` does.
     """
     if mode not in JOINT_MODES:
         raise ValueError(f"joint mode must be one of {JOINT_MODES}, got {mode!r}")
@@ -471,7 +482,7 @@ def joint_measurement(
         return lambda ens: ens
     outcomes = _joint_outcomes(space.n_sites, mode, o2)
 
-    def procedure(ens: BranchEnsemble) -> BranchEnsemble:
+    def procedure(ens: Union[BranchEnsemble, list]) -> BranchEnsemble:
         return BranchEnsemble(sum(_branches(outcomes, ens), ()))
 
     return procedure
@@ -518,9 +529,13 @@ def run_arm_stages(cfg: ScenarioConfig, kicked: bool) -> Mapping[str, BranchEnse
     the joint measurement), ``final`` (after the t2 evolution and the
     detector measurement).
     """
+    return {name: ens for name, ens in _arm(cfg, kicked) if name in STAGES}
+
+
+def _arm(cfg: ScenarioConfig, kicked: bool) -> Iterator[tuple]:
+    """The stages of one arm of ``cfg``, streamed by :func:`_run_arm`."""
     lat, space, psi0 = prepare_scenario(cfg)
-    arm = _run_arm(cfg, space, psi0, propagator(lat, cfg.t1), propagator(lat, cfg.t2), kicked)
-    return {name: ens for name, ens in arm if name in STAGES}
+    return _run_arm(cfg, space, psi0, propagator(lat, cfg.t1), propagator(lat, cfg.t2), kicked)
 
 
 def prepare_scenario(cfg: ScenarioConfig):
@@ -544,22 +559,23 @@ def _run_arm(
     """Run one arm, yielding ``(name, ensemble)`` per stage as it is built.
 
     The stages are the four of ``STAGES`` and ``pre_detector``, after the t2
-    evolution.  The arm holds only the stage it is working on: a consumer
-    that drops each stage before asking for the next frees it.
+    evolution.  The arm holds a stage as a list of branches and hands it to
+    the next step, which empties it and releases each input branch once its
+    images are built: a consumer that drops each yielded ensemble before
+    asking for the next stage frees the stage branch by branch.
     """
-    ens = BranchEnsemble.pure(psi0)
-    yield "prepared", ens
+    branches = [(1.0, psi0)]
+    yield "prepared", BranchEnsemble(branches)
     if kicked and cfg.kick_mode != "off":
         kick = _kick_blocks(cfg.n, cfg.o1, cfg.kick_mode)
-        ens = _each(lambda s: _applied(kick, s), ens)
-    yield "post_kick", ens
-    ens = _each(lambda s: evolve_positions(space, u1, s), ens)
-    ens = joint_measurement(space, cfg.joint_mode, cfg.o2)(ens)
-    yield "post_o2", ens
-    ens = _each(lambda s: evolve_positions(space, u2, s), ens)
-    yield "pre_detector", ens
-    ens = detector_measurement(space, cfg.o3, cfg.detector_mode, cfg.selective_o3)(ens)
-    yield "final", ens
+        branches = _each(lambda s: _applied(kick, s), branches)
+    yield "post_kick", BranchEnsemble(branches)
+    joint = joint_measurement(space, cfg.joint_mode, cfg.o2)
+    branches = _handed(joint(_each(lambda s: evolve_positions(space, u1, s), branches)))
+    yield "post_o2", BranchEnsemble(branches)
+    branches = _each(lambda s: evolve_positions(space, u2, s), branches)
+    yield "pre_detector", BranchEnsemble(branches)
+    yield "final", detector_measurement(space, cfg.o3, cfg.detector_mode, cfg.selective_o3)(branches)
 
 
 def run_scenario(cfg: ScenarioConfig) -> SignalingReport:

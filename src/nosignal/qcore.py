@@ -9,8 +9,8 @@ and each state they build is checked once, by :class:`StateVector`.
 
 Conventions used throughout the package:
 
-* values are immutable after construction and all operations are pure
-  functions returning new values;
+* values are immutable after construction and operations return new
+  values (``luders_update`` also empties the branch list it takes over);
 * a single spin-1/2 is encoded as ``|down> -> index 0``, ``|up> -> index 1``,
   so ``sigma_z |up> = +|up>`` reads ``PAULI_Z = diag(-1, +1)``;
 * ``apply`` does not normalize;
@@ -371,32 +371,39 @@ def luders_measure(projectors: Sequence[LinearOperator], x: StateLike) -> Branch
         raise TypeError(f"luders_measure expects a StateVector or BranchEnsemble, got {type(x).__name__}")
     if projectors[0].basis_tag != x.basis_tag or projectors[0].dim != x.dim:
         raise ValueError("projectors and state live on different bases")
-    return BranchEnsemble(sum(luders_update(x, lambda amps: (p.matrix @ amps for p in projectors)), ()))
+    return BranchEnsemble(sum(luders_update(list(x.branches), lambda amps: (p.matrix @ amps for p in projectors)), ()))
 
 
-def luders_update(x: BranchEnsemble, outcomes: Callable) -> tuple:
+def luders_update(branches: list, outcomes: Callable) -> tuple:
     """Branch bookkeeping of :func:`luders_measure`, outcome by outcome.
 
-    ``outcomes(amps)`` yields each ``P_i psi`` as a fresh array that it gives
-    up: a kept outcome is normalized in place and frozen, and a pruned one is
-    released before the next is built.  Entry ``i`` of the result holds the
-    surviving ``(weight, state)`` branches of outcome ``i``, in the order of
-    the input branches; the weights of all entries sum to 1.
+    The update takes the ``(weight, state)`` list ``branches`` over: it
+    empties it front to back, releasing each input branch once its outcomes
+    are built.  ``outcomes(amps)`` yields each ``P_i psi`` as a fresh array
+    that it gives up: a kept outcome is normalized in place and frozen, and a
+    pruned one is released before the next is built (so outcomes are counted
+    by hand: ``enumerate`` keeps its last item while it builds the next).
+    Entry ``i`` of the result holds the surviving ``(weight, state)``
+    branches of outcome ``i``, in the order of the input branches; the
+    weights of all entries sum to 1.
     """
     by_outcome = []
-    for w, state in x.branches:
+    while branches:
+        w, state = branches.pop(0)
         # Outcome probabilities are taken relative to the branch norm so the
         # output weights keep summing to 1 even after ~1e-15 rounding drift.
         base = float(np.vdot(state.amps, state.amps).real)
-        for i, arm in enumerate(outcomes(state.amps)):
+        i = 0
+        for arm in outcomes(state.amps):
             if i == len(by_outcome):
                 by_outcome.append([])
             prob = float(np.vdot(arm, arm).real) / base
             weight = w * prob
             if weight > BRANCH_PRUNE_THRESHOLD:
                 arm /= np.linalg.norm(arm)
-                by_outcome[i].append((weight, StateVector(freeze(arm), x.basis_tag)))
+                by_outcome[i].append((weight, StateVector(freeze(arm), state.basis_tag)))
             del arm
+            i += 1
     return tuple(map(tuple, by_outcome))
 
 

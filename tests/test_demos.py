@@ -29,3 +29,18 @@ def test_kernel_timing_runs_small(capsys):
     assert [row[0] for row in rows] == [name for name, _ in kernel_timing.ROWS]
     assert all(float(row[-1]) >= 0.0 for row in rows)
     assert elapsed < 2.0
+
+
+def test_peak_memory_runs_small(capsys):
+    peak_memory = _load("peak_memory")
+    t0 = time.perf_counter()
+    peak_memory.main(["--label-n", "48", "--scale-n", "48"])
+    elapsed = time.perf_counter() - t0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("traced peak of one warm scenario, states of 128 n^2 bytes (PEAK_STATES = ")
+    assert "nproc" in lines[0] and "Python" in lines[0] and "numpy" in lines[0]
+    assert lines[1].split() == ["row", "n", "kind", "states"]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == ["label48"] * 6 + ["scale48", "n48"]
+    assert all(0.0 < float(row[-1]) < peak_memory.PEAK_STATES for row in rows)
+    assert elapsed < 2.0

@@ -430,7 +430,7 @@ def test_joint_measurement_equals_luders_on_materialized_projectors():
         matrices = [_kernel_matrix(op) for op in protocol_mod._joint_outcomes(n, mode, Region(3, 6))]
         check_projector_family([LinearOperator(m, space.basis_tag) for m in matrices])
         csrs = [sp.csr_array(m) for m in matrices]
-        want = BranchEnsemble(sum(luders_update(ens, lambda amps: (c @ amps for c in csrs)), ()))
+        want = BranchEnsemble(sum(luders_update(list(ens.branches), lambda amps: (c @ amps for c in csrs)), ()))
         assert [w for w, _ in got.branches] == [w for w, _ in want.branches]
         for (_, a), (_, b) in zip(got.branches, want.branches):
             assert np.array_equal(a.amps, b.amps)
@@ -558,23 +558,24 @@ def test_run_arm_stages_structure():
     np.testing.assert_array_equal(s0.amps, s1.amps)
 
 
+def _owner(arr: np.ndarray) -> np.ndarray:
+    """The array that owns the memory of ``arr``."""
+    while arr.base is not None:
+        arr = arr.base
+    return arr
+
+
 def test_run_scenario_frees_the_first_arms_stages(monkeypatch):
     # Stronger than "the first arm is freed before the second": each stage is
     # freed before the next one is yielded, in both arms.
     run_arm = protocol_mod._run_arm
     seen = []
 
-    def owner(state):
-        arr = state.amps
-        while arr.base is not None:
-            arr = arr.base
-        return arr
-
     def tracking(cfg, space, psi0, *rest):
         refs = []  # weak references to the memory of the previous stage's states
         for name, ens in run_arm(cfg, space, psi0, *rest):
             assert [r() for r in refs] == [None] * len(refs), name
-            refs = [weakref.ref(owner(s)) for _, s in ens.branches if s is not psi0]
+            refs = [weakref.ref(_owner(s.amps)) for _, s in ens.branches if s is not psi0]
             seen.append((name, len(refs)))
             yield name, ens
             del ens
@@ -586,12 +587,45 @@ def test_run_scenario_frees_the_first_arms_stages(monkeypatch):
     assert report.branch_count_kick >= 1
 
 
-def test_run_scenario_peak_memory_in_states():
+def test_each_step_frees_an_input_branch_once_its_images_are_built(monkeypatch):
+    # A two-branch label2 arm: when the t2 drift starts on branch 2, and when
+    # the detector builds the outcomes of branch 2, branch 1 is already freed.
+    run_arm, drift, apply = protocol_mod._run_arm, protocol_mod.evolve_positions, PairBlocks.apply
+    inputs, checked = {}, []  # stage name -> weak references to its branches' memory
+
+    def tracking(*args):
+        for name, ens in run_arm(*args):
+            inputs[name] = [weakref.ref(_owner(s.amps)) for _, s in ens.branches]
+            yield name, ens
+            del ens
+
+    def check(stage, amps):
+        refs = inputs.get(stage, [])
+        if len(refs) == 2 and _owner(amps) is refs[1]():
+            assert refs[0]() is None, stage
+            checked.append(stage)
+
+    def drifting(space, u, state):
+        check("post_o2", state.amps)
+        return drift(space, u, state)
+
+    def applying(self, amps):
+        check("pre_detector", amps)
+        return apply(self, amps)
+
+    monkeypatch.setattr(protocol_mod, "_run_arm", tracking)
+    monkeypatch.setattr(protocol_mod, "evolve_positions", drifting)
+    monkeypatch.setattr(PairBlocks, "apply", applying)
+    report = run_scenario(_basic_config(kick_mode="label1", joint_mode="global_bell", detector_mode="label2"))
+    assert report.branch_count_kick == report.branch_count_nokick == 4
+    # per arm: one t2 drift of branch 2, and its two occupancy outcomes
+    assert checked == ["post_o2", "pre_detector", "pre_detector"] * 2
+
+
+def _n48_config() -> ScenarioConfig:
     # label1 kick, global Bell joint, label2 detector: four branches an arm
-    # after the detector.  Traced peak in units of one 128 n^2-byte state:
-    # 13.4 when every stage was kept to the end of its arm, 8.6 streamed.
-    # ScenarioConfig refuses an n whose PEAK_STATES states exceed memory.
-    cfg = ScenarioConfig(
+    # after the detector.
+    return ScenarioConfig(
         n=48,
         o1=Region(4, 10),
         o2=Region(20, 26),
@@ -604,6 +638,14 @@ def test_run_scenario_peak_memory_in_states():
         t1=1.5,
         t2=3.5,
     )
+
+
+def test_run_scenario_peak_memory_in_states():
+    # Traced peak in units of one 128 n^2-byte state: 13.4 when every stage
+    # was kept to the end of its arm, 8.6 streamed, 6.6 with every step
+    # taking its input branches over.  ScenarioConfig refuses an n whose
+    # PEAK_STATES states exceed memory.
+    cfg = _n48_config()
     run_scenario(cfg)  # fills the lattice caches outside the trace
     tracemalloc.start()
     try:
@@ -612,6 +654,23 @@ def test_run_scenario_peak_memory_in_states():
     finally:
         tracemalloc.stop()
     assert report.branch_count_kick == report.branch_count_nokick == 4
+    assert peak / (128 * cfg.n**2) < PEAK_STATES
+
+
+@pytest.mark.parametrize("arm", ["kick", "nokick"])
+def test_dump_density_keeps_only_the_requested_stage(tmp_path, arm):
+    # Keeping all four stages of the arm peaked at 11.7 states.
+    cfg = _n48_config()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config_to_dict(cfg)))
+    argv = ["dump-density", "--config", str(path), "--arm", arm, "--stage", "final", "--out", str(tmp_path / "o.csv")]
+    assert cli_main(argv) == 0  # fills the lattice caches outside the trace
+    tracemalloc.start()
+    try:
+        assert cli_main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak / (128 * cfg.n**2) < PEAK_STATES
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,27 @@ def test_luders_lists_branches_outcome_by_outcome():
     want = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0j]]
     for (_, state), amps in zip(ens.branches, want):
         np.testing.assert_allclose(state.amps, amps, atol=1e-15)
+
+
+def test_luders_update_frees_a_pruned_outcome_before_building_the_next():
+    # The outcomes are counted by hand: ``enumerate`` would keep the pruned
+    # zero outcome alive while the kept one is built, two outcomes at the peak.
+    state = _random_state(np.random.default_rng(3), 8 * 32**2)
+    branches = [(1.0, state)]
+
+    def outcomes(amps):
+        yield np.zeros_like(amps)  # weight 0: pruned
+        yield amps.copy()
+
+    tracemalloc.start()
+    try:
+        pruned, kept = qcore.luders_update(branches, outcomes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert branches == [] and pruned == ()
+    assert [w for w, _ in kept] == [1.0]
+    assert peak <= 1.1 * state.amps.nbytes  # one outcome beyond the input
 
 
 def test_luders_family_validation():
