@@ -40,8 +40,6 @@ from .protocol import (
     bell_projector,
     default_scenario,
     detector_coupling,
-    detector_measurement,
-    joint_measurement,
     prepare_scenario,
     qubit_one_probability,
     run_arm_stages,
@@ -88,12 +86,10 @@ __all__ = [
     "decode_basis_index",
     "default_scenario",
     "detector_coupling",
-    "detector_measurement",
     "evolve_positions",
     "expectation",
     "hamiltonian",
     "identity",
-    "joint_measurement",
     "joint_position_probability",
     "leakage",
     "light_cone_bound",

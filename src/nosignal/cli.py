@@ -122,20 +122,24 @@ def _from_json(tp, value, ctx: str):
     return tp(**{name: _from_json(t, value[name], f"{ctx}.{name}") for name, t, _ in schema if name in value})
 
 
+def _load_json(text: str, what: str):
+    """``text`` parsed as JSON; a syntax error or nesting too deep to parse raises ValueError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply to parse") from None
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a JSON scenario config.
 
-    Raises ValueError on JSON syntax errors (with line and column), unknown
-    or missing keys, wrong types, and any semantic violation caught by
-    ScenarioConfig itself.
+    Raises ValueError on JSON syntax errors (with line and column), nesting
+    too deep to parse, unknown or missing keys, wrong types, and any semantic
+    violation caught by ScenarioConfig itself.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    return _from_json(ScenarioConfig, raw, "config")
+    return _from_json(ScenarioConfig, _load_json(text, "config"), "config")
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
@@ -205,12 +209,7 @@ def _as_complex(entry, ctx: str) -> complex:
 
 
 def _matrix_from_json(text: str) -> np.ndarray:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"observable parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    raw = _load_json(text, "observable")
     ok = isinstance(raw, list) and len(raw) == 2
     ok = ok and all(isinstance(row, list) and len(row) == 2 for row in raw)
     if not ok:

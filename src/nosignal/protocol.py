@@ -30,6 +30,10 @@ are pairs ``(P, Q)`` of such operations, and branch through
 :func:`nosignal.qcore.luders_update`.  The package builds no sparse matrix;
 the test suite checks that amplitudes are bit-identical to the CSR mat-vec
 of each operation's matrix.
+
+Every step of an arm has one shape: a plain function that takes the list of
+``(weight, state)`` branches over and returns the next list.  The arm wraps
+each stage in a :class:`~nosignal.qcore.BranchEnsemble` only to yield it.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -86,8 +90,6 @@ STAGES = ("prepared", "post_kick", "post_o2", "final")
 # Bound on a scenario's peak memory in (n, n, 8) complex128 states, live
 # branches and temporaries included; the measured worst is 6.69.
 PEAK_STATES = 7
-
-MeasurementProcedure = Callable[[Union[BranchEnsemble, list]], BranchEnsemble]
 
 
 @dataclass(frozen=True)
@@ -323,6 +325,10 @@ class PairBlocks:
             _map_8(m, t[rect], out[rect])
         return flat
 
+    def __call__(self, state: StateVector) -> StateVector:
+        """The image of ``state``, as a new checked state."""
+        return StateVector(qcore.freeze(self.apply(state.amps)), state.basis_tag)
+
 
 def _by_occupant(n: int, region: Region, name: str, only1, only2, both) -> PairBlocks:
     """Unitary acting by ``only1``/``only2``/``both`` as slot 1, slot 2 or both occupy ``region``."""
@@ -386,39 +392,37 @@ def _occupancy_outcomes(n: int, o3: Region) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# measurement procedures
+# the steps of an arm
 
 
-def _handed(ens: Union[BranchEnsemble, list]) -> list:
-    """The branches of a stage as a list the next step empties: a list handed over, or a copy."""
-    return ens if isinstance(ens, list) else list(ens.branches)
-
-
-def _each(f: Callable[[StateVector], StateVector], ens: Union[BranchEnsemble, list]) -> list:
-    """``ens`` with ``f`` applied to every state, as a checked list; a list ``ens`` is emptied front to back."""
-    branches, out = _handed(ens), []
+def _each(f: Callable[[StateVector], StateVector], branches: list) -> list:
+    """``branches`` with ``f`` applied to every state, as a checked list; ``branches`` is emptied front to back."""
+    out = []
     while branches:
         w, s = branches.pop(0)
         out.append((w, f(s)))
     return list(BranchEnsemble(out).branches)
 
 
-def _applied(op: PairBlocks, state: StateVector) -> StateVector:
-    return StateVector(qcore.freeze(op.apply(state.amps)), state.basis_tag)
+def _joint_step(space: CompositeSpace, mode: str, o2: Optional[Region], branches: list) -> list:
+    """The O2 stage (non-selective) on the list ``branches``, which it takes over.
+
+    ``global_bell`` branches on the Bell-direction spin projector applied to
+    the spins wherever the particles are; ``localized_bell`` applies it only
+    on the sector where both particles occupy O2 (the projector is the
+    product of the two position projectors and the spin projector, which all
+    commute).  ``none`` returns ``branches`` unchanged.
+    """
+    if mode not in JOINT_MODES:
+        raise ValueError(f"joint mode must be one of {JOINT_MODES}, got {mode!r}")
+    if mode == "none":
+        return branches
+    outcomes = _joint_outcomes(space.n_sites, mode, o2)
+    return sum(luders_update(branches, lambda amps: (op.apply(amps) for op in outcomes)), [])
 
 
-def _branches(outcomes: tuple, ens: Union[BranchEnsemble, list]) -> tuple:
-    """Lueders branches of ``ens`` on the ``PairBlocks`` projectors ``outcomes``, outcome by outcome."""
-    return luders_update(_handed(ens), lambda amps: (op.apply(amps) for op in outcomes))
-
-
-def detector_measurement(
-    space: CompositeSpace,
-    o3: Region,
-    mode: str,
-    selective: bool = False,
-) -> MeasurementProcedure:
-    """Measurement procedure for the detector stage.
+def _detector_step(space: CompositeSpace, o3: Region, mode: str, branches: list, selective: bool = False) -> list:
+    """The detector stage on the list ``branches``, which it takes over.
 
     ``position`` mode applies the exchange-symmetric position-controlled
     coupling unitary; with ``selective`` true it then branches on the O3
@@ -431,61 +435,25 @@ def detector_measurement(
     Branching is the Lueders update on the occupancy projectors ``(P, Q)``:
     the occupied branches come first, then the unoccupied ones, each in the
     order of the input branches.
-
-    Returns
-    -------
-    callable
-        Maps a :class:`BranchEnsemble`, or a list of branches that it
-        empties, to the post-measurement ensemble.
     """
     if mode not in DETECTOR_MODES:
         raise ValueError(f"detector mode must be one of {DETECTOR_MODES}, got {mode!r}")
     coupling = _detector_blocks(space.n_sites, o3, mode)
-    occupancy = _occupancy_outcomes(space.n_sites, o3)
-
-    def procedure(ens: Union[BranchEnsemble, list]) -> BranchEnsemble:
-        if mode == "position":
-            ens = _each(lambda s: _applied(coupling, s), ens)
-            if not selective:
-                return BranchEnsemble(ens)
-        hits, misses = map(list, _branches(occupancy, ens))
-        if mode == "label2":  # on the normalized branch: normalizing after the coupling rounds differently
-            for k, (w, s) in enumerate(hits):  # each hit is freed once its coupled state is built
-                hits[k] = (w, _applied(coupling, s))
+    if mode == "position":
+        branches = _each(coupling, branches)
         if not selective:
-            return BranchEnsemble(hits + misses)
-        total = sum(w for w, _ in hits)
-        if total <= 1e-12:
-            raise ValueError("selective detection post-selected on an empty outcome")
-        return BranchEnsemble(tuple((w / total, s) for w, s in hits))
-
-    return procedure
-
-
-def joint_measurement(
-    space: CompositeSpace,
-    mode: str,
-    o2: Optional[Region] = None,
-) -> MeasurementProcedure:
-    """Measurement procedure for the O2 stage (non-selective).
-
-    ``global_bell`` branches on the Bell-direction spin projector applied to
-    the spins wherever the particles are; ``localized_bell`` applies it only
-    on the sector where both particles occupy O2 (the projector is the
-    product of the two position projectors and the spin projector, which all
-    commute).  ``none`` returns its input unchanged; the Bell modes empty a
-    list of branches handed to them, as :func:`detector_measurement` does.
-    """
-    if mode not in JOINT_MODES:
-        raise ValueError(f"joint mode must be one of {JOINT_MODES}, got {mode!r}")
-    if mode == "none":
-        return lambda ens: ens
-    outcomes = _joint_outcomes(space.n_sites, mode, o2)
-
-    def procedure(ens: Union[BranchEnsemble, list]) -> BranchEnsemble:
-        return BranchEnsemble(sum(_branches(outcomes, ens), ()))
-
-    return procedure
+            return branches
+    occupancy = _occupancy_outcomes(space.n_sites, o3)
+    hits, misses = luders_update(branches, lambda amps: (op.apply(amps) for op in occupancy))
+    if mode == "label2":  # on the normalized branch: normalizing after the coupling rounds differently
+        for k, (w, s) in enumerate(hits):  # each hit is freed once its coupled state is built
+            hits[k] = (w, coupling(s))
+    if not selective:
+        return hits + misses
+    total = sum(w for w, _ in hits)
+    if total <= 1e-12:
+        raise ValueError("selective detection post-selected on an empty outcome")
+    return [(w / total, s) for w, s in hits]
 
 
 # ---------------------------------------------------------------------------
@@ -559,23 +527,23 @@ def _run_arm(
     """Run one arm, yielding ``(name, ensemble)`` per stage as it is built.
 
     The stages are the four of ``STAGES`` and ``pre_detector``, after the t2
-    evolution.  The arm holds a stage as a list of branches and hands it to
-    the next step, which empties it and releases each input branch once its
-    images are built: a consumer that drops each yielded ensemble before
-    asking for the next stage frees the stage branch by branch.
+    evolution.  The arm holds a stage as a list of branches.  Every step
+    (``_each``, ``_joint_step``, ``_detector_step``) takes the list over and
+    returns the next one; it empties its input and releases each input branch
+    once its images are built, so a consumer that drops each yielded ensemble
+    before asking for the next stage frees the stage branch by branch.
     """
     branches = [(1.0, psi0)]
     yield "prepared", BranchEnsemble(branches)
     if kicked and cfg.kick_mode != "off":
-        kick = _kick_blocks(cfg.n, cfg.o1, cfg.kick_mode)
-        branches = _each(lambda s: _applied(kick, s), branches)
+        branches = _each(_kick_blocks(cfg.n, cfg.o1, cfg.kick_mode), branches)
     yield "post_kick", BranchEnsemble(branches)
-    joint = joint_measurement(space, cfg.joint_mode, cfg.o2)
-    branches = _handed(joint(_each(lambda s: evolve_positions(space, u1, s), branches)))
+    branches = _each(lambda s: evolve_positions(space, u1, s), branches)
+    branches = _joint_step(space, cfg.joint_mode, cfg.o2, branches)
     yield "post_o2", BranchEnsemble(branches)
     branches = _each(lambda s: evolve_positions(space, u2, s), branches)
     yield "pre_detector", BranchEnsemble(branches)
-    yield "final", detector_measurement(space, cfg.o3, cfg.detector_mode, cfg.selective_o3)(branches)
+    yield "final", BranchEnsemble(_detector_step(space, cfg.o3, cfg.detector_mode, branches, cfg.selective_o3))
 
 
 def run_scenario(cfg: ScenarioConfig) -> SignalingReport:

@@ -10,7 +10,8 @@ and each state they build is checked once, by :class:`StateVector`.
 Conventions used throughout the package:
 
 * values are immutable after construction and operations return new
-  values (``luders_update`` also empties the branch list it takes over);
+  values (``luders_update`` takes a branch list over, empties it, and
+  returns new lists, one per outcome);
 * a single spin-1/2 is encoded as ``|down> -> index 0``, ``|up> -> index 1``,
   so ``sigma_z |up> = +|up>`` reads ``PAULI_Z = diag(-1, +1)``;
 * ``apply`` does not normalize;
@@ -371,10 +372,10 @@ def luders_measure(projectors: Sequence[LinearOperator], x: StateLike) -> Branch
         raise TypeError(f"luders_measure expects a StateVector or BranchEnsemble, got {type(x).__name__}")
     if projectors[0].basis_tag != x.basis_tag or projectors[0].dim != x.dim:
         raise ValueError("projectors and state live on different bases")
-    return BranchEnsemble(sum(luders_update(list(x.branches), lambda amps: (p.matrix @ amps for p in projectors)), ()))
+    return BranchEnsemble(sum(luders_update(list(x.branches), lambda amps: (p.matrix @ amps for p in projectors)), []))
 
 
-def luders_update(branches: list, outcomes: Callable) -> tuple:
+def luders_update(branches: list, outcomes: Callable) -> list:
     """Branch bookkeeping of :func:`luders_measure`, outcome by outcome.
 
     The update takes the ``(weight, state)`` list ``branches`` over: it
@@ -383,9 +384,9 @@ def luders_update(branches: list, outcomes: Callable) -> tuple:
     that it gives up: a kept outcome is normalized in place and frozen, and a
     pruned one is released before the next is built (so outcomes are counted
     by hand: ``enumerate`` keeps its last item while it builds the next).
-    Entry ``i`` of the result holds the surviving ``(weight, state)``
-    branches of outcome ``i``, in the order of the input branches; the
-    weights of all entries sum to 1.
+    The result is a list of lists, one per outcome: entry ``i`` holds the
+    surviving ``(weight, state)`` branches of outcome ``i``, in the order of
+    the input branches, and the weights of all entries sum to 1.
     """
     by_outcome = []
     while branches:
@@ -404,7 +405,7 @@ def luders_update(branches: list, outcomes: Callable) -> tuple:
                 by_outcome[i].append((weight, StateVector(freeze(arm), state.basis_tag)))
             del arm
             i += 1
-    return tuple(map(tuple, by_outcome))
+    return by_outcome
 
 
 # Single spin-1/2 constants in the (down, up) ordering of this package.

@@ -324,6 +324,26 @@ def test_huge_json_integer_exits_two(tmp_path, capsys):
     assert captured.err.startswith("error: config.t2 must be a finite number")
 
 
+@pytest.mark.parametrize("command", ["naive", "simulate", "check-spacelike", "dump-density"])
+def test_deeply_nested_json_exits_two(tmp_path, capsys, command):
+    # json.loads raises RecursionError on this nesting; that is bad input, not an internal error.
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    out = tmp_path / "out"
+    argv = {
+        "naive": ["naive", "--observable", "file", "--observable-file", str(path)],
+        "simulate": ["simulate", "--config", str(path), "--out", str(out)],
+        "check-spacelike": ["check-spacelike", "--config", str(path)],
+        "dump-density": ["dump-density", "--config", str(path), "--arm", "kick", "--stage", "final", "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "nested too deeply" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "exc",
     [MemoryError("Unable to allocate 2.0 GiB"), RuntimeError("first line\nsecond line")],

@@ -24,8 +24,6 @@ from nosignal import (
     bell_projector,
     default_scenario,
     detector_coupling,
-    detector_measurement,
-    joint_measurement,
     make_lattice,
     prepare_initial,
     prepare_scenario,
@@ -37,7 +35,7 @@ from nosignal import (
 )
 from nosignal import protocol as protocol_mod
 from nosignal.cli import config_to_dict, main as cli_main
-from nosignal.protocol import DETECTOR_MODES, PEAK_STATES, STAGES, PairBlocks
+from nosignal.protocol import DETECTOR_MODES, PEAK_STATES, STAGES, PairBlocks, _detector_step, _joint_step
 from nosignal.qcore import (
     PAULI_X,
     PAULI_Y,
@@ -246,7 +244,7 @@ def test_position_detector_detects_and_keeps_antisymmetry():
     o3 = Region(8, 12)
     inside, outside = _packets_for_detector(n)
     space, psi = _fermion_pair_with_spin_up_in(n, o3.lo, o3.hi, inside.amps, outside.amps)
-    out = detector_measurement(space, o3, "position")(BranchEnsemble.pure(psi))
+    out = BranchEnsemble(_detector_step(space, o3, "position", [(1.0, psi)]))
     assert out.branch_count == 1
     weight, state = out.branches[0]
     assert weight == pytest.approx(1.0)
@@ -263,7 +261,7 @@ def test_label2_detector_breaks_antisymmetry():
     o3 = Region(8, 12)
     inside, outside = _packets_for_detector(n)
     space, psi = _fermion_pair_with_spin_up_in(n, o3.lo, o3.hi, inside.amps, outside.amps)
-    out = detector_measurement(space, o3, "label2")(BranchEnsemble.pure(psi))
+    out = BranchEnsemble(_detector_step(space, o3, "label2", [(1.0, psi)]))
     assert out.branch_count == 1
     weight, state = out.branches[0]
     assert weight == pytest.approx(1.0, abs=1e-12)
@@ -288,9 +286,8 @@ def test_selective_detection_on_empty_window_raises():
     p1 = wavepacket(lat, Region(0, 4), 1.5, 1.0, 0.0)
     p2 = wavepacket(lat, Region(4, 8), 5.5, 1.0, 0.0)
     psi = prepare_initial(space, "fermion", p1, p2)
-    procedure = detector_measurement(space, Region(8, 12), "position", selective=True)
     with pytest.raises(ValueError, match="empty outcome"):
-        procedure(BranchEnsemble.pure(psi))
+        _detector_step(space, Region(8, 12), "position", [(1.0, psi)], selective=True)
 
 
 def test_selective_hit_branch_is_the_csr_projection_byte_for_byte():
@@ -300,7 +297,7 @@ def test_selective_hit_branch_is_the_csr_projection_byte_for_byte():
     rng = np.random.default_rng(7)
     amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     psi = StateVector(amps / np.linalg.norm(amps), space.basis_tag)
-    out = detector_measurement(space, o3, "position", selective=True)(BranchEnsemble.pure(psi))
+    out = BranchEnsemble(_detector_step(space, o3, "position", [(1.0, psi)], selective=True))
     moved = protocol_mod._detector_blocks(n, o3, "position").apply(psi.amps)
     arm = sp.csr_array(np.diag(oc.union_occupancy_diag(n, range(5, 8))).astype(np.complex128)) @ moved
     assert out.branch_count == 1
@@ -319,7 +316,7 @@ def test_label2_detector_lists_every_hit_before_every_miss():
         amps[occupied] *= scale_inside
         states.append(amps / np.linalg.norm(amps))
     ens = BranchEnsemble(tuple((w, StateVector(a, space.basis_tag)) for w, a in zip((0.3, 0.7), states)))
-    out = detector_measurement(space, Region(5, 8), "label2")(ens)
+    out = BranchEnsemble(_detector_step(space, Region(5, 8), "label2", list(ens.branches)))
     p_in = [float(np.sum(np.abs(a[occupied]) ** 2)) for a in states]
     want = [0.3 * p_in[0], 0.7 * p_in[1], 0.3 * (1 - p_in[0]), 0.7 * (1 - p_in[1])]
     assert [w for w, _ in out.branches] == pytest.approx(want, rel=1e-12)
@@ -328,21 +325,32 @@ def test_label2_detector_lists_every_hit_before_every_miss():
         assert not np.any(state.amps[outside_outcome])
 
 
+def test_only_a_branching_detector_builds_the_occupancy_projectors(monkeypatch):
+    occupancy, built = protocol_mod._occupancy_outcomes, []
+    monkeypatch.setattr(protocol_mod, "_occupancy_outcomes", lambda *args: built.append(args) or occupancy(*args))
+    run_scenario(_basic_config())  # non-selective position detector
+    assert built == []
+    for overrides in (dict(selective_o3=True, o3=Region(4, 10)), dict(detector_mode="label2")):
+        run_scenario(_basic_config(**overrides))
+    assert len(built) == 4  # one per arm
+
+
 def test_detector_and_localized_joint_reject_a_region_past_the_lattice():
     space = CompositeSpace(8)
     for mode in DETECTOR_MODES:
         for selective in (False, True):
             with pytest.raises(ValueError, match="exceeds the 8-site lattice"):
-                detector_measurement(space, Region(5, 9), mode, selective)
+                _detector_step(space, Region(5, 9), mode, [], selective)
     with pytest.raises(ValueError, match="exceeds the 8-site lattice"):
-        joint_measurement(space, "localized_bell", Region(5, 9))
+        _joint_step(space, "localized_bell", Region(5, 9), [])
 
 
 def test_joint_measurement_none_is_identity():
     cfg = _basic_config()
     _, space, psi0 = prepare_scenario(cfg)
-    ens = BranchEnsemble.pure(psi0)
-    assert joint_measurement(space, "none")(ens) is ens
+    branches = [(1.0, psi0)]
+    assert _joint_step(space, "none", None, branches) is branches
+    assert branches == [(1.0, psi0)]
 
 
 def test_joint_measurement_matches_reference_update():
@@ -353,7 +361,7 @@ def test_joint_measurement_matches_reference_update():
     state = StateVector(amps / np.linalg.norm(amps), space.basis_tag)
     for mode, sites in (("global_bell", None), ("localized_bell", range(3, 6))):
         o2 = None if sites is None else Region(3, 6)
-        out = joint_measurement(space, mode, o2)(BranchEnsemble.pure(state))
+        out = BranchEnsemble(_joint_step(space, mode, o2, [(1.0, state)]))
         rho = oc.density_from_branches((w, s.amps) for w, s in out.branches)
         projs = oc.joint_projectors(n, mode, sites)
         rho_ref = sum(p @ np.outer(state.amps, state.amps.conj()) @ p for p in projs)
@@ -364,9 +372,9 @@ def test_joint_measurement_matches_reference_update():
 def test_joint_measurement_validates_mode_and_region():
     space = CompositeSpace(8)
     with pytest.raises(ValueError):
-        joint_measurement(space, "bell")
+        _joint_step(space, "bell", None, [])
     with pytest.raises(ValueError):
-        joint_measurement(space, "localized_bell", None)
+        _joint_step(space, "localized_bell", None, [])
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +434,11 @@ def test_joint_measurement_equals_luders_on_materialized_projectors():
     amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     ens = BranchEnsemble.pure(StateVector(amps / np.linalg.norm(amps), space.basis_tag))
     for mode in ("global_bell", "localized_bell"):
-        got = joint_measurement(space, mode, Region(3, 6))(ens)
+        got = BranchEnsemble(_joint_step(space, mode, Region(3, 6), list(ens.branches)))
         matrices = [_kernel_matrix(op) for op in protocol_mod._joint_outcomes(n, mode, Region(3, 6))]
         check_projector_family([LinearOperator(m, space.basis_tag) for m in matrices])
         csrs = [sp.csr_array(m) for m in matrices]
-        want = BranchEnsemble(sum(luders_update(list(ens.branches), lambda amps: (c @ amps for c in csrs)), ()))
+        want = BranchEnsemble(sum(luders_update(list(ens.branches), lambda amps: (c @ amps for c in csrs)), []))
         assert [w for w, _ in got.branches] == [w for w, _ in want.branches]
         for (_, a), (_, b) in zip(got.branches, want.branches):
             assert np.array_equal(a.amps, b.amps)
@@ -444,7 +452,7 @@ def test_build_rejects_tampered_8x8_maps(monkeypatch):
         protocol_mod._projective_measurement(8, None, p8, 0.5 * (np.eye(8) - p8))
     monkeypatch.setattr(protocol_mod, "_both_in_region_coupling_8", lambda: 2.0 * np.eye(8))
     with pytest.raises(ValueError, match="not unitary"):
-        detector_measurement(space, o3, "position")
+        _detector_step(space, o3, "position", [])
 
 
 @pytest.mark.parametrize("tamper, message", [("scale", "not normalized"), ("nan", "finite")])

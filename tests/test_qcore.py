@@ -304,7 +304,7 @@ def test_luders_update_frees_a_pruned_outcome_before_building_the_next():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert branches == [] and pruned == ()
+    assert branches == [] and pruned == []
     assert [w for w, _ in kept] == [1.0]
     assert peak <= 1.1 * state.amps.nbytes  # one outcome beyond the input
 
