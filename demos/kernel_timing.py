@@ -12,6 +12,12 @@ to n sites: O1 = [n/12, 5n/24), O3 = [19n/24, 11n/12), t2 = 7n/96.
   bell-P    PairBlocks.apply of the global Bell projector
   label2    PairBlocks.apply of the label2 detector coupling in O3
   luders    qcore.luders_update on the global Bell pair (P, Q)
+  normalize StateVector.normalized()
+  operators both propagators and the four protocol builders (kick, joint,
+            detector coupling, O3 occupancy), with their caches emptied
+            before every call ("cold", what every scenario paid before they
+            were cached; the eigensystem stays cached) and then filled
+            ("warm"); these rows take no state
 
 It prints the best of --repeat calls of each after one untimed call, in
 milliseconds, with the machine's processor count and the Python and numpy
@@ -31,10 +37,12 @@ import numpy as np
 
 from nosignal import CompositeSpace, Region, StateVector, evolve_positions, make_lattice, propagator
 from nosignal.composite import _with_exchanged
-from nosignal.protocol import _detector_blocks, _joint_outcomes, _kick_blocks
+from nosignal.protocol import _detector_blocks, _joint_outcomes, _kick_blocks, _occupancy_outcomes
 from nosignal.qcore import luders_update
 
-# (kernel, live columns of its input), in the order of the table.
+BUILDERS = (propagator, _kick_blocks, _joint_outcomes, _detector_blocks, _occupancy_outcomes)
+
+# (kernel, live columns of its input, or the caches' state), in the order of the table.
 ROWS = [
     ("exchange", (0,)),
     ("exchange", (0, 6)),
@@ -48,6 +56,9 @@ ROWS = [
     ("bell-P", (0, 4)),
     ("label2", (0, 4)),
     ("luders", (0, 4)),
+    ("normalize", (0, 4)),
+    ("operators", "cold"),
+    ("operators", "warm"),
 ]
 
 
@@ -59,22 +70,38 @@ def seeded_state(space: CompositeSpace, live: tuple, rng: np.random.Generator) -
     return StateVector(tensor.ravel() / np.linalg.norm(tensor), space.basis_tag)
 
 
+def operators(n: int, cold: bool):
+    """Build both propagators and the four operations of the workloads' geometry, caches emptied first if ``cold``."""
+    lat, o1, o3 = make_lattice(n, 1.0), Region(n // 12, 5 * n // 24), Region(19 * n // 24, 11 * n // 12)
+
+    def build(_state):
+        for cache in BUILDERS if cold else ():
+            cache.cache_clear()
+        propagator(lat, 3.0 * n / 96), propagator(lat, 7.0 * n / 96)
+        _kick_blocks(n, o1, "position"), _joint_outcomes(n, "global_bell", None)
+        _detector_blocks(n, o3, "label2"), _occupancy_outcomes(n, o3)
+
+    return build
+
+
 def kernels(n: int) -> dict:
-    """Each kernel of ``ROWS`` as a function of one state."""
+    """Each kernel of ``ROWS`` as a function of one state, keyed by its row."""
     space = CompositeSpace(n)
     u2 = propagator(make_lattice(n, 1.0), 7.0 * n / 96)
     o1, o3 = Region(n // 12, 5 * n // 24), Region(19 * n // 24, 11 * n // 12)
     kick = _kick_blocks(n, o1, "position")
     bell = _joint_outcomes(n, "global_bell", None)
     label2 = _detector_blocks(n, o3, "label2")
-    return {
+    fns = {
         "exchange": lambda s: _with_exchanged(np.add, space, s.amps),
         "drift": lambda s: evolve_positions(space, u2, s),
         "kick": lambda s: kick.apply(s.amps),
         "bell-P": lambda s: bell[0].apply(s.amps),
         "label2": lambda s: label2.apply(s.amps),
         "luders": lambda s: luders_update([(1.0, s)], lambda amps: (op.apply(amps) for op in bell)),
+        "normalize": lambda s: s.normalized(),
     }
+    return {(name, live): fns[name] if name in fns else operators(n, live == "cold") for name, live in ROWS}
 
 
 def best_ms(f, state: StateVector, repeat: int) -> float:
@@ -104,10 +131,12 @@ def main(argv=None) -> None:
     table = {row: [] for row in ROWS}
     for n in args.n:
         space, fns = CompositeSpace(n), kernels(n)
-        for name, live in ROWS:
-            table[name, live].append(best_ms(fns[name], seeded_state(space, live, rng), args.repeat))
+        for row in ROWS:
+            state = seeded_state(space, row[1], rng) if isinstance(row[1], tuple) else None
+            table[row].append(best_ms(fns[row], state, args.repeat))
     for (name, live), times in table.items():
-        print(f"{name:<10}{','.join(map(str, live)):<10}" + "".join(f"{t:10.3f}" for t in times))
+        live = ",".join(map(str, live)) if isinstance(live, tuple) else live
+        print(f"{name:<10}{live:<10}" + "".join(f"{t:10.3f}" for t in times))
 
 
 if __name__ == "__main__":

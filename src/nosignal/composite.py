@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Union
 
 import numpy as np
@@ -28,6 +29,7 @@ from .qcore import (
     BranchEnsemble,
     LinearOperator,
     StateVector,
+    checked_norm,
     freeze,
 )
 
@@ -127,44 +129,52 @@ def exchange_permutation(space: CompositeSpace) -> np.ndarray:
     return perm
 
 
-def _pair_transpose(records: np.ndarray, n: int, fields) -> np.ndarray:
-    """``out[x1, x2, f] = records[x2, x1, fields[f]]`` as a fresh flat array.
-
-    ``records`` holds ``k = len(fields)`` fixed-size records per position
-    pair, in ``(x2, x1)`` order.  Each slab of ``PAIR_TILE`` output rows is
-    one ``np.take`` with one slab index, shifted by ``k`` a row; the indices
-    are in range, and ``mode="clip"`` lets ``take`` write into the slab unbuffered.
-    """
+@lru_cache(maxsize=8)
+def _slab_index(n: int, fields: tuple) -> np.ndarray:
+    """``idx[r, x2, f] = (x2 n + r) k + fields[f]``, ``k = len(fields)``; writable, or ``take`` copies it."""
     k = len(fields)
-    out = np.empty((n, n, k), dtype=records.dtype)
     idx = np.full((PAIR_TILE, n, k), k, dtype=np.intp)
     idx[0] = np.add.outer(np.arange(0, n * n * k, n * k), fields)
-    np.cumsum(idx, axis=0, out=idx)  # in place: a broadcast sum would allocate ufunc buffers
+    return np.cumsum(idx, axis=0, out=idx)  # in place: a broadcast sum would allocate ufunc buffers
+
+
+def _pair_transpose(records: np.ndarray, n: int, fields: tuple, out: np.ndarray) -> np.ndarray:
+    """Write ``out[x1, x2, f] = records[x2, x1, fields[f]]`` into the ``(n, n, m)`` array ``out``; return ``out``.
+
+    ``records`` is flat, ``k = len(fields)`` fixed-size records per position
+    pair in ``(x2, x1)`` order, ``k`` of which fill a row of ``out``.  Slab
+    ``i0`` of ``PAIR_TILE`` output rows is one ``np.take`` from ``records[i0 k:]``
+    with the one cached slab index; the indices are in range, and
+    ``mode="clip"`` lets ``take`` write into the slab unbuffered.
+    """
+    idx, k, slabs = _slab_index(n, fields), len(fields), out.view(records.dtype)
     for i0 in range(0, n, PAIR_TILE):
-        slab = out[i0 : i0 + PAIR_TILE]
-        np.take(records, idx[: len(slab)], mode="clip", out=slab)
-        idx += PAIR_TILE * k
-    return out.reshape(-1)
+        slab = slabs[i0 : i0 + PAIR_TILE]
+        np.take(records[i0 * k :], idx[: len(slab)], mode="clip", out=slab)
+    return out
 
 
 def _with_exchanged(ufunc: np.ufunc, space: CompositeSpace, amps: np.ndarray) -> np.ndarray:
-    """``ufunc(amps, S amps)`` for the exchange permutation ``S``, as a fresh flat array.
+    """``ufunc(amps, S amps)`` for the exchange permutation ``S``, as a fresh flat array that owns its memory.
 
     ``amps`` must be C-contiguous, as every ``StateVector``'s amplitudes are.
     ``S amps`` is a pure copy: read as 32-byte records, one ``q`` pair per
     ``(s1, s2)`` block of a position pair, pair ``(j, i)`` moves to ``(i, j)``
     with the two spins swapped.  Each output entry is the same ``a[k] +- a[S k]``.
     """
-    out = _pair_transpose(amps.view("V32"), space.n_sites, (0, 2, 1, 3)).view(np.complex128)
+    n, out = space.n_sites, np.empty_like(amps)
+    _pair_transpose(amps.view("V32"), n, (0, 2, 1, 3), out.reshape(n, n, 8))
     return ufunc(amps, out, out=out)
 
 
 def _sector(ufunc: np.ufunc, s: StateVector, blocked: str) -> StateVector:
     """``ufunc(s, S s)``, renormalized; raises ``state has no {blocked}`` if it is (numerically) zero."""
-    state = StateVector(freeze(_with_exchanged(ufunc, _space_of(s), s.amps)), s.basis_tag)
-    if state.norm <= SYMMETRIZE_NORM_FLOOR:
+    amps = _with_exchanged(ufunc, _space_of(s), s.amps)
+    norm = checked_norm(amps)
+    if norm <= SYMMETRIZE_NORM_FLOOR:
         raise ValueError(f"state has no {blocked}")
-    return state.normalized()
+    amps *= complex(1.0 / norm, -0.0)  # in place, the bits of ``amps / norm`` (``StateVector.normalized``)
+    return StateVector(freeze(amps), s.basis_tag)
 
 
 def antisymmetrize(s: StateVector) -> StateVector:
@@ -268,7 +278,7 @@ def evolve_positions(space: CompositeSpace, u_single: LinearOperator, state: Sta
         raise ValueError(f"u_single must act on the {n}-site position basis")
     if state.basis_tag != space.basis_tag:
         raise ValueError(f"state tagged {state.basis_tag!r} is not on {space.basis_tag!r}")
-    u = u_single.to_dense()
+    u = u_single.matrix
     tensor = state.amps.reshape(n, n, 8)
     live = _live_columns(tensor)
     half = np.tensordot(u, tensor[:, :, live], axes=([1], [0]))  # (x1', x2, k)
@@ -277,7 +287,7 @@ def evolve_positions(space: CompositeSpace, u_single: LinearOperator, state: Sta
     out = np.zeros((n, n, 8), dtype=complex)
     if live.size:  # one record of the live columns per pair
         records = full.view(f"V{16 * live.size}").reshape(-1)
-        out[:, :, live] = _pair_transpose(records, n, (0,)).view(complex).reshape(n, n, -1)
+        out[:, :, live] = _pair_transpose(records, n, (0,), np.empty_like(full))
     return StateVector(freeze(out).ravel(), space.basis_tag)
 
 

@@ -147,8 +147,9 @@ def _eigensystem(lat: Lattice1D):
     return evals, evecs
 
 
+@lru_cache(maxsize=4)
 def propagator(lat: Lattice1D, t: float) -> LinearOperator:
-    """Time evolution ``U_t = exp(-i H t)`` via full eigendecomposition.
+    """Time evolution ``U_t = exp(-i H t)`` via full eigendecomposition, cached per ``(lat, t)``.
 
     Parameters
     ----------
@@ -160,7 +161,8 @@ def propagator(lat: Lattice1D, t: float) -> LinearOperator:
     -------
     LinearOperator
         Unitary to within ``UNITARITY_ATOL`` (guaranteed by construction
-        from an orthonormal eigenbasis; checked by the test suite).
+        from an orthonormal eigenbasis; checked by the test suite), and
+        immutable, so every arm and scenario on one geometry shares it.
     """
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
@@ -231,10 +233,11 @@ def leakage(lat: Lattice1D, src: Region, dst: Region, t: float) -> float:
     """
     cols = src.slice_in(lat.n_sites, "src")
     rows = dst.slice_in(lat.n_sites, "dst")
-    block = propagator(lat, t).to_dense()[rows, cols]
+    block = propagator(lat, t).matrix[rows, cols]
     return float(np.linalg.svd(block, compute_uv=False)[0])
 
 
+@lru_cache(maxsize=64)
 def light_cone_bound(lat: Lattice1D, src: Region, dst: Region, t: float) -> float:
     """Upper bound on ``|P_dst U_s P_src|_2`` for every time ``0 <= s <= t``.
 

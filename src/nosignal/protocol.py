@@ -20,7 +20,8 @@ Operations come in two flavors throughout:
 
 After preparation every operation is diagonal in the positions: a
 :class:`PairBlocks` of rectangles of site slices ``(x1 in rows, x2 in
-cols)``, each with an 8x8 map on ``(s1, s2, q)``, validated once when built.
+cols)``, each with an 8x8 map on ``(s1, s2, q)``, built, validated and cached
+once per geometry (immutable, like the cached propagators), not once per arm.
 Every region is an interval, so "slot 1 only in R" is the two rectangles
 ``(R, [0, lo))`` and ``(R, [hi, n))``, "both in R" is ``(R, R)``, and a
 global map is ``(all, all)``.  The pipeline applies the maps to the
@@ -41,6 +42,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
@@ -88,7 +90,7 @@ DETECTOR_MODES = ("position", "label2")
 STAGES = ("prepared", "post_kick", "post_o2", "final")
 
 # Bound on a scenario's peak memory in (n, n, 8) complex128 states, live
-# branches and temporaries included; the measured worst is 6.69.
+# branches and temporaries included; the measured worst is 6.39.
 PEAK_STATES = 7
 
 
@@ -314,6 +316,9 @@ class PairBlocks:
     maps: tuple
     rest_identity: bool
 
+    def __post_init__(self):  # read-only copies, as a LinearOperator keeps its matrix
+        object.__setattr__(self, "maps", tuple(qcore._frozen_matrix(m) for m in self.maps))
+
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """The image of the flat ``amps`` as a fresh, writable flat array; the caller freezes it."""
         if self.rects == ((_ALL, _ALL),):
@@ -354,6 +359,7 @@ def _projective_measurement(n: int, rects, p8: np.ndarray, q8: np.ndarray) -> tu
     return PairBlocks(n, rects, (p8,) * len(rects), False), PairBlocks(n, rects, (q8,) * len(rects), True)
 
 
+@lru_cache(maxsize=32)
 def _kick_blocks(n: int, o1: Region, mode: str) -> PairBlocks:
     if mode == "position":
         return _by_occupant(n, o1, "O1", _spin_flip_8(1), _spin_flip_8(2), _spin_flip_8(1, 2))
@@ -362,12 +368,14 @@ def _kick_blocks(n: int, o1: Region, mode: str) -> PairBlocks:
     raise ValueError(f"kick mode must be position or label1, got {mode!r}")
 
 
+@lru_cache(maxsize=32)
 def _detector_blocks(n: int, o3: Region, mode: str) -> PairBlocks:
     if mode == "label2":  # applied to occupied branches only, which are +0.0 off these rectangles
         return _unitary_blocks(n, [(rect, _spin_qubit_map_8(2)) for rect in _occupied_rects(n, o3)])
     return _by_occupant(n, o3, "O3", _spin_qubit_map_8(1), _spin_qubit_map_8(2), _both_in_region_coupling_8())
 
 
+@lru_cache(maxsize=32)
 def _joint_outcomes(n: int, mode: str, o2: Optional[Region]) -> tuple:
     if mode == "global_bell":
         rect = (_ALL, _ALL)
@@ -386,6 +394,7 @@ def _occupied_rects(n: int, o3: Region) -> list:
     return [(r, _ALL), (slice(0, r.start), r), (slice(r.stop, n), r)]
 
 
+@lru_cache(maxsize=32)
 def _occupancy_outcomes(n: int, o3: Region) -> tuple:
     """``(P, Q)``: the projector onto the pairs with a particle in O3, and its complement."""
     return _projective_measurement(n, _occupied_rects(n, o3), np.eye(8), np.zeros((8, 8)))

@@ -68,6 +68,15 @@ def _frozen_matrix(matrix) -> np.ndarray:
     return arr
 
 
+def checked_norm(arr: np.ndarray) -> float:
+    """``np.linalg.norm(arr)``; raises if an entry is not finite (entries are scanned only when the norm is not)."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr))
+    if not np.isfinite(norm) and not np.all(np.isfinite(arr)):
+        raise ValueError("state amplitudes must be finite")
+    return norm
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state: complex amplitudes over a fixed basis.
@@ -90,12 +99,7 @@ class StateVector:
             raise ValueError(f"state amplitudes must be one-dimensional, got shape {arr.shape}")
         if arr.size == 0:
             raise ValueError("state must have dimension >= 1")
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(arr))
-        # A non-finite entry makes the norm non-finite; only when the norm is
-        # not finite (an overflow, say) is every entry scanned.
-        if not np.isfinite(norm) and not np.all(np.isfinite(arr)):
-            raise ValueError("state amplitudes must be finite")
+        norm = checked_norm(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
         object.__setattr__(self, "norm", norm)
@@ -109,7 +113,9 @@ class StateVector:
         n = self.norm
         if n <= 1e-300:
             raise ValueError("cannot normalize a zero state")
-        return StateVector(freeze(self.amps / n), self.basis_tag)
+        # The bits of numpy's ``amps / n``, ``(re + im*0, im - re*0) * (1/n)``: a product with a
+        # zero is exact; only a nonzero part that underflows to zero may flip its sign (README).
+        return StateVector(freeze(self.amps * complex(1.0 / n, -0.0)), self.basis_tag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,7 +407,8 @@ def luders_update(branches: list, outcomes: Callable) -> list:
             prob = float(np.vdot(arm, arm).real) / base
             weight = w * prob
             if weight > BRANCH_PRUNE_THRESHOLD:
-                arm /= np.linalg.norm(arm)
+                # In place, the bits of ``arm /= norm`` (see ``StateVector.normalized``).
+                arm *= complex(1.0 / np.linalg.norm(arm), -0.0)
                 by_outcome[i].append((weight, StateVector(freeze(arm), state.basis_tag)))
             del arm
             i += 1

@@ -26,8 +26,8 @@ from nosignal import (
     Region,
     LinearOperator,
 )
-from nosignal.composite import _live_columns, exchange_permutation, site_basis_tag
-from nosignal.qcore import PAULI_X
+from nosignal.composite import _live_columns, _with_exchanged, exchange_permutation, site_basis_tag
+from nosignal.qcore import PAULI_X, freeze
 
 
 def _packets(n=12):
@@ -161,6 +161,32 @@ def test_antisymmetry_violation_allocates_one_state_beyond_its_input():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * 128 * n**2
+
+
+def test_exchange_sector_is_wrapped_without_a_copy():
+    space, state = _random_composite_state(np.random.default_rng(7), 12)
+    out = _with_exchanged(np.subtract, space, state.amps)
+    assert out.base is None  # owns its memory, so freeze marks all of it read-only
+    assert np.shares_memory(StateVector(freeze(out), space.basis_tag).amps, out)
+
+
+@pytest.mark.parametrize("statistics", ["fermion", "boson", "distinguishable"])
+def test_prepare_initial_holds_two_states_at_its_peak(statistics):
+    # The product tensor and the state built from it: the sector is scaled in
+    # place.  Wrapping it with a copy and normalizing that took 3.0 states.
+    n = 48
+    lat = make_lattice(n, 1.0)
+    p1 = wavepacket(lat, Region(4, 10), 7.0, 1.5, 0.0)
+    p2 = wavepacket(lat, Region(25, 37), 31.0, 3.0, np.pi / 2)
+    space = CompositeSpace(n)
+    prepare_initial(space, statistics, p1, p2)  # fills the slab index cache outside the trace
+    tracemalloc.start()
+    try:
+        prepare_initial(space, statistics, p1, p2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * 128 * n**2
 
 
 def test_antisymmetrize_rejects_symmetric_input():

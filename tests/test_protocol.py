@@ -33,8 +33,11 @@ from nosignal import (
     run_scenario,
     wavepacket,
 )
+from nosignal import lattice as lattice_mod
 from nosignal import protocol as protocol_mod
-from nosignal.cli import config_to_dict, main as cli_main
+from nosignal import qcore
+from nosignal.cli import config_to_dict, emit_report, main as cli_main, report_to_dict
+from nosignal.lattice import propagator
 from nosignal.protocol import DETECTOR_MODES, PEAK_STATES, STAGES, PairBlocks, _detector_step, _joint_step
 from nosignal.qcore import (
     PAULI_X,
@@ -444,7 +447,7 @@ def test_joint_measurement_equals_luders_on_materialized_projectors():
             assert np.array_equal(a.amps, b.amps)
 
 
-def test_build_rejects_tampered_8x8_maps(monkeypatch):
+def test_build_rejects_tampered_8x8_maps(monkeypatch, cold_caches):
     space = CompositeSpace(8)
     o3 = Region(5, 8)
     p8 = np.kron(bell_projector().to_dense(), np.eye(2))
@@ -478,7 +481,7 @@ def test_pipeline_rejects_a_tampered_branch(monkeypatch, tmp_path, capsys, tampe
     assert message in capsys.readouterr().err
 
 
-def test_pipeline_builds_no_composite_operator(monkeypatch):
+def test_pipeline_builds_no_composite_operator(monkeypatch, cold_caches):
     cfg = default_scenario(joint_mode="localized_bell")
     dims = []
     post_init = LinearOperator.__post_init__
@@ -491,6 +494,70 @@ def test_pipeline_builds_no_composite_operator(monkeypatch):
     run_scenario(cfg)
     assert dims, "no LinearOperator was built at all"
     assert 8 * cfg.n**2 not in dims
+
+
+def test_cached_operators_are_read_only():
+    n, o1, o3 = 12, Region(0, 4), Region(8, 12)
+    ops = [
+        protocol_mod._kick_blocks(n, o1, "position"),
+        *protocol_mod._joint_outcomes(n, "global_bell", None),
+        protocol_mod._detector_blocks(n, o3, "label2"),
+        *protocol_mod._occupancy_outcomes(n, o3),
+    ]
+    assert ops[0] is protocol_mod._kick_blocks(n, o1, "position")
+    for op in ops:
+        for m in op.maps:
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 1.0
+    u = propagator(make_lattice(n, 1.0), 1.5)
+    assert propagator(make_lattice(n, 1.0), 1.5) is u
+    with pytest.raises(ValueError, match="read-only"):
+        u.matrix[0, 0] = 0.0
+    m = np.eye(8)
+    blocks = PairBlocks(n, ((slice(None), slice(None)),), (m,), False)
+    m[0, 0] = 2.0  # the operation keeps its own copy
+    assert blocks.maps[0][0, 0] == 1.0
+
+
+def _label2_scenario(**overrides):
+    return default_scenario(joint_mode="localized_bell", detector_mode="label2", **overrides)
+
+
+def test_a_second_scenario_on_one_geometry_builds_nothing(monkeypatch, cold_caches):
+    run_scenario(_label2_scenario())
+    misses = [cache.cache_info().misses for cache in cold_caches]
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    # Every propagator product with t > 0 starts by reading the eigensystem.
+    monkeypatch.setattr(lattice_mod, "_eigensystem", counted("propagator", lattice_mod._eigensystem))
+    monkeypatch.setattr(qcore, "check_projector_family", counted("projectors", qcore.check_projector_family))
+    monkeypatch.setattr(LinearOperator, "unitarity_defect", counted("unitarity", LinearOperator.unitarity_defect))
+    packet2 = PacketSpec(Region(50, 74), 62.3, 6.0, math.pi / 2)
+    report = run_scenario(_label2_scenario(statistics="boson", packet2=packet2))
+    assert report.certificate.passed
+    assert calls == []
+    assert [cache.cache_info().misses for cache in cold_caches] == misses
+
+
+def test_cold_caches_give_the_same_report_bytes(cold_caches):
+    cfg = _label2_scenario(kick_mode="label1")
+
+    def report_bytes():
+        return emit_report(report_to_dict(run_scenario(cfg), cfg, seed=0, duration_seconds=0.0))
+
+    cold = report_bytes()
+    warm = report_bytes()
+    assert sum(cache.cache_info().hits for cache in cold_caches) > 0
+    for cache in cold_caches:
+        cache.cache_clear()
+    assert report_bytes() == warm == cold
 
 
 # ---------------------------------------------------------------------------
