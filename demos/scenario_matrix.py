@@ -20,8 +20,12 @@ operation spanning O1 and O3; it relays the kick regardless of statistics
 and regardless of how the kick was addressed.  Replace it with the same
 projector confined to O2 (which neither packet can reach in time) or drop
 it, and every delta collapses to floating-point zero.  Localized
-exchange-symmetric operations cannot signal; one label-blind global
-operation in the chain is enough to fake a signal.
+exchange-symmetric operations are silent here because O2 lies out of reach
+of both packets in time, not because they are localized: in Sorkin's
+geometry, where O2 meets the causal future of O1 and the causal past of O3
+(README), the O2-localized Bell measurement relays a position kick with
+delta 0.29 under a passing certificate.  One label-blind global operation
+in the chain is enough to fake a signal.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """Two spin-1/2 particles on a 1-D lattice plus a detector qubit.
 
 Numerically answers when a localized operation in one region can change
-measurement statistics in a causally disconnected region: with
-exchange-symmetric position-localized operations the effect vanishes to
-certified precision, while label-addressed operations (or distinguishable
-particles combined with a global joint measurement) produce a finite,
-quantified signal.
+measurement statistics in a causally disconnected region.  Label-addressed
+operations or a global joint measurement produce a finite, quantified
+signal.  Exchange-symmetric position-localized operations give none while
+the joint-measurement region O2 stays out of reach of both packets in time;
+in Sorkin's geometry, where O2 meets the causal future of O1 and the causal
+past of O3, they signal under a passing certificate.
 """
 
 from .composite import (

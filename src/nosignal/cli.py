@@ -41,11 +41,11 @@ import typing
 
 import numpy as np
 
-from .composite import CompositeSpace, position_occupancy
+from .composite import position_occupancy
 from .lattice import SpacelikeCertificate, check_spacelike
 from .protocol import (
     STAGES,
-    _arm,
+    _run_arm,
     ScenarioConfig,
     SignalingReport,
     prepare_scenario,
@@ -281,11 +281,11 @@ def _cmd_check_spacelike(args) -> int:
 
 def _cmd_dump_density(args) -> int:
     cfg = parse_config(_load_text(args.config))
-    for name, ens in _arm(cfg, kicked=(args.arm == "kick")):
+    _lat, space, psi0 = prepare_scenario(cfg)
+    for name, ens in _run_arm(cfg, psi0, kicked=(args.arm == "kick")):
         if name == args.stage:
             break
         del ens  # keeps only the requested stage, as run_scenario does
-    space = CompositeSpace(cfg.n)
     occ1, occ2 = position_occupancy(space, ens)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -37,8 +37,8 @@ from .qcore import (
 # requested exchange sector (e.g. antisymmetrizing a Pauli-blocked state).
 SYMMETRIZE_NORM_FLOOR = 1e-10
 
-# Output rows per gather of the x1 <-> x2 transpose: its slab index holds
-# PAIR_TILE * n * k entries, a sixteenth of a state at n = 64 and k = 4.
+# Output rows per gather of the particle exchange: its slab index holds
+# 4 * PAIR_TILE * n entries, a sixteenth of a state at n = 64.
 PAIR_TILE = 16
 
 
@@ -130,28 +130,11 @@ def exchange_permutation(space: CompositeSpace) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _slab_index(n: int, fields: tuple) -> np.ndarray:
-    """``idx[r, x2, f] = (x2 n + r) k + fields[f]``, ``k = len(fields)``; writable, or ``take`` copies it."""
-    k = len(fields)
-    idx = np.full((PAIR_TILE, n, k), k, dtype=np.intp)
-    idx[0] = np.add.outer(np.arange(0, n * n * k, n * k), fields)
+def _slab_index(n: int) -> np.ndarray:
+    """``idx[r, x2, f] = 4 (x2 n + r) + (0, 2, 1, 3)[f]``; writable, or ``take`` copies it."""
+    idx = np.full((PAIR_TILE, n, 4), 4, dtype=np.intp)
+    idx[0] = np.add.outer(np.arange(0, 4 * n * n, 4 * n), (0, 2, 1, 3))
     return np.cumsum(idx, axis=0, out=idx)  # in place: a broadcast sum would allocate ufunc buffers
-
-
-def _pair_transpose(records: np.ndarray, n: int, fields: tuple, out: np.ndarray) -> np.ndarray:
-    """Write ``out[x1, x2, f] = records[x2, x1, fields[f]]`` into the ``(n, n, m)`` array ``out``; return ``out``.
-
-    ``records`` is flat, ``k = len(fields)`` fixed-size records per position
-    pair in ``(x2, x1)`` order, ``k`` of which fill a row of ``out``.  Slab
-    ``i0`` of ``PAIR_TILE`` output rows is one ``np.take`` from ``records[i0 k:]``
-    with the one cached slab index; the indices are in range, and
-    ``mode="clip"`` lets ``take`` write into the slab unbuffered.
-    """
-    idx, k, slabs = _slab_index(n, fields), len(fields), out.view(records.dtype)
-    for i0 in range(0, n, PAIR_TILE):
-        slab = slabs[i0 : i0 + PAIR_TILE]
-        np.take(records[i0 * k :], idx[: len(slab)], mode="clip", out=slab)
-    return out
 
 
 def _with_exchanged(ufunc: np.ufunc, space: CompositeSpace, amps: np.ndarray) -> np.ndarray:
@@ -160,10 +143,16 @@ def _with_exchanged(ufunc: np.ufunc, space: CompositeSpace, amps: np.ndarray) ->
     ``amps`` must be C-contiguous, as every ``StateVector``'s amplitudes are.
     ``S amps`` is a pure copy: read as 32-byte records, one ``q`` pair per
     ``(s1, s2)`` block of a position pair, pair ``(j, i)`` moves to ``(i, j)``
-    with the two spins swapped.  Each output entry is the same ``a[k] +- a[S k]``.
+    with the two spins swapped.  Slab ``i0`` of ``PAIR_TILE`` output rows is
+    one ``np.take`` from ``records[4 i0:]`` with the one cached slab index;
+    the indices are in range, and ``mode="clip"`` lets ``take`` write into
+    the slab unbuffered.  Each output entry is the same ``a[k] +- a[S k]``.
     """
     n, out = space.n_sites, np.empty_like(amps)
-    _pair_transpose(amps.view("V32"), n, (0, 2, 1, 3), out.reshape(n, n, 8))
+    records, idx, slabs = amps.view("V32"), _slab_index(n), out.view("V32").reshape(n, n, 4)
+    for i0 in range(0, n, PAIR_TILE):
+        slab = slabs[i0 : i0 + PAIR_TILE]
+        np.take(records[4 * i0 :], idx[: len(slab)], mode="clip", out=slab)
     return ufunc(amps, out, out=out)
 
 
@@ -285,9 +274,7 @@ def evolve_positions(space: CompositeSpace, u_single: LinearOperator, state: Sta
     full = np.tensordot(u, half, axes=([1], [1]))                # (x2', x1', k)
     del half  # freed before the output is allocated
     out = np.zeros((n, n, 8), dtype=complex)
-    if live.size:  # one record of the live columns per pair
-        records = full.view(f"V{16 * live.size}").reshape(-1)
-        out[:, :, live] = _pair_transpose(records, n, (0,), np.empty_like(full))
+    out[:, :, live] = full.transpose(1, 0, 2)
     return StateVector(freeze(out).ravel(), space.basis_tag)
 
 

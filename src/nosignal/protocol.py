@@ -5,8 +5,11 @@ spins in region O1, evolve for ``t1``, optionally measure a Bell-type spin
 projector (globally or localized to region O2), evolve for ``t2``, couple a
 detector qubit in region O3, and read the qubit.  The difference between
 the qubit statistics of the kicked and unkicked arms is the signaling
-metric: for exchange-symmetric position-localized operations it vanishes
-(up to certified leakage), while label-addressed operations make it finite.
+metric.  Label-addressed operations make it finite.  Exchange-symmetric
+position-localized operations leave it at certified leakage while O2 stays
+out of reach of both packets in time, but not in Sorkin's geometry, where O2
+meets the causal future of O1 and the causal past of O3: there the localized
+Bell measurement relays the kick under a passing certificate.
 
 Operations come in two flavors throughout:
 
@@ -427,7 +430,7 @@ def _joint_step(space: CompositeSpace, mode: str, o2: Optional[Region], branches
     if mode == "none":
         return branches
     outcomes = _joint_outcomes(space.n_sites, mode, o2)
-    return sum(luders_update(branches, lambda amps: (op.apply(amps) for op in outcomes)), [])
+    return sum(luders_update(branches, [op.apply for op in outcomes]), [])
 
 
 def _detector_step(space: CompositeSpace, o3: Region, mode: str, branches: list, selective: bool = False) -> list:
@@ -453,7 +456,7 @@ def _detector_step(space: CompositeSpace, o3: Region, mode: str, branches: list,
         if not selective:
             return branches
     occupancy = _occupancy_outcomes(space.n_sites, o3)
-    hits, misses = luders_update(branches, lambda amps: (op.apply(amps) for op in occupancy))
+    hits, misses = luders_update(branches, [op.apply for op in occupancy])
     if mode == "label2":  # on the normalized branch: normalizing after the coupling rounds differently
         for k, (w, s) in enumerate(hits):  # each hit is freed once its coupled state is built
             hits[k] = (w, coupling(s))
@@ -506,13 +509,7 @@ def run_arm_stages(cfg: ScenarioConfig, kicked: bool) -> Mapping[str, BranchEnse
     the joint measurement), ``final`` (after the t2 evolution and the
     detector measurement).
     """
-    return {name: ens for name, ens in _arm(cfg, kicked) if name in STAGES}
-
-
-def _arm(cfg: ScenarioConfig, kicked: bool) -> Iterator[tuple]:
-    """The stages of one arm of ``cfg``, streamed by :func:`_run_arm`."""
-    lat, space, psi0 = prepare_scenario(cfg)
-    return _run_arm(cfg, space, psi0, propagator(lat, cfg.t1), propagator(lat, cfg.t2), kicked)
+    return {name: ens for name, ens in _run_arm(cfg, prepare_scenario(cfg)[2], kicked) if name in STAGES}
 
 
 def prepare_scenario(cfg: ScenarioConfig):
@@ -525,15 +522,8 @@ def prepare_scenario(cfg: ScenarioConfig):
     return lat, space, psi0
 
 
-def _run_arm(
-    cfg: ScenarioConfig,
-    space: CompositeSpace,
-    psi0: StateVector,
-    u1: LinearOperator,
-    u2: LinearOperator,
-    kicked: bool,
-) -> Iterator[tuple]:
-    """Run one arm, yielding ``(name, ensemble)`` per stage as it is built.
+def _run_arm(cfg: ScenarioConfig, psi0: StateVector, kicked: bool) -> Iterator[tuple]:
+    """Run one arm from ``psi0``, yielding ``(name, ensemble)`` per stage as it is built.
 
     The stages are the four of ``STAGES`` and ``pre_detector``, after the t2
     evolution.  The arm holds a stage as a list of branches.  Every step
@@ -542,6 +532,8 @@ def _run_arm(
     once its images are built, so a consumer that drops each yielded ensemble
     before asking for the next stage frees the stage branch by branch.
     """
+    lat, space = make_lattice(cfg.n, cfg.hopping), CompositeSpace(cfg.n)
+    u1, u2 = propagator(lat, cfg.t1), propagator(lat, cfg.t2)
     branches = [(1.0, psi0)]
     yield "prepared", BranchEnsemble(branches)
     if kicked and cfg.kick_mode != "off":
@@ -572,10 +564,9 @@ def run_scenario(cfg: ScenarioConfig) -> SignalingReport:
     """
     lat, space, psi0 = prepare_scenario(cfg)
     certificate = check_spacelike(lat, cfg.o1, cfg.o3, psi0, cfg.t_total, cfg.eps)
-    u1, u2 = propagator(lat, cfg.t1), propagator(lat, cfg.t2)
     violation, arrival, p_q1, branch_count = antisymmetry_violation(psi0), 0.0, {}, {}
     for kicked in (False, True):
-        for name, ens in _run_arm(cfg, space, psi0, u1, u2, kicked):
+        for name, ens in _run_arm(cfg, psi0, kicked):
             if ens.branches[0][1] is not psi0:  # psi0's own violation is taken once, above
                 violation = max(violation, *(antisymmetry_violation(s) for _, s in ens.branches))
             if name == "pre_detector" and not kicked:

@@ -378,40 +378,36 @@ def luders_measure(projectors: Sequence[LinearOperator], x: StateLike) -> Branch
         raise TypeError(f"luders_measure expects a StateVector or BranchEnsemble, got {type(x).__name__}")
     if projectors[0].basis_tag != x.basis_tag or projectors[0].dim != x.dim:
         raise ValueError("projectors and state live on different bases")
-    return BranchEnsemble(sum(luders_update(list(x.branches), lambda amps: (p.matrix @ amps for p in projectors)), []))
+    return BranchEnsemble(sum(luders_update(list(x.branches), [p.matrix.__matmul__ for p in projectors]), []))
 
 
-def luders_update(branches: list, outcomes: Callable) -> list:
+def luders_update(branches: list, outcomes: Sequence[Callable]) -> list:
     """Branch bookkeeping of :func:`luders_measure`, outcome by outcome.
 
     The update takes the ``(weight, state)`` list ``branches`` over: it
     empties it front to back, releasing each input branch once its outcomes
-    are built.  ``outcomes(amps)`` yields each ``P_i psi`` as a fresh array
-    that it gives up: a kept outcome is normalized in place and frozen, and a
-    pruned one is released before the next is built (so outcomes are counted
-    by hand: ``enumerate`` keeps its last item while it builds the next).
-    The result is a list of lists, one per outcome: entry ``i`` holds the
-    surviving ``(weight, state)`` branches of outcome ``i``, in the order of
-    the input branches, and the weights of all entries sum to 1.
+    are built.  ``outcomes`` holds one map per outcome, and ``outcomes[i](amps)``
+    returns ``P_i psi`` as a fresh array that it gives up: a kept outcome is
+    normalized in place and frozen, and a pruned one is released before the
+    next is built.  The result is a list of lists, one per outcome: entry
+    ``i`` holds the surviving ``(weight, state)`` branches of outcome ``i``,
+    in the order of the input branches, and the weights of all entries sum
+    to 1.
     """
-    by_outcome = []
+    by_outcome = [[] for _ in outcomes]
     while branches:
         w, state = branches.pop(0)
         # Outcome probabilities are taken relative to the branch norm so the
         # output weights keep summing to 1 even after ~1e-15 rounding drift.
         base = float(np.vdot(state.amps, state.amps).real)
-        i = 0
-        for arm in outcomes(state.amps):
-            if i == len(by_outcome):
-                by_outcome.append([])
-            prob = float(np.vdot(arm, arm).real) / base
-            weight = w * prob
+        for kept, outcome in zip(by_outcome, outcomes):
+            arm = outcome(state.amps)
+            weight = w * (float(np.vdot(arm, arm).real) / base)
             if weight > BRANCH_PRUNE_THRESHOLD:
                 # In place, the bits of ``arm /= norm`` (see ``StateVector.normalized``).
                 arm *= complex(1.0 / np.linalg.norm(arm), -0.0)
-                by_outcome[i].append((weight, StateVector(freeze(arm), state.basis_tag)))
+                kept.append((weight, StateVector(freeze(arm), state.basis_tag)))
             del arm
-            i += 1
     return by_outcome
 
 

@@ -125,9 +125,9 @@ def record(cfg: dict, workdir: Path) -> dict:
     stages = {}
     run_arm = protocol._run_arm
 
-    def recording(cfg, space, psi0, u1, u2, kicked):
+    def recording(cfg, psi0, kicked):
         digests = stages["kick" if kicked else "nokick"] = {}
-        for name, ens in run_arm(cfg, space, psi0, u1, u2, kicked):
+        for name, ens in run_arm(cfg, psi0, kicked):
             if name in protocol.STAGES:
                 digests[name] = _branch_digests(ens)
             yield name, ens

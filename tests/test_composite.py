@@ -269,7 +269,7 @@ def test_prepare_initial_validates_packets():
 )
 def test_evolve_positions_matches_kron_action(live, n):
     # Columns are the (s1, s2, q) index; the drift contracts only the live ones.
-    # n = 37 is no multiple of the slab size of the x1 <-> x2 transpose.
+    # n = 37 is odd.
     rng = np.random.default_rng(37)
     space, state = _random_composite_state(rng, n)
     dead = np.setdiff1d(np.arange(8), list(live))
@@ -288,8 +288,7 @@ def test_evolve_positions_matches_kron_action(live, n):
 @pytest.mark.parametrize("live", [[], [0], [2, 4], list(range(8))], ids=["none", "0", "2-4", "all"])
 @pytest.mark.parametrize("n", [37, 70])
 def test_drift_placement_is_byte_exact(n, live):
-    # The last slab of the x1 <-> x2 transpose is partial at both n.  Dead
-    # columns hold -0.0, and so do some live entries.
+    # Dead columns hold -0.0, and so do some live entries.
     rng = np.random.default_rng(n)
     space, state = _random_composite_state(rng, n)
     tensor = state.amps.reshape(n, n, 8).copy()
@@ -303,6 +302,27 @@ def test_drift_placement_is_byte_exact(n, live):
     want = np.zeros((n, n, 8), dtype=complex)
     want[:, :, live] = np.tensordot(u, half, axes=([1], [1])).transpose(1, 0, 2)
     assert np.array_equal(got.amps.view(np.uint64), want.ravel().view(np.uint64))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_drift_holds_the_output_and_one_contraction_at_its_peak(k):
+    # The output state plus the k/8 of a state that the second contraction
+    # returns.  Placing the live columns through a transposed copy added
+    # another k/8.
+    n = 64
+    space, state = _random_composite_state(np.random.default_rng(k), n)
+    tensor = state.amps.reshape(n, n, 8).copy()
+    tensor[:, :, k:] = 0.0
+    state = StateVector(tensor.ravel(), space.basis_tag)
+    u = LinearOperator(oc.single_propagator(n, 1.0, 0.8), site_basis_tag(n))
+    evolve_positions(space, u, state)  # warm
+    tracemalloc.start()
+    try:
+        evolve_positions(space, u, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1 + k / 8 + 0.02) * 128 * n**2
 
 
 def test_live_column_scan_equals_any():

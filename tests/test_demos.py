@@ -6,6 +6,8 @@ import importlib.util
 import time
 from pathlib import Path
 
+import pytest
+
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
@@ -44,3 +46,22 @@ def test_peak_memory_runs_small(capsys):
     assert [row[0] for row in rows] == ["label48"] * 6 + ["scale48", "n48"]
     assert all(0.0 < float(row[-1]) < peak_memory.PEAK_STATES for row in rows)
     assert elapsed < 2.0
+
+
+# One line of each story demo's output; each demo runs in well under a second.
+KEY_LINES = {
+    "scenario_matrix": "distinguishable label1 global_bell 4.931e-01 0.9862 7.07e-01 SIGNALS",
+    "light_cone": "certified at eps=1e-06: True",
+    "label_operations": "p(q=1) kick=0.141966 nokick=0.000000 delta=0.141966 arrival=0.283934",
+    "naive_signaling": "sigma_z -0.000000 -1.000000 1.000000",
+}
+
+
+@pytest.mark.parametrize("name", KEY_LINES)
+def test_demo_prints_its_key_line(capsys, name):
+    demo = _load(name)
+    t0 = time.perf_counter()
+    demo.main()
+    elapsed = time.perf_counter() - t0
+    assert KEY_LINES[name].split() in [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert elapsed < 3.0

@@ -441,7 +441,7 @@ def test_joint_measurement_equals_luders_on_materialized_projectors():
         matrices = [_kernel_matrix(op) for op in protocol_mod._joint_outcomes(n, mode, Region(3, 6))]
         check_projector_family([LinearOperator(m, space.basis_tag) for m in matrices])
         csrs = [sp.csr_array(m) for m in matrices]
-        want = BranchEnsemble(sum(luders_update(list(ens.branches), lambda amps: (c @ amps for c in csrs)), []))
+        want = BranchEnsemble(sum(luders_update(list(ens.branches), [c.__matmul__ for c in csrs]), []))
         assert [w for w, _ in got.branches] == [w for w, _ in want.branches]
         for (_, a), (_, b) in zip(got.branches, want.branches):
             assert np.array_equal(a.amps, b.amps)
@@ -646,9 +646,9 @@ def test_run_scenario_frees_the_first_arms_stages(monkeypatch):
     run_arm = protocol_mod._run_arm
     seen = []
 
-    def tracking(cfg, space, psi0, *rest):
+    def tracking(cfg, psi0, kicked):
         refs = []  # weak references to the memory of the previous stage's states
-        for name, ens in run_arm(cfg, space, psi0, *rest):
+        for name, ens in run_arm(cfg, psi0, kicked):
             assert [r() for r in refs] == [None] * len(refs), name
             refs = [weakref.ref(_owner(s.amps)) for _, s in ens.branches if s is not psi0]
             seen.append((name, len(refs)))
@@ -847,3 +847,29 @@ def test_no_signaling_across_randomized_certified_geometries():
             if statistics == "fermion":
                 assert report.max_antisym_violation <= 1e-10
         assert abs(deltas["fermion"] - deltas["boson"]) <= 1e-8
+
+
+@pytest.mark.parametrize("statistics", ["fermion", "boson", "distinguishable"])
+def test_sorkin_geometry_signals_under_a_passing_certificate(statistics):
+    # Sorkin's impossible measurement: O2 lies in the causal future of O1 and
+    # the causal past of O3, which stay spacelike.  Every operation is
+    # exchange symmetric and position-addressed, yet the ideal Bell
+    # measurement across the extended O2 relays the kick.
+    def sorkin(joint_mode):
+        return ScenarioConfig(
+            n=160,
+            o1=Region(8, 24),
+            o2=Region(30, 122),
+            o3=Region(132, 150),
+            packet1=PacketSpec(Region(8, 24), 16.0, 3.0, math.pi / 2),
+            packet2=PacketSpec(Region(88, 112), 100.0, 6.0, math.pi / 2),
+            statistics=statistics,
+            joint_mode=joint_mode,
+            t1=8.0,
+            t2=10.0,
+        )
+
+    relayed = run_scenario(sorkin("localized_bell"))
+    assert relayed.certificate.passed
+    assert relayed.delta > 0.1
+    assert run_scenario(sorkin("none")).delta <= 1e-28

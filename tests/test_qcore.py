@@ -310,14 +310,11 @@ def test_luders_lists_branches_outcome_by_outcome():
 
 
 def test_luders_update_frees_a_pruned_outcome_before_building_the_next():
-    # The outcomes are counted by hand: ``enumerate`` would keep the pruned
-    # zero outcome alive while the kept one is built, two outcomes at the peak.
+    # Holding the pruned zero outcome while the kept one is built would put
+    # two outcomes at the peak.
     state = _random_state(np.random.default_rng(3), 8 * 32**2)
     branches = [(1.0, state)]
-
-    def outcomes(amps):
-        yield np.zeros_like(amps)  # weight 0: pruned
-        yield amps.copy()
+    outcomes = [np.zeros_like, np.copy]  # the first has weight 0: pruned
 
     tracemalloc.start()
     try:
