@@ -42,6 +42,7 @@ each stage in a :class:`~nosignal.qcore.BranchEnsemble` only to yield it.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from dataclasses import dataclass
@@ -92,9 +93,10 @@ DETECTOR_MODES = ("position", "label2")
 
 STAGES = ("prepared", "post_kick", "post_o2", "final")
 
-# Bound on a scenario's peak memory in (n, n, 8) complex128 states, live
-# branches and temporaries included; the measured worst is 6.39.
+# Bound on a scenario's peak memory in (n, n, 8) complex128 states, live branches
+# and temporaries included (measured worst 6.39); it also sizes the allocator thresholds.
 PEAK_STATES = 7
+_MALLOPT = getattr(ctypes.CDLL(None), "mallopt", lambda param, value: 0)  # no-op without one
 
 
 @dataclass(frozen=True)
@@ -143,11 +145,10 @@ class ScenarioConfig:
         if int(self.n) != self.n or self.n < 8:
             raise ValueError(f"n must be an integer >= 8, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
-        state_bytes = 128 * self.n**2  # one (n, n, 8) complex128 tensor
         memory_bytes = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if PEAK_STATES * state_bytes > memory_bytes:
+        if self.peak_bytes > memory_bytes:
             raise ValueError(
-                f"n={self.n} needs {PEAK_STATES} states of {state_bytes} bytes at its peak, "
+                f"n={self.n} needs {PEAK_STATES} states of {128 * self.n**2} bytes at its peak, "
                 f"more than the {memory_bytes} bytes of physical memory"
             )
         if not (float(self.hopping) > 0.0) or not math.isfinite(float(self.hopping)):
@@ -193,6 +194,11 @@ class ScenarioConfig:
     @property
     def t_total(self) -> float:
         return self.t1 + self.t2
+
+    @property
+    def peak_bytes(self) -> int:
+        """Peak memory budget: ``PEAK_STATES`` (n, n, 8) complex128 tensors."""
+        return PEAK_STATES * 128 * self.n**2
 
 
 @dataclass(frozen=True)
@@ -512,8 +518,17 @@ def run_arm_stages(cfg: ScenarioConfig, kicked: bool) -> Mapping[str, BranchEnse
     return {name: ens for name, ens in _run_arm(cfg, prepare_scenario(cfg)[2], kicked) if name in STAGES}
 
 
+def _keep_peak_mapped(cfg: ScenarioConfig) -> None:
+    for param in (-1, -3):  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD: setting one freezes the other
+        _MALLOPT(param, ctypes.c_int(min(cfg.peak_bytes, 2**31 - 1)))  # mallopt takes a C int
+
+
 def prepare_scenario(cfg: ScenarioConfig):
-    """Build the lattice, composite space, and initial state of a scenario."""
+    """Build the lattice, composite space, and initial state of a scenario.
+
+    It first sets glibc's trim and mmap thresholds to the budget ``cfg.peak_bytes``.
+    """
+    _keep_peak_mapped(cfg)
     lat = make_lattice(cfg.n, cfg.hopping)
     space = CompositeSpace(cfg.n)
     p1 = wavepacket(lat, cfg.packet1.support, cfg.packet1.center, cfg.packet1.width, cfg.packet1.momentum)

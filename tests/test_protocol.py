@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -747,6 +751,27 @@ def test_dump_density_keeps_only_the_requested_stage(tmp_path, arm):
     finally:
         tracemalloc.stop()
     assert peak / (128 * cfg.n**2) < PEAK_STATES
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="the C library has no mallopt")
+def test_a_warm_scenario_refaults_no_pages():
+    # Every step frees its input branches; with glibc's default thresholds the
+    # freed top of the heap went back to the kernel and was faulted in again
+    # on the next stage, about 5,000 minor faults a scenario here.  A fresh
+    # interpreter, so the allocator starts from its own defaults.
+    code = (
+        "import resource, nosignal\n"
+        "cfg = nosignal.default_scenario(kick_mode='label1', joint_mode='global_bell', detector_mode='label2')\n"
+        "nosignal.run_scenario(cfg)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(3):\n"
+        "    nosignal.run_scenario(cfg)\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)\n"
+    )
+    src = os.path.dirname(os.path.dirname(protocol_mod.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert float(out.stdout.splitlines()[-1]) <= 100
 
 
 PIPELINE_COMBOS = [
