@@ -152,9 +152,7 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 
 def certificate_to_dict(cert: SpacelikeCertificate) -> dict:
-    out = dataclasses.asdict(cert)
-    out["pass"] = out.pop("passed")
-    return out
+    return {**dataclasses.asdict(cert), "pass": cert.passed}
 
 
 def report_to_dict(

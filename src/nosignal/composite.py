@@ -31,6 +31,7 @@ from .qcore import (
     StateVector,
     checked_norm,
     freeze,
+    reciprocal,
 )
 
 # Norm threshold below which a state counts as having no component of the
@@ -162,7 +163,7 @@ def _sector(ufunc: np.ufunc, s: StateVector, blocked: str) -> StateVector:
     norm = checked_norm(amps)
     if norm <= SYMMETRIZE_NORM_FLOOR:
         raise ValueError(f"state has no {blocked}")
-    amps *= complex(1.0 / norm, -0.0)  # in place, the bits of ``amps / norm`` (``StateVector.normalized``)
+    amps *= reciprocal(norm)
     return StateVector(freeze(amps), s.basis_tag)
 
 

@@ -90,8 +90,7 @@ class SpacelikeCertificate:
     protocol time: :func:`light_cone_bound` at the total time, the same
     number for both directions.  ``overlap_O1`` / ``overlap_O3`` are
     the joint two-particle occupancies of each region in the initial state.
-    ``passed`` is true exactly when all four numbers are <= ``epsilon``;
-    it serializes under the key ``"pass"``.
+    The verdict :attr:`passed` is computed from these numbers, never stored.
     """
 
     epsilon: float
@@ -99,7 +98,6 @@ class SpacelikeCertificate:
     leak_31: float
     overlap_O1: float
     overlap_O3: float
-    passed: bool
 
     def __post_init__(self):
         for name in ("epsilon", "leak_13", "leak_31", "overlap_O1", "overlap_O3"):
@@ -107,15 +105,11 @@ class SpacelikeCertificate:
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"certificate field {name} must be finite and >= 0, got {v}")
             object.__setattr__(self, name, v)
-        expected = (
-            self.leak_13 <= self.epsilon
-            and self.leak_31 <= self.epsilon
-            and self.overlap_O1 <= self.epsilon
-            and self.overlap_O3 <= self.epsilon
-        )
-        if bool(self.passed) != expected:
-            raise ValueError("certificate pass flag is inconsistent with its values")
-        object.__setattr__(self, "passed", bool(self.passed))
+
+    @property
+    def passed(self) -> bool:
+        """Whether all four numbers are <= ``epsilon``; it serializes under the key ``"pass"``."""
+        return max(self.leak_13, self.leak_31, self.overlap_O1, self.overlap_O3) <= self.epsilon
 
 
 def make_lattice(n_sites: int, hopping: float) -> Lattice1D:
@@ -328,13 +322,4 @@ def check_spacelike(
     leak_13 = leak_31 = light_cone_bound(lat, o1, o3, t_total)
     overlap_o1 = joint_position_probability(space, psi, o1.sites(), o1.sites())
     overlap_o3 = joint_position_probability(space, psi, o3.sites(), o3.sites())
-    eps = float(eps)
-    passed = leak_13 <= eps and leak_31 <= eps and overlap_o1 <= eps and overlap_o3 <= eps
-    return SpacelikeCertificate(
-        epsilon=eps,
-        leak_13=leak_13,
-        leak_31=leak_31,
-        overlap_O1=overlap_o1,
-        overlap_O3=overlap_o3,
-        passed=passed,
-    )
+    return SpacelikeCertificate(float(eps), leak_13, leak_31, overlap_o1, overlap_o3)

@@ -23,17 +23,19 @@ Operations come in two flavors throughout:
 
 After preparation every operation is diagonal in the positions: a
 :class:`PairBlocks` of rectangles of site slices ``(x1 in rows, x2 in
-cols)``, each with an 8x8 map on ``(s1, s2, q)``, built, validated and cached
-once per geometry (immutable, like the cached propagators), not once per arm.
-Every region is an interval, so "slot 1 only in R" is the two rectangles
-``(R, [0, lo))`` and ``(R, [hi, n))``, "both in R" is ``(R, R)``, and a
-global map is ``(all, all)``.  The pipeline applies the maps to the
-``(n, n, 8)`` amplitude tensor in CSR mat-vec order: output ``i`` sums
-``m[i, j] * x_j`` from zero over the nonzero ``j`` ascending.  Measurements
-are pairs ``(P, Q)`` of such operations, and branch through
-:func:`nosignal.qcore.luders_update`.  The package builds no sparse matrix;
-the test suite checks that amplitudes are bit-identical to the CSR mat-vec
-of each operation's matrix.
+cols)``, each with a fixed 8x8 map on ``(s1, s2, q)``: the spin flip or the
+detector coupling as slot 1, slot 2 or both occupy the region, or an outcome
+pair ``(P, 1 - P)`` of the Bell projector or of occupancy.  The maps are
+module constants, built and checked once at import; an operation places them
+and is cached once per geometry (immutable, like the propagators).  Every
+region is an interval, so "slot 1 only in R" is the two rectangles ``(R, [0,
+lo))`` and ``(R, [hi, n))``, "both in R" is ``(R, R)``, and a global map is
+``(all, all)``.  The pipeline applies the maps to the ``(n, n, 8)`` amplitude
+tensor in CSR mat-vec order: output ``i`` sums ``m[i, j] * x_j`` from zero
+over the nonzero ``j`` ascending.  Measurements are pairs ``(P, Q)`` of such
+operations, and branch through :func:`nosignal.qcore.luders_update`.  The
+package builds no sparse matrix; the test suite checks that amplitudes are
+bit-identical to the CSR mat-vec of each operation's matrix.
 
 Every step of an arm has one shape: a plain function that takes the list of
 ``(weight, state)`` branches over and returns the next list.  The arm wraps
@@ -266,26 +268,35 @@ def _both_in_region_coupling_8() -> np.ndarray:
     on the certified scenarios: the sector it governs carries amplitude
     bounded by the overlap entries of the spacelike certificate.
     """
-    e = np.eye(8, dtype=np.complex128)
-    dd0, dd1 = e[0], e[1]
-    du0, du1 = e[2], e[3]
-    ud0, ud1 = e[4], e[5]
-    uu0, uu1 = e[6], e[7]
+    dd0, dd1, du0, du1, ud0, ud1, uu0, uu1 = np.eye(8, dtype=np.complex128)
     plus0 = (ud0 + du0) / np.sqrt(2.0)
     minus0 = (ud0 - du0) / np.sqrt(2.0)
     plus1 = (ud1 + du1) / np.sqrt(2.0)
     minus1 = (ud1 - du1) / np.sqrt(2.0)
-    pairs = [
-        (dd0, dd0),
-        (uu1, uu1),
-        (dd1, plus0),
-        (plus0, dd1),
-        (minus0, minus0),
-        (plus1, uu0),
-        (uu0, plus1),
-        (minus1, minus1),
-    ]
+    pairs = [(dd0, dd0), (uu1, uu1), (dd1, plus0), (plus0, dd1), (minus0, minus0), (plus1, uu0), (uu0, plus1),
+             (minus1, minus1)]
     return sum(np.outer(img, src.conj()) for img, src in pairs)
+
+
+def _checked(maps):
+    """``maps`` as read-only complex arrays, checked: one map must be unitary, a pair ``(P, Q)`` a projector pair."""
+    if isinstance(maps, tuple):
+        ops = [LinearOperator(m, SPINS_QUBIT_TAG) for m in maps]
+        qcore.check_projector_family(ops)
+        return tuple(op.matrix for op in ops)
+    op = LinearOperator(maps, SPINS_QUBIT_TAG)
+    defect = op.unitarity_defect()
+    if defect > UNITARITY_ATOL:
+        raise ValueError(f"8x8 map is not unitary: defect {defect:.3e}")
+    return op.matrix
+
+
+# The fixed maps (module docstring), built and checked once; the operations only place them.
+_FLIP = tuple(_checked(_spin_flip_8(*slots)) for slots in ((1,), (2,), (1, 2)))
+_COUPLING = tuple(map(_checked, (_spin_qubit_map_8(1), _spin_qubit_map_8(2), _both_in_region_coupling_8())))
+_BELL_8 = np.kron(bell_projector().to_dense(), SPIN_IDENTITY.to_dense())
+_BELL = _checked((_BELL_8, np.eye(8) - _BELL_8))
+_OCCUPANCY = _checked((np.eye(8), np.zeros((8, 8))))
 
 
 # ---------------------------------------------------------------------------
@@ -347,66 +358,47 @@ class PairBlocks:
 def _by_occupant(n: int, region: Region, name: str, only1, only2, both) -> PairBlocks:
     """Unitary acting by ``only1``/``only2``/``both`` as slot 1, slot 2 or both occupy ``region``."""
     r = region.slice_in(n, name)
-    rest = (slice(0, r.start), slice(r.stop, n))
-    return _unitary_blocks(
-        n, [((r, c), only1) for c in rest] + [((c, r), only2) for c in rest] + [((r, r), both)]
-    )
+    lo, hi = slice(0, r.start), slice(r.stop, n)
+    rects = ((r, lo), (r, hi), (lo, r), (hi, r), (r, r))
+    return PairBlocks(n, rects, (only1, only1, only2, only2, both), rest_identity=True)
 
 
-def _unitary_blocks(n: int, blocks) -> PairBlocks:
-    for _, m in blocks:
-        defect = LinearOperator(m, SPINS_QUBIT_TAG).unitarity_defect()
-        if defect > UNITARITY_ATOL:
-            raise ValueError(f"8x8 map is not unitary: defect {defect:.3e}")
-    return PairBlocks(n, *zip(*blocks), rest_identity=True)
-
-
-def _projective_measurement(n: int, rects, p8: np.ndarray, q8: np.ndarray) -> tuple:
-    """``(P, Q)``: ``p8``/``q8`` on the ``rects``, zero/identity elsewhere."""
-    qcore.check_projector_family([LinearOperator(p8, SPINS_QUBIT_TAG), LinearOperator(q8, SPINS_QUBIT_TAG)])
-    rects = tuple(rects)
-    return PairBlocks(n, rects, (p8,) * len(rects), False), PairBlocks(n, rects, (q8,) * len(rects), True)
+def _outcomes(n: int, rects: tuple, pair: tuple) -> tuple:
+    """``(P, Q)``: the maps of ``pair`` on the ``rects``, zero / the identity elsewhere."""
+    p, q = pair
+    return PairBlocks(n, rects, (p,) * len(rects), False), PairBlocks(n, rects, (q,) * len(rects), True)
 
 
 @lru_cache(maxsize=32)
 def _kick_blocks(n: int, o1: Region, mode: str) -> PairBlocks:
-    if mode == "position":
-        return _by_occupant(n, o1, "O1", _spin_flip_8(1), _spin_flip_8(2), _spin_flip_8(1, 2))
     if mode == "label1":
-        return _unitary_blocks(n, [((o1.slice_in(n, "O1"), _ALL), _spin_flip_8(1))])
-    raise ValueError(f"kick mode must be position or label1, got {mode!r}")
+        return PairBlocks(n, ((o1.slice_in(n, "O1"), _ALL),), (_FLIP[0],), rest_identity=True)
+    return _by_occupant(n, o1, "O1", *_FLIP)
 
 
 @lru_cache(maxsize=32)
 def _detector_blocks(n: int, o3: Region, mode: str) -> PairBlocks:
     if mode == "label2":  # applied to occupied branches only, which are +0.0 off these rectangles
-        return _unitary_blocks(n, [(rect, _spin_qubit_map_8(2)) for rect in _occupied_rects(n, o3)])
-    return _by_occupant(n, o3, "O3", _spin_qubit_map_8(1), _spin_qubit_map_8(2), _both_in_region_coupling_8())
+        return PairBlocks(n, _occupied_rects(n, o3), (_COUPLING[1],) * 3, rest_identity=True)
+    return _by_occupant(n, o3, "O3", *_COUPLING)
 
 
 @lru_cache(maxsize=32)
 def _joint_outcomes(n: int, mode: str, o2: Optional[Region]) -> tuple:
-    if mode == "global_bell":
-        rect = (_ALL, _ALL)
-    elif o2 is None:
-        raise ValueError("localized_bell needs an O2 region")
-    else:
-        r = o2.slice_in(n, "O2")
-        rect = (r, r)
-    p8 = np.kron(bell_projector().to_dense(), SPIN_IDENTITY.to_dense())
-    return _projective_measurement(n, [rect], p8, np.eye(8) - p8)
+    r = _ALL if mode == "global_bell" else o2.slice_in(n, "O2")
+    return _outcomes(n, ((r, r),), _BELL)
 
 
-def _occupied_rects(n: int, o3: Region) -> list:
+def _occupied_rects(n: int, o3: Region) -> tuple:
     """The disjoint rectangles of the pairs with a particle in O3."""
     r = o3.slice_in(n, "O3")
-    return [(r, _ALL), (slice(0, r.start), r), (slice(r.stop, n), r)]
+    return (r, _ALL), (slice(0, r.start), r), (slice(r.stop, n), r)
 
 
 @lru_cache(maxsize=32)
 def _occupancy_outcomes(n: int, o3: Region) -> tuple:
     """``(P, Q)``: the projector onto the pairs with a particle in O3, and its complement."""
-    return _projective_measurement(n, _occupied_rects(n, o3), np.eye(8), np.zeros((8, 8)))
+    return _outcomes(n, _occupied_rects(n, o3), _OCCUPANCY)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +423,6 @@ def _joint_step(space: CompositeSpace, mode: str, o2: Optional[Region], branches
     product of the two position projectors and the spin projector, which all
     commute).  ``none`` returns ``branches`` unchanged.
     """
-    if mode not in JOINT_MODES:
-        raise ValueError(f"joint mode must be one of {JOINT_MODES}, got {mode!r}")
     if mode == "none":
         return branches
     outcomes = _joint_outcomes(space.n_sites, mode, o2)
@@ -454,8 +444,6 @@ def _detector_step(space: CompositeSpace, o3: Region, mode: str, branches: list,
     the occupied branches come first, then the unoccupied ones, each in the
     order of the input branches.
     """
-    if mode not in DETECTOR_MODES:
-        raise ValueError(f"detector mode must be one of {DETECTOR_MODES}, got {mode!r}")
     coupling = _detector_blocks(space.n_sites, o3, mode)
     if mode == "position":
         branches = _each(coupling, branches)

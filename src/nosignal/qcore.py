@@ -68,6 +68,18 @@ def _frozen_matrix(matrix) -> np.ndarray:
     return arr
 
 
+def reciprocal(d: float) -> complex:
+    """The factor ``r`` for which ``x * r`` has the bits of numpy's ``x / d``; every normalization scales by it.
+
+    numpy divides complex ``x`` by real ``d`` by Smith's method, ``((xr + xi*0) s, (xi - xr*0) s)``
+    with ``s = 1/d``; ``x * (s, -0.0)`` is ``(xr s - xi*(-0.0), xr*(-0.0) + xi s)``.  A product
+    with a zero is an exact signed zero, and adding a zero to a nonzero number changes nothing, so
+    the bits agree, signed zeros included, unless a nonzero part of ``x s`` underflows to zero
+    (then the sign of that zero may differ): that needs ``d > 1``, and a norm is near 1.
+    """
+    return complex(1.0 / d, -0.0)
+
+
 def checked_norm(arr: np.ndarray) -> float:
     """``np.linalg.norm(arr)``; raises if an entry is not finite (entries are scanned only when the norm is not)."""
     with np.errstate(over="ignore"):
@@ -113,9 +125,7 @@ class StateVector:
         n = self.norm
         if n <= 1e-300:
             raise ValueError("cannot normalize a zero state")
-        # The bits of numpy's ``amps / n``, ``(re + im*0, im - re*0) * (1/n)``: a product with a
-        # zero is exact; only a nonzero part that underflows to zero may flip its sign (README).
-        return StateVector(freeze(self.amps * complex(1.0 / n, -0.0)), self.basis_tag)
+        return StateVector(freeze(self.amps * reciprocal(n)), self.basis_tag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,8 +414,7 @@ def luders_update(branches: list, outcomes: Sequence[Callable]) -> list:
             arm = outcome(state.amps)
             weight = w * (float(np.vdot(arm, arm).real) / base)
             if weight > BRANCH_PRUNE_THRESHOLD:
-                # In place, the bits of ``arm /= norm`` (see ``StateVector.normalized``).
-                arm *= complex(1.0 / np.linalg.norm(arm), -0.0)
+                arm *= reciprocal(np.linalg.norm(arm))
                 kept.append((weight, StateVector(freeze(arm), state.basis_tag)))
             del arm
     return by_outcome

@@ -11,7 +11,8 @@ report, and the SHA-256 of the weight and amplitude bytes of every branch
 of both arms at every stage.  Float bytes depend on the BLAS build and its
 thread count, so the file also stores the :func:`fingerprint` of the
 machine that wrote it; ``tests/test_golden.py`` reads it.  A change that
-means to move bytes runs this script and lists every changed field.
+means to move bytes runs this script, which prints every field that differs
+from the file it replaces, and lists them.
 """
 
 from __future__ import annotations
@@ -148,12 +149,41 @@ def record(cfg: dict, workdir: Path) -> dict:
     }
 
 
+def changes(old: dict, new: dict) -> list:
+    """One line per difference between two golden payloads.
+
+    Lines name the fingerprint, every added or removed config, and per config
+    every exit code, report digest, float field and arm/stage digest list
+    that differs.
+    """
+    was, now = old.get("configs", {}), new["configs"]
+    lines = [] if old.get("fingerprint") == new["fingerprint"] else [
+        f"fingerprint: {old.get('fingerprint')} -> {new['fingerprint']}"]
+    lines += [f"{name}: removed" for name in sorted(was.keys() - now.keys())]
+    lines += [f"{name}: added" for name in sorted(now.keys() - was.keys())]
+    for name in sorted(was.keys() & now.keys()):
+        a, b = was[name], now[name]
+        lines += [f"{name}: {key} {a[key]} -> {b[key]}" for key in ("exit_code", "report_sha256") if a[key] != b[key]]
+        for key in sorted(a["floats"].keys() | b["floats"].keys()):
+            if a["floats"].get(key) != b["floats"].get(key):
+                lines.append(f"{name}: {key} {a['floats'].get(key)} -> {b['floats'].get(key)}")
+        for arm in sorted(a["stages"].keys() | b["stages"].keys()):
+            x, y = a["stages"].get(arm, {}), b["stages"].get(arm, {})
+            for stage in sorted(x.keys() | y.keys()):
+                if x.get(stage) != y.get(stage):
+                    lines.append(f"{name}: stages.{arm}.{stage} digests differ ({len(x.get(stage, []))} -> "
+                                 f"{len(y.get(stage, []))} branches)")
+    return lines
+
+
 def main() -> None:
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         entries = {name: record(cfg, Path(tmp)) for name, cfg in configs().items()}
     payload = {"fingerprint": fingerprint(), "configs": entries}
     GOLDEN.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(entries)} configs to {GOLDEN}")
+    lines = changes(old, payload)
+    print("\n".join(lines + [f"wrote {len(entries)} configs to {GOLDEN}, {len(lines)} changed fields"]))
 
 
 if __name__ == "__main__":

@@ -57,3 +57,38 @@ def test_reports_and_stage_digests_match_the_golden_file(tmp_path):
         f"{'FAIL' if failures else 'PASS'}  compared {comparison}"
     )
     assert not failures, failures
+
+
+def test_every_golden_delta_sits_on_its_closed_form():
+    # delta = k * arrival / 4 when the detector is not selective and k / 4 when it is,
+    # with k in {0, 1, 2}.  Read from the golden floats; the test does not predict k.
+    golden = json.loads(regen.GOLDEN.read_text(encoding="utf-8"))["configs"]
+    counts = {False: [0, 0, 0], True: [0, 0, 0]}
+    for name, cfg in regen.configs().items():
+        floats = golden[name]["floats"]
+        delta, selective = float(floats["delta"]), bool(cfg.get("selective_o3", False))
+        unit = 0.25 if selective else float(floats["arrival_prob"]) / 4
+        k = round(delta / unit)
+        assert k in (0, 1, 2), (name, delta, unit)
+        assert abs(delta - k * unit) <= 1e-14, (name, delta, k * unit)
+        counts[selective][k] += 1
+    record_acceptance(f"[golden] delta on k*arrival/4 (k=0/1/2: {counts[False]}) and k/4 ({counts[True]})  PASS")
+
+
+def test_regen_lists_every_changed_field():
+    entry = {"exit_code": 0, "report_sha256": "a", "floats": {"delta": "0.5", "arrival_prob": "1.0"},
+             "stages": {"kick": {"final": ["x", "y"]}, "nokick": {"final": ["z"]}}}
+    moved = {"exit_code": 1, "report_sha256": "b", "floats": {"delta": "0.25", "arrival_prob": "1.0"},
+             "stages": {"kick": {"final": ["x"]}, "nokick": {"final": ["z"]}}}
+    old = {"fingerprint": {"numpy": "1"}, "configs": {"same": entry, "moved": entry, "gone": entry}}
+    new = {"fingerprint": {"numpy": "1"}, "configs": {"same": entry, "moved": moved, "new": entry}}
+    assert regen.changes(old, new) == [
+        "gone: removed",
+        "new: added",
+        "moved: exit_code 0 -> 1",
+        "moved: report_sha256 a -> b",
+        "moved: delta 0.5 -> 0.25",
+        "moved: stages.kick.final digests differ (2 -> 1 branches)",
+    ]
+    assert regen.changes(old, old) == []
+    assert regen.changes({}, old)[0] == "fingerprint: None -> {'numpy': '1'}"

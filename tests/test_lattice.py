@@ -328,15 +328,15 @@ def test_certificate_fails_when_regions_too_close():
 
 def test_certificate_flag_consistency_enforced():
     with pytest.raises(ValueError):
-        SpacelikeCertificate(
-            epsilon=1e-6, leak_13=1.0, leak_31=0.0, overlap_O1=0.0, overlap_O3=0.0,
-            passed=True,
-        )
-    with pytest.raises(ValueError):
-        SpacelikeCertificate(
-            epsilon=1e-6, leak_13=-0.5, leak_31=0.0, overlap_O1=0.0, overlap_O3=0.0,
-            passed=False,
-        )
+        SpacelikeCertificate(epsilon=1e-6, leak_13=-0.5, leak_31=0.0, overlap_O1=0.0, overlap_O3=0.0)
+
+
+@pytest.mark.parametrize("field", ["leak_13", "leak_31", "overlap_O1", "overlap_O3"])
+def test_certificate_passes_up_to_epsilon_and_fails_one_ulp_above(field):
+    eps, zeros = 1e-6, dict(leak_13=0.0, leak_31=0.0, overlap_O1=0.0, overlap_O3=0.0)
+    at, above = (SpacelikeCertificate(epsilon=eps, **{**zeros, field: v}) for v in (eps, math.nextafter(eps, math.inf)))
+    assert at.passed is True
+    assert above.passed is False
 
 
 def test_check_spacelike_validates_inputs():

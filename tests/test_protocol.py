@@ -171,8 +171,6 @@ def test_kick_operator_label1_mode():
     k = _kernel_matrix(protocol_mod._kick_blocks(n, o1, "label1"))
     np.testing.assert_allclose(k, oc.kick_unitary(n, range(1, 4), "label1"), atol=1e-14)
     assert _exchange_defect(n, k) > 1e-12
-    with pytest.raises(ValueError):
-        protocol_mod._kick_blocks(n, o1, "off")
 
 
 def test_kick_flips_the_region_supported_wing():
@@ -376,14 +374,6 @@ def test_joint_measurement_matches_reference_update():
         assert abs(sum(w for w, _ in out.branches) - 1.0) < 1e-10
 
 
-def test_joint_measurement_validates_mode_and_region():
-    space = CompositeSpace(8)
-    with pytest.raises(ValueError):
-        _joint_step(space, "bell", None, [])
-    with pytest.raises(ValueError):
-        _joint_step(space, "localized_bell", None, [])
-
-
 # ---------------------------------------------------------------------------
 # position-controlled kernels against the CSR mat-vec of their matrices
 
@@ -451,15 +441,34 @@ def test_joint_measurement_equals_luders_on_materialized_projectors():
             assert np.array_equal(a.amps, b.amps)
 
 
-def test_build_rejects_tampered_8x8_maps(monkeypatch, cold_caches):
-    space = CompositeSpace(8)
-    o3 = Region(5, 8)
+def test_build_rejects_tampered_8x8_maps():
     p8 = np.kron(bell_projector().to_dense(), np.eye(2))
     with pytest.raises(ValueError, match="resolve the identity"):
-        protocol_mod._projective_measurement(8, None, p8, 0.5 * (np.eye(8) - p8))
-    monkeypatch.setattr(protocol_mod, "_both_in_region_coupling_8", lambda: 2.0 * np.eye(8))
+        protocol_mod._checked((p8, 0.5 * (np.eye(8) - p8)))
     with pytest.raises(ValueError, match="not unitary"):
-        _detector_step(space, o3, "position", [])
+        protocol_mod._checked(2.0 * np.eye(8))
+
+
+def _counted(calls: list, name: str, f):
+    """``f``, appending ``name`` to ``calls`` on every call."""
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return f(*args, **kwargs)
+    return wrapper
+
+
+def test_fixed_maps_are_checked_once_at_import(monkeypatch, cold_caches):
+    # The 8x8 maps are module constants: building an operation on a new geometry only places them.
+    calls = []
+    monkeypatch.setattr(qcore, "check_projector_family", _counted(calls, "projectors", qcore.check_projector_family))
+    monkeypatch.setattr(LinearOperator, "unitarity_defect",
+                        _counted(calls, "unitarity", LinearOperator.unitarity_defect))
+    run_scenario(default_scenario(joint_mode="global_bell", detector_mode="label2"))
+    run_scenario(default_scenario(joint_mode="localized_bell", selective_o3=True))
+    assert calls == []
+    for m in (*protocol_mod._FLIP, *protocol_mod._COUPLING, *protocol_mod._BELL, *protocol_mod._OCCUPANCY):
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("tamper, message", [("scale", "not normalized"), ("nan", "finite")])
@@ -531,18 +540,12 @@ def test_a_second_scenario_on_one_geometry_builds_nothing(monkeypatch, cold_cach
     run_scenario(_label2_scenario())
     misses = [cache.cache_info().misses for cache in cold_caches]
     calls = []
-
-    def counted(name, f):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return f(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigh", _counted(calls, "eigh", np.linalg.eigh))
     # Every propagator product with t > 0 starts by reading the eigensystem.
-    monkeypatch.setattr(lattice_mod, "_eigensystem", counted("propagator", lattice_mod._eigensystem))
-    monkeypatch.setattr(qcore, "check_projector_family", counted("projectors", qcore.check_projector_family))
-    monkeypatch.setattr(LinearOperator, "unitarity_defect", counted("unitarity", LinearOperator.unitarity_defect))
+    monkeypatch.setattr(lattice_mod, "_eigensystem", _counted(calls, "propagator", lattice_mod._eigensystem))
+    monkeypatch.setattr(qcore, "check_projector_family", _counted(calls, "projectors", qcore.check_projector_family))
+    monkeypatch.setattr(LinearOperator, "unitarity_defect",
+                        _counted(calls, "unitarity", LinearOperator.unitarity_defect))
     packet2 = PacketSpec(Region(50, 74), 62.3, 6.0, math.pi / 2)
     report = run_scenario(_label2_scenario(statistics="boson", packet2=packet2))
     assert report.certificate.passed

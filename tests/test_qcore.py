@@ -99,16 +99,17 @@ def test_state_vector_accepts_entries_whose_squares_overflow():
 
 
 def test_reciprocal_multiply_has_the_bits_of_division():
-    # normalized(), luders_update and the exchange sectors scale by (1/d, -0.0)
-    # where numpy used to divide by d; a numpy whose division no longer equals
-    # this multiply fails here.  The divisors keep every nonzero part of x / d
-    # off zero: an underflow to zero may differ in the sign of that zero.
+    # normalized(), luders_update and the exchange sectors scale by
+    # qcore.reciprocal(d) = (1/d, -0.0) where numpy would divide by d; a numpy
+    # whose division no longer equals this multiply fails here.  The divisors
+    # keep every nonzero part of x / d off zero: an underflow to zero may
+    # differ in the sign of that zero.
     parts = (0.0, -0.0, 1e-310, -1e-310, 1.5, -1.5, 3e300, -3e300)
     special = np.array([complex(re, im) for re in parts for im in parts])
     rng = np.random.default_rng(11)
     x = np.concatenate([special, rng.normal(size=4096) + 1j * rng.normal(size=4096)])
     for d in (1e-7, 0.3, 1.0, 1.7, 2.5e10):
-        factor = complex(1.0 / d, -0.0)
+        factor = qcore.reciprocal(d)
         want = (x / d).view(np.uint64)
         assert np.array_equal((x * factor).view(np.uint64), want)
         in_place = x.copy()
