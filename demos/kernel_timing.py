@@ -14,10 +14,10 @@ to n sites: O1 = [n/12, 5n/24), O3 = [19n/24, 11n/12), t2 = 7n/96.
   luders    qcore.luders_update on the global Bell pair (P, Q)
   normalize StateVector.normalized()
   operators both propagators and the four protocol builders (kick, joint,
-            detector coupling, O3 occupancy), with their caches emptied
-            before every call ("cold", what every scenario paid before they
-            were cached; the eigensystem stays cached) and then filled
-            ("warm"); these rows take no state
+            detector coupling, O3 occupancy), which are not cached; "cold"
+            empties the propagator cache before every call (what a scenario
+            on a new time pays; the eigensystem stays cached) and "warm"
+            keeps it filled; these rows take no state
 
 It prints the best of --repeat calls of each after one untimed call, in
 milliseconds, with the machine's processor count and the Python and numpy
@@ -40,7 +40,7 @@ from nosignal.composite import _with_exchanged
 from nosignal.protocol import _detector_blocks, _joint_outcomes, _kick_blocks, _occupancy_outcomes
 from nosignal.qcore import luders_update
 
-BUILDERS = (propagator, _kick_blocks, _joint_outcomes, _detector_blocks, _occupancy_outcomes)
+BUILDERS = (propagator,)  # the caches the cold row empties
 
 # (kernel, live columns of its input, or the caches' state), in the order of the table.
 ROWS = [
@@ -71,7 +71,7 @@ def seeded_state(space: CompositeSpace, live: tuple, rng: np.random.Generator) -
 
 
 def operators(n: int, cold: bool):
-    """Build both propagators and the four operations of the workloads' geometry, caches emptied first if ``cold``."""
+    """Build both propagators and the four operations of the workloads' geometry, propagators uncached if ``cold``."""
     lat, o1, o3 = make_lattice(n, 1.0), Region(n // 12, 5 * n // 24), Region(19 * n // 24, 11 * n // 12)
 
     def build(_state):

@@ -231,7 +231,6 @@ def leakage(lat: Lattice1D, src: Region, dst: Region, t: float) -> float:
     return float(np.linalg.svd(block, compute_uv=False)[0])
 
 
-@lru_cache(maxsize=64)
 def light_cone_bound(lat: Lattice1D, src: Region, dst: Region, t: float) -> float:
     """Upper bound on ``|P_dst U_s P_src|_2`` for every time ``0 <= s <= t``.
 
@@ -312,8 +311,8 @@ def check_spacelike(
     t_total = float(t_total)
     if not math.isfinite(t_total) or t_total < 0.0:
         raise ValueError(f"t_total must be finite and >= 0, got {t_total}")
-    if not (float(eps) > 0.0):
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     space = CompositeSpace(lat.n_sites)
     if psi.basis_tag != space.basis_tag or psi.dim != space.dim:
         raise ValueError(

@@ -26,16 +26,16 @@ After preparation every operation is diagonal in the positions: a
 cols)``, each with a fixed 8x8 map on ``(s1, s2, q)``: the spin flip or the
 detector coupling as slot 1, slot 2 or both occupy the region, or an outcome
 pair ``(P, 1 - P)`` of the Bell projector or of occupancy.  The maps are
-module constants, built and checked once at import; an operation places them
-and is cached once per geometry (immutable, like the propagators).  Every
-region is an interval, so "slot 1 only in R" is the two rectangles ``(R, [0,
-lo))`` and ``(R, [hi, n))``, "both in R" is ``(R, R)``, and a global map is
-``(all, all)``.  The pipeline applies the maps to the ``(n, n, 8)`` amplitude
-tensor in CSR mat-vec order: output ``i`` sums ``m[i, j] * x_j`` from zero
-over the nonzero ``j`` ascending.  Measurements are pairs ``(P, Q)`` of such
-operations, and branch through :func:`nosignal.qcore.luders_update`.  The
-package builds no sparse matrix; the test suite checks that amplitudes are
-bit-identical to the CSR mat-vec of each operation's matrix.
+module constants, built and checked once at import; each arm places them
+where it uses them.  Every region is an interval, so "slot 1 only in R" is
+the two rectangles ``(R, [0, lo))`` and ``(R, [hi, n))``, "both in R" is
+``(R, R)``, and a global map is ``(all, all)``.  The pipeline applies the
+maps to the ``(n, n, 8)`` amplitude tensor in CSR mat-vec order: output
+``i`` sums ``m[i, j] * x_j`` from zero over the nonzero ``j`` ascending.
+Measurements are pairs ``(P, Q)`` of such operations, and branch through
+:func:`nosignal.qcore.luders_update`.  The package builds no sparse matrix;
+the test suite checks that amplitudes are bit-identical to the CSR mat-vec of
+each operation's matrix.
 
 Every step of an arm has one shape: a plain function that takes the list of
 ``(weight, state)`` branches over and returns the next list.  The arm wraps
@@ -48,7 +48,6 @@ import ctypes
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
@@ -369,21 +368,18 @@ def _outcomes(n: int, rects: tuple, pair: tuple) -> tuple:
     return PairBlocks(n, rects, (p,) * len(rects), False), PairBlocks(n, rects, (q,) * len(rects), True)
 
 
-@lru_cache(maxsize=32)
 def _kick_blocks(n: int, o1: Region, mode: str) -> PairBlocks:
     if mode == "label1":
         return PairBlocks(n, ((o1.slice_in(n, "O1"), _ALL),), (_FLIP[0],), rest_identity=True)
     return _by_occupant(n, o1, "O1", *_FLIP)
 
 
-@lru_cache(maxsize=32)
 def _detector_blocks(n: int, o3: Region, mode: str) -> PairBlocks:
     if mode == "label2":  # applied to occupied branches only, which are +0.0 off these rectangles
         return PairBlocks(n, _occupied_rects(n, o3), (_COUPLING[1],) * 3, rest_identity=True)
     return _by_occupant(n, o3, "O3", *_COUPLING)
 
 
-@lru_cache(maxsize=32)
 def _joint_outcomes(n: int, mode: str, o2: Optional[Region]) -> tuple:
     r = _ALL if mode == "global_bell" else o2.slice_in(n, "O2")
     return _outcomes(n, ((r, r),), _BELL)
@@ -395,7 +391,6 @@ def _occupied_rects(n: int, o3: Region) -> tuple:
     return (r, _ALL), (slice(0, r.start), r), (slice(r.stop, n), r)
 
 
-@lru_cache(maxsize=32)
 def _occupancy_outcomes(n: int, o3: Region) -> tuple:
     """``(P, Q)``: the projector onto the pairs with a particle in O3, and its complement."""
     return _outcomes(n, _occupied_rects(n, o3), _OCCUPANCY)

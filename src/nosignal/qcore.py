@@ -173,11 +173,6 @@ class LinearOperator:
         self._check_compatible(other)
         return LinearOperator(self.matrix - other.matrix, self.basis_tag)
 
-    def __mul__(self, scalar) -> "LinearOperator":
-        return LinearOperator(self.matrix * complex(scalar), self.basis_tag)
-
-    __rmul__ = __mul__
-
     # -- defect norms used by validation checks ----------------------------
 
     def frobenius_norm(self) -> float:

@@ -33,7 +33,7 @@ def geometry_caches() -> list:
 
 @pytest.fixture
 def cold_caches() -> list:
-    """Empty every cache first, so the test sees each operator built; returns the caches."""
+    """Empty every cache first, so the test sees each geometry built; returns the caches."""
     caches = geometry_caches()
     for cache in caches:
         cache.cache_clear()

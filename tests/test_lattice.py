@@ -344,8 +344,9 @@ def test_check_spacelike_validates_inputs():
     lat, space, psi0 = prepare_scenario(cfg)
     with pytest.raises(ValueError):
         check_spacelike(lat, cfg.o1, cfg.o3, psi0, -1.0, cfg.eps)
-    with pytest.raises(ValueError):
-        check_spacelike(lat, cfg.o1, cfg.o3, psi0, cfg.t_total, 0.0)
+    for eps in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"eps must be positive and finite, got {eps}"):
+            check_spacelike(lat, cfg.o1, cfg.o3, psi0, cfg.t_total, eps)
     small_space_state = wavepacket(lat, Region(8, 20), 14.0, 3.0, 0.0)
     with pytest.raises(ValueError):
         check_spacelike(lat, cfg.o1, cfg.o3, small_space_state, cfg.t_total, cfg.eps)

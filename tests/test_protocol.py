@@ -16,6 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 import oracles as oc
+from conftest import geometry_caches
 from nosignal import (
     BranchEnsemble,
     CompositeSpace,
@@ -509,7 +510,7 @@ def test_pipeline_builds_no_composite_operator(monkeypatch, cold_caches):
     assert 8 * cfg.n**2 not in dims
 
 
-def test_cached_operators_are_read_only():
+def test_operators_are_read_only():
     n, o1, o3 = 12, Region(0, 4), Region(8, 12)
     ops = [
         protocol_mod._kick_blocks(n, o1, "position"),
@@ -517,7 +518,6 @@ def test_cached_operators_are_read_only():
         protocol_mod._detector_blocks(n, o3, "label2"),
         *protocol_mod._occupancy_outcomes(n, o3),
     ]
-    assert ops[0] is protocol_mod._kick_blocks(n, o1, "position")
     for op in ops:
         for m in op.maps:
             with pytest.raises(ValueError, match="read-only"):
@@ -536,7 +536,12 @@ def _label2_scenario(**overrides):
     return default_scenario(joint_mode="localized_bell", detector_mode="label2", **overrides)
 
 
-def test_a_second_scenario_on_one_geometry_builds_nothing(monkeypatch, cold_caches):
+def test_the_package_caches_only_what_costs_milliseconds():
+    # Each kept cache saves a kernel call or a drift milliseconds a scenario (README, "Caches").
+    assert {cache.__name__ for cache in geometry_caches()} == {"propagator", "_eigensystem", "_slab_index"}
+
+
+def test_a_second_scenario_on_one_geometry_calls_no_eigh_product_or_map_check(monkeypatch, cold_caches):
     run_scenario(_label2_scenario())
     misses = [cache.cache_info().misses for cache in cold_caches]
     calls = []

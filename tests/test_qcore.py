@@ -157,7 +157,6 @@ def test_operator_algebra_and_tags():
     np.testing.assert_allclose((a @ b).to_dense(), a.to_dense() @ b.to_dense())
     np.testing.assert_allclose((a + b).to_dense(), a.to_dense() + b.to_dense())
     np.testing.assert_allclose((a - b).to_dense(), a.to_dense() - b.to_dense())
-    np.testing.assert_allclose((a * 2.5j).to_dense(), 2.5j * a.to_dense())
     np.testing.assert_allclose(a.dagger().to_dense(), a.to_dense().conj().T)
     other = LinearOperator(np.eye(3), "elsewhere")
     with pytest.raises(ValueError):
