@@ -67,7 +67,7 @@ def seeded_state(space: CompositeSpace, live: tuple, rng: np.random.Generator) -
     n = space.n_sites
     tensor = np.zeros((n, n, 8), dtype=np.complex128)
     tensor[:, :, list(live)] = rng.normal(size=(n, n, len(live))) + 1j * rng.normal(size=(n, n, len(live)))
-    return StateVector(tensor.ravel() / np.linalg.norm(tensor), space.basis_tag)
+    return StateVector(tensor.ravel() / np.linalg.norm(tensor))
 
 
 def operators(n: int, cold: bool):

@@ -6,7 +6,7 @@ sequence, each addressing particles by label:
 
   O1 optionally flips spin 1 (the "kick"),
   O2 projects both spins onto the Bell state (|uu> + |dd>)/sqrt(2),
-  O3 measures an observable C on spin 1.
+  O3 measures an observable C on spin 2.
 
 If O1 and O3 are imagined to be far apart while O2 sits between them, the
 kick is outside O3's past light cone.  Yet the expectation O3 records is
@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from nosignal import PAULI_X, PAULI_Z, LinearOperator, run_naive_sorkin
-from nosignal.qcore import SPIN_TAG
+from nosignal import PAULI_X, PAULI_Z, run_naive_sorkin
 
 
 def closed_forms(c: np.ndarray) -> tuple[float, float]:
@@ -40,18 +39,16 @@ def main() -> None:
     random_c = (a + a.conj().T) / 2
 
     observables = [
-        ("sigma_z", PAULI_Z.matrix),
-        ("sigma_x", PAULI_X.matrix),
+        ("sigma_z", PAULI_Z),
+        ("sigma_x", PAULI_X),
         ("random C", random_c),
     ]
 
     print("observable     no kick        kick          |delta|")
     print("-" * 56)
     for name, c in observables:
-        c = np.asarray(c, dtype=np.complex128)
-        obs = LinearOperator(c, SPIN_TAG)
-        quiet = run_naive_sorkin(obs, kick=False)
-        kicked = run_naive_sorkin(obs, kick=True)
+        quiet = run_naive_sorkin(c, kick=False)
+        kicked = run_naive_sorkin(c, kick=True)
         want_quiet, want_kicked = closed_forms(c)
         assert abs(quiet - want_quiet) < 1e-12
         assert abs(kicked - want_kicked) < 1e-12

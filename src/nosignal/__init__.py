@@ -52,13 +52,7 @@ from .qcore import (
     PAULI_Y,
     PAULI_Z,
     BranchEnsemble,
-    LinearOperator,
     StateVector,
-    apply,
-    expectation,
-    identity,
-    luders_measure,
-    tensor_product,
 )
 
 __version__ = "0.1.0"
@@ -67,7 +61,6 @@ __all__ = [
     "BranchEnsemble",
     "CompositeSpace",
     "Lattice1D",
-    "LinearOperator",
     "PacketSpec",
     "PAULI_X",
     "PAULI_Y",
@@ -80,7 +73,6 @@ __all__ = [
     "Statistics",
     "antisymmetrize",
     "antisymmetry_violation",
-    "apply",
     "basis_index",
     "bell_projector",
     "check_spacelike",
@@ -88,13 +80,10 @@ __all__ = [
     "default_scenario",
     "detector_coupling",
     "evolve_positions",
-    "expectation",
     "hamiltonian",
-    "identity",
     "joint_position_probability",
     "leakage",
     "light_cone_bound",
-    "luders_measure",
     "make_lattice",
     "position_occupancy",
     "prepare_initial",
@@ -105,7 +94,6 @@ __all__ = [
     "run_naive_sorkin",
     "run_scenario",
     "symmetrize",
-    "tensor_product",
     "wavepacket",
     "__version__",
 ]

@@ -52,7 +52,7 @@ from .protocol import (
     run_naive_sorkin,
     run_scenario,
 )
-from .qcore import PAULI_X, PAULI_Y, PAULI_Z, SPIN_TAG, LinearOperator, identity
+from .qcore import PAULI_X, PAULI_Y, PAULI_Z
 
 from . import __version__
 
@@ -193,17 +193,10 @@ def parse_report(text: str) -> dict:
 
 
 def _as_complex(entry, ctx: str) -> complex:
-    if isinstance(entry, bool):
+    parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry]
+    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
         raise ValueError(f"{ctx} must be a number or a [re, im] pair, got {entry!r}")
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if (
-        isinstance(entry, list)
-        and len(entry) == 2
-        and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in entry)
-    ):
-        return complex(entry[0], entry[1])
-    raise ValueError(f"{ctx} must be a number or a [re, im] pair, got {entry!r}")
+    return complex(*(_as_float(p, ctx) for p in parts))
 
 
 def _matrix_from_json(text: str) -> np.ndarray:
@@ -222,13 +215,13 @@ def _matrix_from_json(text: str) -> np.ndarray:
 _NAMED_OBSERVABLES = {"sx": PAULI_X, "sy": PAULI_Y, "sz": PAULI_Z}
 
 
-def _observable_from_args(args) -> LinearOperator:
+def _observable_from_args(args) -> np.ndarray:
     if args.observable == "file":
         if not args.observable_file:
             raise ValueError("--observable file requires --observable-file PATH")
-        return LinearOperator(_matrix_from_json(_load_text(args.observable_file)), SPIN_TAG)
+        return _matrix_from_json(_load_text(args.observable_file))
     if args.observable == "identity":
-        return identity(2, SPIN_TAG)
+        return np.eye(2, dtype=np.complex128)
     return _NAMED_OBSERVABLES[args.observable]
 
 

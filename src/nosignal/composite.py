@@ -27,7 +27,6 @@ import numpy as np
 from .qcore import (
     NORMALIZATION_ATOL,
     BranchEnsemble,
-    LinearOperator,
     StateVector,
     checked_norm,
     freeze,
@@ -41,11 +40,6 @@ SYMMETRIZE_NORM_FLOOR = 1e-10
 # Output rows per gather of the particle exchange: its slab index holds
 # 4 * PAIR_TILE * n entries, a sixteenth of a state at n = 64.
 PAIR_TILE = 16
-
-
-def site_basis_tag(n_sites: int) -> str:
-    """Tag of the single-particle position basis on an ``n_sites`` lattice."""
-    return f"site[n={n_sites}]"
 
 
 class Statistics(str, Enum):
@@ -68,10 +62,6 @@ class CompositeSpace:
     @property
     def dim(self) -> int:
         return 8 * self.n_sites * self.n_sites
-
-    @property
-    def basis_tag(self) -> str:
-        return f"x1x2s1s2q[n={self.n_sites}]"
 
     @property
     def axis_dims(self) -> tuple:
@@ -108,15 +98,12 @@ def decode_basis_index(space: CompositeSpace, index: int) -> tuple:
 
 
 def _space_of(value: StateVector) -> CompositeSpace:
-    """Recover the composite space a value lives on, validating its tag."""
+    """Recover the composite space a value lives on from its dimension."""
     dim = value.dim
     n = int(round(np.sqrt(dim / 8.0)))
     if 8 * n * n != dim:
         raise ValueError(f"dimension {dim} is not of the composite form 8*n^2")
-    space = CompositeSpace(n)
-    if value.basis_tag != space.basis_tag:
-        raise ValueError(f"value tagged {value.basis_tag!r} is not on the composite basis {space.basis_tag!r}")
-    return space
+    return CompositeSpace(n)
 
 
 def exchange_permutation(space: CompositeSpace) -> np.ndarray:
@@ -164,7 +151,7 @@ def _sector(ufunc: np.ufunc, s: StateVector, blocked: str) -> StateVector:
     if norm <= SYMMETRIZE_NORM_FLOOR:
         raise ValueError(f"state has no {blocked}")
     amps *= reciprocal(norm)
-    return StateVector(freeze(amps), s.basis_tag)
+    return StateVector(freeze(amps))
 
 
 def antisymmetrize(s: StateVector) -> StateVector:
@@ -218,17 +205,14 @@ def prepare_initial(
         Normalized composite state.
     """
     statistics = Statistics(statistics)
-    tag = site_basis_tag(space.n_sites)
     for name, p in (("packet1", packet1), ("packet2", packet2)):
-        if p.basis_tag != tag:
-            raise ValueError(f"{name} tagged {p.basis_tag!r}, expected {tag!r}")
         if p.dim != space.n_sites:
             raise ValueError(f"{name} has dimension {p.dim}, expected {space.n_sites}")
         if abs(p.norm - 1.0) > NORMALIZATION_ATOL:
             raise ValueError(f"{name} must be normalized, |norm - 1| = {abs(p.norm - 1.0):.3e}")
     tensor = np.zeros(space.axis_dims, dtype=np.complex128)
     tensor[:, :, 0, 0, 0] = np.outer(packet1.amps, packet2.amps)
-    state = StateVector(freeze(tensor).ravel(), space.basis_tag)
+    state = StateVector(freeze(tensor).ravel())
     if statistics is Statistics.DISTINGUISHABLE:
         return state.normalized()
     overlap = np.abs(packet1.amps) * np.abs(packet2.amps)
@@ -254,8 +238,13 @@ def _live_columns(tensor: np.ndarray) -> np.ndarray:
     return np.flatnonzero(bits.reshape(8, 2).any(axis=1))
 
 
-def evolve_positions(space: CompositeSpace, u_single: LinearOperator, state: StateVector) -> StateVector:
-    """Apply a one-particle position operator to both slots at once.
+def _check_dim(space: CompositeSpace, state) -> None:
+    if state.dim != space.dim:
+        raise ValueError(f"state of dimension {state.dim} is not on the {space.n_sites}-site composite space")
+
+
+def evolve_positions(space: CompositeSpace, u: np.ndarray, state: StateVector) -> StateVector:
+    """Apply a one-particle position operator ``u`` (an ``n x n`` array) to both slots at once.
 
     Computes ``(u (x) u (x) identity)`` on the reshaped amplitude tensor
     instead of materializing the ``8 n^2`` dimensional matrix, which is what
@@ -264,11 +253,9 @@ def evolve_positions(space: CompositeSpace, u_single: LinearOperator, state: Sta
     exact zeros, so skipping them changes no amplitude.
     """
     n = space.n_sites
-    if u_single.dim != n or u_single.basis_tag != site_basis_tag(n):
-        raise ValueError(f"u_single must act on the {n}-site position basis")
-    if state.basis_tag != space.basis_tag:
-        raise ValueError(f"state tagged {state.basis_tag!r} is not on {space.basis_tag!r}")
-    u = u_single.matrix
+    if u.shape != (n, n):
+        raise ValueError(f"u must act on the {n}-site position basis, got shape {u.shape}")
+    _check_dim(space, state)
     tensor = state.amps.reshape(n, n, 8)
     live = _live_columns(tensor)
     half = np.tensordot(u, tensor[:, :, live], axes=([1], [0]))  # (x1', x2, k)
@@ -276,7 +263,7 @@ def evolve_positions(space: CompositeSpace, u_single: LinearOperator, state: Sta
     del half  # freed before the output is allocated
     out = np.zeros((n, n, 8), dtype=complex)
     out[:, :, live] = full.transpose(1, 0, 2)
-    return StateVector(freeze(out).ravel(), space.basis_tag)
+    return StateVector(freeze(out).ravel())
 
 
 def position_occupancy(space: CompositeSpace, x: Union[StateVector, BranchEnsemble]) -> tuple:
@@ -286,8 +273,7 @@ def position_occupancy(space: CompositeSpace, x: Union[StateVector, BranchEnsemb
     """
     if isinstance(x, StateVector):
         x = BranchEnsemble.pure(x)
-    if x.basis_tag != space.basis_tag:
-        raise ValueError(f"state tagged {x.basis_tag!r} is not on {space.basis_tag!r}")
+    _check_dim(space, x)
     n = space.n_sites
     occ1 = np.zeros(n)
     occ2 = np.zeros(n)
@@ -305,8 +291,7 @@ def joint_position_probability(
     sites2: Iterable[int],
 ) -> float:
     """Probability that slot 1 sits in ``sites1`` and slot 2 in ``sites2``."""
-    if psi.basis_tag != space.basis_tag:
-        raise ValueError(f"state tagged {psi.basis_tag!r} is not on {space.basis_tag!r}")
+    _check_dim(space, psi)
     n = space.n_sites
     idx1 = np.asarray(list(sites1), dtype=int)
     idx2 = np.asarray(list(sites2), dtype=int)

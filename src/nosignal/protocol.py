@@ -26,10 +26,11 @@ After preparation every operation is diagonal in the positions: a
 cols)``, each with a fixed 8x8 map on ``(s1, s2, q)``: the spin flip or the
 detector coupling as slot 1, slot 2 or both occupy the region, or an outcome
 pair ``(P, 1 - P)`` of the Bell projector or of occupancy.  The maps are
-module constants, built and checked once at import; each arm places them
-where it uses them.  Every region is an interval, so "slot 1 only in R" is
-the two rectangles ``(R, [0, lo))`` and ``(R, [hi, n))``, "both in R" is
-``(R, R)``, and a global map is ``(all, all)``.  The pipeline applies the
+read-only arrays, module constants built and checked once at import; each
+arm places them where it uses them.  Every region is an interval, so
+"slot 1 only in R" is the two rectangles ``(R, [0, lo))`` and
+``(R, [hi, n))``, "both in R" is ``(R, R)``, and a global map is
+``(all, all)``.  The pipeline applies the
 maps to the ``(n, n, 8)`` amplitude tensor in CSR mat-vec order: output
 ``i`` sums ``m[i, j] * x_j`` from zero over the nonzero ``j`` ascending.
 Measurements are pairs ``(P, Q)`` of such operations, and branch through
@@ -71,22 +72,13 @@ from .lattice import (
     wavepacket,
 )
 from .qcore import (
+    HERMITICITY_ATOL,
     PAULI_X,
-    SPIN_IDENTITY,
-    SPIN_TAG,
+    RESOLUTION_ATOL,
     BranchEnsemble,
-    LinearOperator,
     StateVector,
-    apply,
-    luders_measure,
     luders_update,
-    tensor_product,
 )
-
-QUBIT_TAG = "qubit"
-TWO_SPIN_TAG = f"{SPIN_TAG}*{SPIN_TAG}"
-SPIN_QUBIT_TAG = f"{SPIN_TAG}*{QUBIT_TAG}"
-SPINS_QUBIT_TAG = f"{TWO_SPIN_TAG}*{QUBIT_TAG}"
 
 KICK_MODES = ("off", "position", "label1")
 JOINT_MODES = ("none", "global_bell", "localized_bell")
@@ -220,16 +212,16 @@ class SignalingReport:
 # elementary operators
 
 
-def bell_projector() -> LinearOperator:
-    """Rank-1 projector onto ``(|uu> + |dd>)/sqrt(2)`` on two spins."""
+def bell_projector() -> np.ndarray:
+    """Rank-1 projector onto ``(|uu> + |dd>)/sqrt(2)`` on two spins, read-only."""
     vec = np.zeros(4, dtype=np.complex128)
     vec[0] = 1.0 / np.sqrt(2.0)  # |dd>
     vec[3] = 1.0 / np.sqrt(2.0)  # |uu>
-    return LinearOperator(np.outer(vec, vec.conj()), TWO_SPIN_TAG)
+    return qcore.freeze(np.outer(vec, vec.conj()))
 
 
-def detector_coupling() -> LinearOperator:
-    """Self-inverse unitary on (spin, qubit): ``u0 <-> d1``, fixing ``d0``, ``u1``.
+def detector_coupling() -> np.ndarray:
+    """Self-inverse unitary on (spin, qubit), read-only: ``u0 <-> d1``, fixing ``d0``, ``u1``.
 
     Basis order is ``2*s + q`` with spin down = 0: the detector absorbs an
     up excitation (``|u 0> -> |d 1>``) and re-emits it in reverse.
@@ -239,18 +231,18 @@ def detector_coupling() -> LinearOperator:
     mat[1, 2] = 1.0  # u0 -> d1
     mat[2, 1] = 1.0  # d1 -> u0
     mat[3, 3] = 1.0  # u1 -> u1
-    return LinearOperator(mat, SPIN_QUBIT_TAG)
+    return qcore.freeze(mat)
 
 
 def _spin_flip_8(*slots: int) -> np.ndarray:
     """Pauli X on the spins of the listed slots, acting on (s1,s2,q)."""
-    x, e = PAULI_X.to_dense(), SPIN_IDENTITY.to_dense()
+    x, e = PAULI_X, np.eye(2, dtype=np.complex128)
     return np.kron(np.kron(x if 1 in slots else e, x if 2 in slots else e), e)
 
 
 def _spin_qubit_map_8(which: int) -> np.ndarray:
     """Detector coupling acting on (s1,s2,q) through slot ``which``'s spin."""
-    d = detector_coupling().to_dense().reshape(2, 2, 2, 2)  # (s', q', s, q)
+    d = detector_coupling().reshape(2, 2, 2, 2)  # (s', q', s, q)
     spec = "abxz,cy->acbxyz" if which == 1 else "cbyz,ax->acbxyz"
     return np.einsum(spec, d, np.eye(2)).reshape(8, 8)
 
@@ -279,21 +271,29 @@ def _both_in_region_coupling_8() -> np.ndarray:
 
 def _checked(maps):
     """``maps`` as read-only complex arrays, checked: one map must be unitary, a pair ``(P, Q)`` a projector pair."""
+    eye = np.eye(8)
     if isinstance(maps, tuple):
-        ops = [LinearOperator(m, SPINS_QUBIT_TAG) for m in maps]
-        qcore.check_projector_family(ops)
-        return tuple(op.matrix for op in ops)
-    op = LinearOperator(maps, SPINS_QUBIT_TAG)
-    defect = op.unitarity_defect()
+        p, q = map(qcore._frozen_matrix, maps)
+        if max(np.linalg.norm(m - m.conj().T) for m in (p, q)) > HERMITICITY_ATOL:
+            raise ValueError("projectors must be Hermitian")
+        cross = np.linalg.norm(p @ q)
+        if cross > RESOLUTION_ATOL:
+            raise ValueError(f"projectors 0 and 1 are not orthogonal: |PiPj| = {cross:.3e}")
+        defect = np.linalg.norm(p + q - eye)
+        if defect > RESOLUTION_ATOL:
+            raise ValueError(f"projectors do not resolve the identity: defect {defect:.3e}")
+        return p, q
+    m = qcore._frozen_matrix(maps)
+    defect = np.linalg.norm(m.conj().T @ m - eye)
     if defect > UNITARITY_ATOL:
         raise ValueError(f"8x8 map is not unitary: defect {defect:.3e}")
-    return op.matrix
+    return m
 
 
 # The fixed maps (module docstring), built and checked once; the operations only place them.
 _FLIP = tuple(_checked(_spin_flip_8(*slots)) for slots in ((1,), (2,), (1, 2)))
 _COUPLING = tuple(map(_checked, (_spin_qubit_map_8(1), _spin_qubit_map_8(2), _both_in_region_coupling_8())))
-_BELL_8 = np.kron(bell_projector().to_dense(), SPIN_IDENTITY.to_dense())
+_BELL_8 = np.kron(bell_projector(), np.eye(2, dtype=np.complex128))
 _BELL = _checked((_BELL_8, np.eye(8) - _BELL_8))
 _OCCUPANCY = _checked((np.eye(8), np.zeros((8, 8))))
 
@@ -335,7 +335,7 @@ class PairBlocks:
     maps: tuple
     rest_identity: bool
 
-    def __post_init__(self):  # read-only copies, as a LinearOperator keeps its matrix
+    def __post_init__(self):  # read-only copies, so no caller's array can change the operation
         object.__setattr__(self, "maps", tuple(qcore._frozen_matrix(m) for m in self.maps))
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
@@ -351,7 +351,7 @@ class PairBlocks:
 
     def __call__(self, state: StateVector) -> StateVector:
         """The image of ``state``, as a new checked state."""
-        return StateVector(qcore.freeze(self.apply(state.amps)), state.basis_tag)
+        return StateVector(qcore.freeze(self.apply(state.amps)))
 
 
 def _by_occupant(n: int, region: Region, name: str, only1, only2, both) -> PairBlocks:
@@ -461,25 +461,35 @@ def _detector_step(space: CompositeSpace, o3: Region, mode: str, branches: list,
 # pipelines
 
 
-def run_naive_sorkin(observable: LinearOperator, kick: bool) -> float:
+def run_naive_sorkin(observable: np.ndarray, kick: bool) -> float:
     """Two-spin pipeline with label addressing and no notion of position.
 
     Starts from ``|dd>``, optionally flips spin 1, measures the Bell-direction
-    projector non-selectively, and returns the expectation of ``observable``
-    on spin 2.  Reproduces the closed forms ``tr(C)/2`` (no kick) and
-    ``<d|C|d>`` (kick): the kick at one site changes the statistics at the
-    other, which is the signaling this package exists to dissect.
+    projector non-selectively, and returns the expectation of the 2x2
+    Hermitian ``observable`` on spin 2.  Reproduces the closed forms ``tr(C)/2``
+    (no kick) and ``<d|C|d>`` (kick): the kick at one site changes the
+    statistics at the other, which is the signaling this package exists to
+    dissect.  A non-finite, non-2x2 or non-Hermitian ``observable`` raises
+    ``ValueError``.
     """
-    if observable.dim != 2 or observable.basis_tag != SPIN_TAG:
+    c = qcore._frozen_matrix(observable)
+    if c.shape != (2, 2):
         raise ValueError("observable must be a single-spin operator")
+    eye2 = np.eye(2, dtype=np.complex128)
+    obs = np.kron(eye2, c)  # acts on spin 2 of the pair
+    defect = np.linalg.norm(obs - obs.conj().T)
+    if defect > HERMITICITY_ATOL:
+        raise ValueError(f"observable is not Hermitian: defect {defect:.3e}")
     amps = np.zeros(4, dtype=np.complex128)
     amps[0] = 1.0  # |dd>
-    state = StateVector(amps, TWO_SPIN_TAG)
     if kick:
-        state = apply(tensor_product(PAULI_X, SPIN_IDENTITY), state)
+        amps = np.kron(PAULI_X, eye2) @ amps
     pb = bell_projector()
-    ens = luders_measure([pb, qcore.identity(4, TWO_SPIN_TAG) - pb], state)
-    return qcore.expectation(tensor_product(SPIN_IDENTITY, observable), ens)
+    branches = [(1.0, StateVector(amps))]
+    value = 0.0 + 0.0j
+    for w, state in sum(luders_update(branches, [pb.__matmul__, (np.eye(4) - pb).__matmul__]), []):
+        value += w * np.vdot(state.amps, obs @ state.amps)
+    return float(value.real)
 
 
 def qubit_one_probability(ens: BranchEnsemble) -> float:

@@ -206,6 +206,12 @@ def test_naive_error_paths(tmp_path, capsys):
     skew.write_text("[[0, 1], [0, 0]]")
     assert main(["naive", "--observable", "file", "--observable-file", str(skew)]) == 2
     capsys.readouterr()
+    # a 400-digit integer overflows float(): bad input, bare or as a part of a pair
+    huge = tmp_path / "huge.json"
+    for entry in ("1" + "0" * 399, "[0, -1" + "0" * 399 + "]"):
+        huge.write_text(f"[[{entry}, 0], [0, 1]]")
+        assert main(["naive", "--observable", "file", "--observable-file", str(huge)]) == 2
+        assert capsys.readouterr().err.startswith("error: observable[0][0] must be a finite number")
 
 
 def test_naive_rejects_seed(capsys):

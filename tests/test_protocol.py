@@ -40,20 +40,10 @@ from nosignal import (
 )
 from nosignal import lattice as lattice_mod
 from nosignal import protocol as protocol_mod
-from nosignal import qcore
 from nosignal.cli import config_to_dict, emit_report, main as cli_main, report_to_dict
 from nosignal.lattice import propagator
 from nosignal.protocol import DETECTOR_MODES, PEAK_STATES, STAGES, PairBlocks, _detector_step, _joint_step
-from nosignal.qcore import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    SPIN_TAG,
-    LinearOperator,
-    check_projector_family,
-    identity,
-    luders_update,
-)
+from nosignal.qcore import PAULI_X, PAULI_Y, PAULI_Z, luders_update
 
 
 def _basic_config(**overrides):
@@ -74,6 +64,14 @@ def _basic_config(**overrides):
 def _kernel_matrix(op: PairBlocks) -> np.ndarray:
     """Dense matrix of a position-controlled kernel: column j is ``op.apply(e_j)``."""
     return np.column_stack([op.apply(e) for e in np.eye(8 * op.n**2, dtype=np.complex128)])
+
+
+def _unitarity_defect(m: np.ndarray) -> float:
+    return float(np.linalg.norm(m.conj().T @ m - np.eye(len(m))))
+
+
+def _projector_defect(m: np.ndarray) -> float:
+    return float(max(np.linalg.norm(m @ m - m), np.linalg.norm(m - m.conj().T)))
 
 
 def _exchange_defect(n: int, mat: np.ndarray) -> float:
@@ -143,16 +141,20 @@ def test_default_scenario_is_valid_and_overridable():
 
 def test_bell_projector_matches_reference():
     pb = bell_projector()
-    np.testing.assert_allclose(pb.to_dense(), oc.bell_projector4(), atol=1e-15)
-    assert pb.projector_defect() < 1e-14
-    assert np.linalg.matrix_rank(pb.to_dense()) == 1
+    np.testing.assert_allclose(pb, oc.bell_projector4(), atol=1e-15)
+    assert _projector_defect(pb) < 1e-14
+    assert np.linalg.matrix_rank(pb) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        pb[0, 0] = 0.0
 
 
 def test_detector_coupling_matches_reference():
     d = detector_coupling()
-    np.testing.assert_array_equal(d.to_dense(), oc.spin_qubit_coupling4())
-    assert d.unitarity_defect() < 1e-15
-    np.testing.assert_allclose((d @ d).to_dense(), np.eye(4), atol=1e-15)
+    np.testing.assert_array_equal(d, oc.spin_qubit_coupling4())
+    assert _unitarity_defect(d) < 1e-15
+    np.testing.assert_allclose(d @ d, np.eye(4), atol=1e-15)
+    with pytest.raises(ValueError, match="read-only"):
+        d[0, 0] = 0.0
 
 
 def test_kick_operator_position_mode():
@@ -162,7 +164,7 @@ def test_kick_operator_position_mode():
     k = _kernel_matrix(protocol_mod._kick_blocks(n, o1, "position"))
     np.testing.assert_allclose(k, oc.kick_unitary(n, range(1, 4), "position"), atol=1e-14)
     assert _exchange_defect(n, k) <= 1e-12
-    assert LinearOperator(k, space.basis_tag).unitarity_defect() < 1e-14
+    assert _unitarity_defect(k) < 1e-14
     np.testing.assert_allclose(k @ k, np.eye(space.dim), atol=1e-14)
 
 
@@ -187,7 +189,7 @@ def test_kick_flips_the_region_supported_wing():
     psi0 = prepare_initial(space, "fermion", p1, p2)
     kick = _kernel_matrix(protocol_mod._kick_blocks(n, o1, "position"))
     np.testing.assert_allclose(kick, oc.kick_unitary(n, range(0, 6), "position"), atol=1e-14)
-    kicked = StateVector(kick @ psi0.amps, space.basis_tag)
+    kicked = StateVector(kick @ psi0.amps)
 
     want = np.zeros(space.dim, dtype=np.complex128)
     for x1 in range(n):
@@ -207,7 +209,7 @@ def test_occupancy_projector_matches_reference():
     want = np.diag(oc.union_occupancy_diag(n, range(5, 8)))
     np.testing.assert_array_equal(p, want)
     np.testing.assert_array_equal(q, np.eye(space.dim) - want)
-    assert LinearOperator(p, space.basis_tag).projector_defect() == 0.0
+    assert _projector_defect(p) == 0.0
     assert _exchange_defect(n, p) <= 1e-12
 
 
@@ -217,7 +219,7 @@ def test_position_detector_unitary_matches_reference():
     o3 = Region(5, 8)
     v = _kernel_matrix(protocol_mod._detector_blocks(n, o3, "position"))
     np.testing.assert_allclose(v, oc.position_detector(n, range(5, 8)), atol=1e-14)
-    assert LinearOperator(v, space.basis_tag).unitarity_defect() < 1e-12
+    assert _unitarity_defect(v) < 1e-12
     np.testing.assert_allclose(v @ v, np.eye(space.dim), atol=1e-12)
     assert _exchange_defect(n, v) <= 1e-12
 
@@ -235,7 +237,7 @@ def _fermion_pair_with_spin_up_in(n, window_lo, window_hi, up_packet, down_packe
             amps[oc.basis_index(n, x1, x2, 1, 0, 0)] += up_packet[x1] * down_packet[x2]
             amps[oc.basis_index(n, x1, x2, 0, 1, 0)] -= down_packet[x1] * up_packet[x2]
     amps /= np.linalg.norm(amps)
-    return space, StateVector(amps, space.basis_tag)
+    return space, StateVector(amps)
 
 
 def _packets_for_detector(n=12):
@@ -302,7 +304,7 @@ def test_selective_hit_branch_is_the_csr_projection_byte_for_byte():
     o3 = Region(5, 8)
     rng = np.random.default_rng(7)
     amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    psi = StateVector(amps / np.linalg.norm(amps), space.basis_tag)
+    psi = StateVector(amps / np.linalg.norm(amps))
     out = BranchEnsemble(_detector_step(space, o3, "position", [(1.0, psi)], selective=True))
     moved = protocol_mod._detector_blocks(n, o3, "position").apply(psi.amps)
     arm = sp.csr_array(np.diag(oc.union_occupancy_diag(n, range(5, 8))).astype(np.complex128)) @ moved
@@ -321,7 +323,7 @@ def test_label2_detector_lists_every_hit_before_every_miss():
         amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
         amps[occupied] *= scale_inside
         states.append(amps / np.linalg.norm(amps))
-    ens = BranchEnsemble(tuple((w, StateVector(a, space.basis_tag)) for w, a in zip((0.3, 0.7), states)))
+    ens = BranchEnsemble(tuple((w, StateVector(a)) for w, a in zip((0.3, 0.7), states)))
     out = BranchEnsemble(_detector_step(space, Region(5, 8), "label2", list(ens.branches)))
     p_in = [float(np.sum(np.abs(a[occupied]) ** 2)) for a in states]
     want = [0.3 * p_in[0], 0.7 * p_in[1], 0.3 * (1 - p_in[0]), 0.7 * (1 - p_in[1])]
@@ -364,7 +366,7 @@ def test_joint_measurement_matches_reference_update():
     n = 8
     space = CompositeSpace(n)
     amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    state = StateVector(amps / np.linalg.norm(amps), space.basis_tag)
+    state = StateVector(amps / np.linalg.norm(amps))
     for mode, sites in (("global_bell", None), ("localized_bell", range(3, 6))):
         o2 = None if sites is None else Region(3, 6)
         out = BranchEnsemble(_joint_step(space, mode, o2, [(1.0, state)]))
@@ -403,7 +405,7 @@ def test_kernels_match_materialized_operators_exactly(n):
             assert op.apply(amps).view(np.float64).tobytes() == want.view(np.float64).tobytes(), name
     # label2: the coupling on slot 2's spin on the O3-occupied pairs, the identity elsewhere.
     occupied = oc.union_occupancy_diag(n, region.sites()).astype(bool)
-    coupling = np.kron(np.eye(2 * n * n), detector_coupling().to_dense())
+    coupling = np.kron(np.eye(2 * n * n), detector_coupling())
     label2 = np.where(occupied[:, None], coupling, np.eye(space.dim))
     np.testing.assert_array_equal(matrices["detector label2"], label2)
 
@@ -430,11 +432,13 @@ def test_joint_measurement_equals_luders_on_materialized_projectors():
     space = CompositeSpace(n)
     rng = np.random.default_rng(5)
     amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    ens = BranchEnsemble.pure(StateVector(amps / np.linalg.norm(amps), space.basis_tag))
+    ens = BranchEnsemble.pure(StateVector(amps / np.linalg.norm(amps)))
     for mode in ("global_bell", "localized_bell"):
         got = BranchEnsemble(_joint_step(space, mode, Region(3, 6), list(ens.branches)))
         matrices = [_kernel_matrix(op) for op in protocol_mod._joint_outcomes(n, mode, Region(3, 6))]
-        check_projector_family([LinearOperator(m, space.basis_tag) for m in matrices])
+        assert max(map(_projector_defect, matrices)) < 1e-14
+        assert np.linalg.norm(matrices[0] @ matrices[1]) < 1e-14
+        assert np.linalg.norm(sum(matrices) - np.eye(space.dim)) < 1e-14
         csrs = [sp.csr_array(m) for m in matrices]
         want = BranchEnsemble(sum(luders_update(list(ens.branches), [c.__matmul__ for c in csrs]), []))
         assert [w for w, _ in got.branches] == [w for w, _ in want.branches]
@@ -443,9 +447,14 @@ def test_joint_measurement_equals_luders_on_materialized_projectors():
 
 
 def test_build_rejects_tampered_8x8_maps():
-    p8 = np.kron(bell_projector().to_dense(), np.eye(2))
+    p8 = np.kron(bell_projector(), np.eye(2))
     with pytest.raises(ValueError, match="resolve the identity"):
         protocol_mod._checked((p8, 0.5 * (np.eye(8) - p8)))
+    with pytest.raises(ValueError, match="not orthogonal"):
+        protocol_mod._checked((0.5 * np.eye(8), 0.5 * np.eye(8)))
+    skew = np.triu(np.ones((8, 8)))
+    with pytest.raises(ValueError, match="Hermitian"):
+        protocol_mod._checked((skew, np.eye(8) - skew))
     with pytest.raises(ValueError, match="not unitary"):
         protocol_mod._checked(2.0 * np.eye(8))
 
@@ -461,9 +470,7 @@ def _counted(calls: list, name: str, f):
 def test_fixed_maps_are_checked_once_at_import(monkeypatch, cold_caches):
     # The 8x8 maps are module constants: building an operation on a new geometry only places them.
     calls = []
-    monkeypatch.setattr(qcore, "check_projector_family", _counted(calls, "projectors", qcore.check_projector_family))
-    monkeypatch.setattr(LinearOperator, "unitarity_defect",
-                        _counted(calls, "unitarity", LinearOperator.unitarity_defect))
+    monkeypatch.setattr(protocol_mod, "_checked", _counted(calls, "map check", protocol_mod._checked))
     run_scenario(default_scenario(joint_mode="global_bell", detector_mode="label2"))
     run_scenario(default_scenario(joint_mode="localized_bell", selective_o3=True))
     assert calls == []
@@ -495,21 +502,6 @@ def test_pipeline_rejects_a_tampered_branch(monkeypatch, tmp_path, capsys, tampe
     assert message in capsys.readouterr().err
 
 
-def test_pipeline_builds_no_composite_operator(monkeypatch, cold_caches):
-    cfg = default_scenario(joint_mode="localized_bell")
-    dims = []
-    post_init = LinearOperator.__post_init__
-
-    def counting(self):
-        post_init(self)
-        dims.append(self.dim)
-
-    monkeypatch.setattr(LinearOperator, "__post_init__", counting)
-    run_scenario(cfg)
-    assert dims, "no LinearOperator was built at all"
-    assert 8 * cfg.n**2 not in dims
-
-
 def test_operators_are_read_only():
     n, o1, o3 = 12, Region(0, 4), Region(8, 12)
     ops = [
@@ -525,7 +517,7 @@ def test_operators_are_read_only():
     u = propagator(make_lattice(n, 1.0), 1.5)
     assert propagator(make_lattice(n, 1.0), 1.5) is u
     with pytest.raises(ValueError, match="read-only"):
-        u.matrix[0, 0] = 0.0
+        u[0, 0] = 0.0
     m = np.eye(8)
     blocks = PairBlocks(n, ((slice(None), slice(None)),), (m,), False)
     m[0, 0] = 2.0  # the operation keeps its own copy
@@ -548,9 +540,7 @@ def test_a_second_scenario_on_one_geometry_calls_no_eigh_product_or_map_check(mo
     monkeypatch.setattr(np.linalg, "eigh", _counted(calls, "eigh", np.linalg.eigh))
     # Every propagator product with t > 0 starts by reading the eigensystem.
     monkeypatch.setattr(lattice_mod, "_eigensystem", _counted(calls, "propagator", lattice_mod._eigensystem))
-    monkeypatch.setattr(qcore, "check_projector_family", _counted(calls, "projectors", qcore.check_projector_family))
-    monkeypatch.setattr(LinearOperator, "unitarity_defect",
-                        _counted(calls, "unitarity", LinearOperator.unitarity_defect))
+    monkeypatch.setattr(protocol_mod, "_checked", _counted(calls, "map check", protocol_mod._checked))
     packet2 = PacketSpec(Region(50, 74), 62.3, 6.0, math.pi / 2)
     report = run_scenario(_label2_scenario(statistics="boson", packet2=packet2))
     assert report.certificate.passed
@@ -582,14 +572,17 @@ def test_naive_closed_forms_for_named_observables():
     assert run_naive_sorkin(PAULI_X, kick=False) == pytest.approx(0.0, abs=1e-14)
     assert run_naive_sorkin(PAULI_X, kick=True) == pytest.approx(0.0, abs=1e-14)
     assert run_naive_sorkin(PAULI_Y, kick=True) == pytest.approx(0.0, abs=1e-14)
-    eye = identity(2, SPIN_TAG)
+    for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
+        assert pauli.shape == (2, 2) and np.array_equal(pauli, pauli.conj().T)
+        with pytest.raises(ValueError, match="read-only"):
+            pauli[0, 0] = 1.0
+    eye = np.eye(2)
     assert run_naive_sorkin(eye, kick=False) == pytest.approx(1.0, abs=1e-14)
     assert run_naive_sorkin(eye, kick=True) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_naive_closed_forms_frozen_matrix():
-    c = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, -0.7]])
-    obs = LinearOperator(c, SPIN_TAG)
+    obs = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, -0.7]])
     assert run_naive_sorkin(obs, kick=False) == pytest.approx(-0.2, abs=1e-14)
     assert run_naive_sorkin(obs, kick=True) == pytest.approx(0.3, abs=1e-14)
 
@@ -600,16 +593,17 @@ def test_naive_matches_reference_for_random_observables():
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         c = (a + a.conj().T) / 2
         want_nokick, want_kick = oc.naive_expectations(c)
-        obs = LinearOperator(c, SPIN_TAG)
-        assert run_naive_sorkin(obs, kick=False) == pytest.approx(want_nokick, abs=1e-12)
-        assert run_naive_sorkin(obs, kick=True) == pytest.approx(want_kick, abs=1e-12)
+        assert run_naive_sorkin(c, kick=False) == pytest.approx(want_nokick, abs=1e-12)
+        assert run_naive_sorkin(c, kick=True) == pytest.approx(want_kick, abs=1e-12)
 
 
 def test_naive_rejects_bad_observables():
-    with pytest.raises(ValueError):
-        run_naive_sorkin(LinearOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), SPIN_TAG), kick=False)
-    with pytest.raises(ValueError):
-        run_naive_sorkin(identity(4, "spin*spin"), kick=False)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        run_naive_sorkin(np.array([[0.0, 1.0], [0.0, 0.0]]), kick=False)
+    with pytest.raises(ValueError, match="single-spin"):
+        run_naive_sorkin(np.eye(4), kick=False)
+    with pytest.raises(ValueError, match="finite"):
+        run_naive_sorkin(np.array([[np.nan, 0.0], [0.0, 1.0]]), kick=True)
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +618,8 @@ def test_qubit_one_probability_counts_odd_indices():
     down[0] = 1.0  # q = 0
     ens = BranchEnsemble(
         (
-            (0.25, StateVector(up, space.basis_tag)),
-            (0.75, StateVector(down, space.basis_tag)),
+            (0.25, StateVector(up)),
+            (0.75, StateVector(down)),
         )
     )
     assert qubit_one_probability(ens) == pytest.approx(0.25, abs=1e-15)
