@@ -41,7 +41,7 @@ import typing
 
 import numpy as np
 
-from .composite import position_occupancy
+from .composite import _with_qubit, position_occupancy
 from .lattice import SpacelikeCertificate, check_spacelike
 from .protocol import (
     STAGES,
@@ -294,7 +294,7 @@ def _cmd_dump_density(args) -> int:
         with open(args.dump_state, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["branch", "weight", "index", "re", "im"])
-            for b, (w, state) in enumerate(ens.branches):
+            for b, (w, state) in enumerate(_with_qubit(ens).branches):  # on the 8 n^2 basis
                 weight = repr(float(w))
                 for idx in range(state.dim):
                     amp = state.amps[idx]

@@ -6,6 +6,10 @@ basis index is normative for every file format in this package:
 
     index = q + 2 * (s2 + 2 * (s1 + 2 * (x2 + n * x1)))
 
+Until the detector the qubit is ``|0>``, so the pipeline carries spin-only
+states of dimension ``4 n^2``, whose index is the ``8 n^2`` index with
+``q = 0``, halved.  Every function here takes either layout.
+
 Particle labels 1 and 2 are bookkeeping slots, not physical identities.
 Physical states of indistinguishable particles are the antisymmetric
 (fermion) or symmetric (boson) vectors under particle exchange, the index
@@ -17,6 +21,7 @@ measurable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -98,12 +103,20 @@ def decode_basis_index(space: CompositeSpace, index: int) -> tuple:
 
 
 def _space_of(value: StateVector) -> CompositeSpace:
-    """Recover the composite space a value lives on from its dimension."""
-    dim = value.dim
-    n = int(round(np.sqrt(dim / 8.0)))
-    if 8 * n * n != dim:
-        raise ValueError(f"dimension {dim} is not of the composite form 8*n^2")
-    return CompositeSpace(n)
+    """Recover the composite space a value lives on from its dimension, ``4 n^2`` (spin-only) or ``8 n^2``."""
+    for per_pair in (4, 8):  # 4 a^2 = 8 b^2 has no integer solution, so at most one matches
+        n = math.isqrt(value.dim // per_pair)
+        if per_pair * n * n == value.dim:
+            return CompositeSpace(n)
+    raise ValueError(f"dimension {value.dim} is not of the composite form 4*n^2 or 8*n^2")
+
+
+def _with_qubit(ens: BranchEnsemble) -> BranchEnsemble:
+    """``ens`` on the ``8 n^2`` basis: spin-only entry ``i`` moves to index ``2 i``, the ``q = 1`` half is ``+0.0``."""
+    if _space_of(ens).dim == ens.dim:
+        return ens
+    return BranchEnsemble([(w, StateVector(np.stack([s.amps, np.zeros_like(s.amps)], 1).ravel()))
+                           for w, s in ens.branches])
 
 
 def exchange_permutation(space: CompositeSpace) -> np.ndarray:
@@ -129,15 +142,17 @@ def _with_exchanged(ufunc: np.ufunc, space: CompositeSpace, amps: np.ndarray) ->
     """``ufunc(amps, S amps)`` for the exchange permutation ``S``, as a fresh flat array that owns its memory.
 
     ``amps`` must be C-contiguous, as every ``StateVector``'s amplitudes are.
-    ``S amps`` is a pure copy: read as 32-byte records, one ``q`` pair per
-    ``(s1, s2)`` block of a position pair, pair ``(j, i)`` moves to ``(i, j)``
-    with the two spins swapped.  Slab ``i0`` of ``PAIR_TILE`` output rows is
-    one ``np.take`` from ``records[4 i0:]`` with the one cached slab index;
-    the indices are in range, and ``mode="clip"`` lets ``take`` write into
-    the slab unbuffered.  Each output entry is the same ``a[k] +- a[S k]``.
+    ``S amps`` is a pure copy: read as records, one per ``(s1, s2)`` block of
+    a position pair (16 bytes for a spin-only state, 32 bytes, a ``q`` pair,
+    otherwise), pair ``(j, i)`` moves to ``(i, j)`` with the two spins
+    swapped.  Slab ``i0`` of ``PAIR_TILE`` output rows is one ``np.take``
+    from ``records[4 i0:]`` with the one cached slab index; the indices are
+    in range, and ``mode="clip"`` lets ``take`` write into the slab
+    unbuffered.  Each output entry is the same ``a[k] +- a[S k]``.
     """
     n, out = space.n_sites, np.empty_like(amps)
-    records, idx, slabs = amps.view("V32"), _slab_index(n), out.view("V32").reshape(n, n, 4)
+    record = f"V{amps.nbytes // (4 * n * n)}"
+    records, idx, slabs = amps.view(record), _slab_index(n), out.view(record).reshape(n, n, 4)
     for i0 in range(0, n, PAIR_TILE):
         slab = slabs[i0 : i0 + PAIR_TILE]
         np.take(records[4 * i0 :], idx[: len(slab)], mode="clip", out=slab)
@@ -185,7 +200,7 @@ def prepare_initial(
     packet1: StateVector,
     packet2: StateVector,
 ) -> StateVector:
-    """Initial state: both spins down, qubit ``|0>``, packets in the slots.
+    """Initial spin-only state: both spins down, packets in the slots (the qubit is ``|0>``).
 
     For ``fermion``/``boson`` statistics the product is antisymmetrized or
     symmetrized; this requires the packets to occupy disjoint sets of sites
@@ -202,7 +217,7 @@ def prepare_initial(
     Returns
     -------
     StateVector
-        Normalized composite state.
+        Normalized spin-only composite state, of dimension ``4 n^2``.
     """
     statistics = Statistics(statistics)
     for name, p in (("packet1", packet1), ("packet2", packet2)):
@@ -210,8 +225,8 @@ def prepare_initial(
             raise ValueError(f"{name} has dimension {p.dim}, expected {space.n_sites}")
         if abs(p.norm - 1.0) > NORMALIZATION_ATOL:
             raise ValueError(f"{name} must be normalized, |norm - 1| = {abs(p.norm - 1.0):.3e}")
-    tensor = np.zeros(space.axis_dims, dtype=np.complex128)
-    tensor[:, :, 0, 0, 0] = np.outer(packet1.amps, packet2.amps)
+    tensor = np.zeros(space.axis_dims[:4], dtype=np.complex128)
+    tensor[:, :, 0, 0] = np.outer(packet1.amps, packet2.amps)
     state = StateVector(freeze(tensor).ravel())
     if statistics is Statistics.DISTINGUISHABLE:
         return state.normalized()
@@ -227,19 +242,19 @@ def prepare_initial(
 
 
 def _live_columns(tensor: np.ndarray) -> np.ndarray:
-    """Indices of the nonzero columns of the last axis of a complex ``(n, n, 8)`` tensor.
+    """Indices of the nonzero columns of the last axis of a complex ``(n, n, w)`` tensor.
 
     ORs the raw 64-bit words over ``x1`` and then over ``x2``, and masks off
     the sign bit: ``-0.0`` counts as zero and a subnormal as nonzero, as in
     ``tensor.any(axis=(0, 1))``.
     """
     bits = np.bitwise_or.reduce(tensor.view(np.uint64).reshape(tensor.shape[0], -1), axis=0)
-    bits = np.bitwise_or.reduce(bits.reshape(-1, 16), axis=0) & np.uint64(2**63 - 1)
-    return np.flatnonzero(bits.reshape(8, 2).any(axis=1))
+    bits = np.bitwise_or.reduce(bits.reshape(-1, 2 * tensor.shape[2]), axis=0) & np.uint64(2**63 - 1)
+    return np.flatnonzero(bits.reshape(-1, 2).any(axis=1))
 
 
 def _check_dim(space: CompositeSpace, state) -> None:
-    if state.dim != space.dim:
+    if state.dim not in (space.dim // 2, space.dim):
         raise ValueError(f"state of dimension {state.dim} is not on the {space.n_sites}-site composite space")
 
 
@@ -248,20 +263,20 @@ def evolve_positions(space: CompositeSpace, u: np.ndarray, state: StateVector) -
 
     Computes ``(u (x) u (x) identity)`` on the reshaped amplitude tensor
     instead of materializing the ``8 n^2`` dimensional matrix, which is what
-    makes lattices near ``n = 100`` cheap to evolve.  Only the ``(s1, s2, q)``
-    columns with a nonzero amplitude are contracted; the others map to
-    exact zeros, so skipping them changes no amplitude.
+    makes lattices near ``n = 100`` cheap to evolve.  Only the spin (and
+    qubit) columns with a nonzero amplitude are contracted; the others map
+    to exact zeros, so skipping them changes no amplitude.
     """
     n = space.n_sites
     if u.shape != (n, n):
         raise ValueError(f"u must act on the {n}-site position basis, got shape {u.shape}")
     _check_dim(space, state)
-    tensor = state.amps.reshape(n, n, 8)
+    tensor = state.amps.reshape(n, n, -1)
     live = _live_columns(tensor)
     half = np.tensordot(u, tensor[:, :, live], axes=([1], [0]))  # (x1', x2, k)
     full = np.tensordot(u, half, axes=([1], [1]))                # (x2', x1', k)
     del half  # freed before the output is allocated
-    out = np.zeros((n, n, 8), dtype=complex)
+    out = np.zeros(tensor.shape, dtype=complex)
     out[:, :, live] = full.transpose(1, 0, 2)
     return StateVector(freeze(out).ravel())
 
@@ -278,7 +293,7 @@ def position_occupancy(space: CompositeSpace, x: Union[StateVector, BranchEnsemb
     occ1 = np.zeros(n)
     occ2 = np.zeros(n)
     for w, state in x.branches:
-        prob = np.abs(state.amps.reshape(n, n, 8)) ** 2
+        prob = np.abs(state.amps.reshape(n, n, -1)) ** 2
         occ1 += w * prob.sum(axis=(1, 2))
         occ2 += w * prob.sum(axis=(0, 2))
     return occ1, occ2
@@ -299,5 +314,5 @@ def joint_position_probability(
         return 0.0
     if idx1.min() < 0 or idx1.max() >= n or idx2.min() < 0 or idx2.max() >= n:
         raise ValueError("sites out of lattice range")
-    block = psi.amps.reshape(n, n, 8)[np.ix_(idx1, idx2)]
+    block = psi.amps.reshape(n, n, -1)[np.ix_(idx1, idx2)]
     return float((np.abs(block) ** 2).sum())

@@ -295,7 +295,7 @@ def check_spacelike(
         The two regions to certify against each other.
     psi : StateVector
         Initial state on the two-particle composite space for this lattice
-        (dimension ``8 * n_sites**2``).
+        (dimension ``4 * n_sites**2``, spin-only, or ``8 * n_sites**2``).
     t_total : float
         Total protocol duration to cover.
     eps : float
@@ -313,8 +313,6 @@ def check_spacelike(
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
     space = CompositeSpace(lat.n_sites)
-    if psi.dim != space.dim:
-        raise ValueError(f"psi must live on the {space.dim}-dimensional two-particle space, got dimension {psi.dim}")
     leak_13 = leak_31 = light_cone_bound(lat, o1, o3, t_total)
     overlap_o1 = joint_position_probability(space, psi, o1.sites(), o1.sites())
     overlap_o3 = joint_position_probability(space, psi, o3.sites(), o3.sites())

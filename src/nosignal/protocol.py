@@ -23,16 +23,17 @@ Operations come in two flavors throughout:
 
 After preparation every operation is diagonal in the positions: a
 :class:`PairBlocks` of rectangles of site slices ``(x1 in rows, x2 in
-cols)``, each with a fixed 8x8 map on ``(s1, s2, q)``: the spin flip or the
-detector coupling as slot 1, slot 2 or both occupy the region, or an outcome
-pair ``(P, 1 - P)`` of the Bell projector or of occupancy.  The maps are
-read-only arrays, module constants built and checked once at import; each
-arm places them where it uses them.  Every region is an interval, so
-"slot 1 only in R" is the two rectangles ``(R, [0, lo))`` and
-``(R, [hi, n))``, "both in R" is ``(R, R)``, and a global map is
-``(all, all)``.  The pipeline applies the
-maps to the ``(n, n, 8)`` amplitude tensor in CSR mat-vec order: output
-``i`` sums ``m[i, j] * x_j`` from zero over the nonzero ``j`` ascending.
+cols)``, each with a fixed map on the spins: the 4x4 spin flip as slot 1,
+slot 2 or both occupy the region, an outcome pair ``(P, 1 - P)`` of the
+Bell projector or of occupancy, or the detector coupling, whose 8x4 map
+(the ``q = 0`` columns of an 8x8 unitary) takes the arm's spin-only states
+(see ``composite``) to ``(n, n, 8)``.  The maps are read-only arrays, module
+constants built and checked once at import; each arm places them where it
+uses them.  Every region is an interval, so "slot 1 only in R" is the two
+rectangles ``(R, [0, lo))`` and ``(R, [hi, n))``, "both in R" is ``(R, R)``,
+and a global map is ``(all, all)``.  The pipeline applies the maps in CSR
+mat-vec order: output ``i`` sums ``m[i, j] * x_j`` from zero over the
+nonzero ``j`` ascending.
 Measurements are pairs ``(P, Q)`` of such operations, and branch through
 :func:`nosignal.qcore.luders_update`.  The package builds no sparse matrix;
 the test suite checks that amplitudes are bit-identical to the CSR mat-vec of
@@ -48,6 +49,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional
 
@@ -57,6 +59,7 @@ from . import qcore
 from .composite import (
     CompositeSpace,
     Statistics,
+    _with_qubit,
     antisymmetry_violation,
     evolve_positions,
     position_occupancy,
@@ -87,7 +90,7 @@ DETECTOR_MODES = ("position", "label2")
 STAGES = ("prepared", "post_kick", "post_o2", "final")
 
 # Bound on a scenario's peak memory in (n, n, 8) complex128 states, live branches
-# and temporaries included (measured worst 6.39); it also sizes the allocator thresholds.
+# and temporaries included (measured worst 6.11); it also sizes the allocator thresholds.
 PEAK_STATES = 7
 _MALLOPT = getattr(ctypes.CDLL(None), "mallopt", lambda param, value: 0)  # no-op without one
 
@@ -234,10 +237,10 @@ def detector_coupling() -> np.ndarray:
     return qcore.freeze(mat)
 
 
-def _spin_flip_8(*slots: int) -> np.ndarray:
-    """Pauli X on the spins of the listed slots, acting on (s1,s2,q)."""
+def _spin_flip(*slots: int) -> np.ndarray:
+    """Pauli X on the spins of the listed slots, acting on (s1,s2)."""
     x, e = PAULI_X, np.eye(2, dtype=np.complex128)
-    return np.kron(np.kron(x if 1 in slots else e, x if 2 in slots else e), e)
+    return np.kron(x if 1 in slots else e, x if 2 in slots else e)
 
 
 def _spin_qubit_map_8(which: int) -> np.ndarray:
@@ -271,7 +274,7 @@ def _both_in_region_coupling_8() -> np.ndarray:
 
 def _checked(maps):
     """``maps`` as read-only complex arrays, checked: one map must be unitary, a pair ``(P, Q)`` a projector pair."""
-    eye = np.eye(8)
+    eye = np.eye(len(maps[0]) if isinstance(maps, tuple) else len(maps))
     if isinstance(maps, tuple):
         p, q = map(qcore._frozen_matrix, maps)
         if max(np.linalg.norm(m - m.conj().T) for m in (p, q)) > HERMITICITY_ATOL:
@@ -286,16 +289,16 @@ def _checked(maps):
     m = qcore._frozen_matrix(maps)
     defect = np.linalg.norm(m.conj().T @ m - eye)
     if defect > UNITARITY_ATOL:
-        raise ValueError(f"8x8 map is not unitary: defect {defect:.3e}")
+        raise ValueError(f"{len(m)}x{len(m)} map is not unitary: defect {defect:.3e}")
     return m
 
 
 # The fixed maps (module docstring), built and checked once; the operations only place them.
-_FLIP = tuple(_checked(_spin_flip_8(*slots)) for slots in ((1,), (2,), (1, 2)))
-_COUPLING = tuple(map(_checked, (_spin_qubit_map_8(1), _spin_qubit_map_8(2), _both_in_region_coupling_8())))
-_BELL_8 = np.kron(bell_projector(), np.eye(2, dtype=np.complex128))
-_BELL = _checked((_BELL_8, np.eye(8) - _BELL_8))
-_OCCUPANCY = _checked((np.eye(8), np.zeros((8, 8))))
+_FLIP = tuple(_checked(_spin_flip(*slots)) for slots in ((1,), (2,), (1, 2)))
+_COUPLING = tuple(m[:, ::2] for m in map(_checked, (_spin_qubit_map_8(1), _spin_qubit_map_8(2),
+                                                    _both_in_region_coupling_8())))  # q = 0 columns
+_BELL = _checked((bell_projector(), np.eye(4) - bell_projector()))
+_OCCUPANCY = _checked((np.eye(4), np.zeros((4, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +306,7 @@ _OCCUPANCY = _checked((np.eye(8), np.zeros((8, 8))))
 
 
 def _map_8(m: np.ndarray, src: np.ndarray, out: np.ndarray) -> None:
-    """Write the 8x8 matrix ``m`` applied to the last axis of ``src`` into ``out``, in CSR order.
+    """Write the matrix ``m``, of any shape, applied to the last axis of ``src`` into ``out``, in CSR order.
 
     Pass ``k`` adds the ``k``-th nonzero term of every row at once, gathered
     with one ``np.take``.  A row with fewer terms adds coefficient 0, which
@@ -324,8 +327,8 @@ _ALL = slice(None)
 class PairBlocks:
     """An operation diagonal in the positions ``(x1, x2)``.
 
-    It acts by the 8x8 map ``maps[k]`` on the rectangle ``rects[k]`` of the
-    ``(n, n, 8)`` amplitude tensor, a pair ``(rows, cols)`` of site slices
+    It acts by the map ``maps[k]`` on the rectangle ``rects[k]`` of the
+    ``(n, n, w)`` amplitude tensor, a pair ``(rows, cols)`` of site slices
     for slot 1 and slot 2, and as the identity (when ``rest_identity``) or
     zero on every pair outside the rectangles, which are disjoint.
     """
@@ -340,11 +343,16 @@ class PairBlocks:
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """The image of the flat ``amps`` as a fresh, writable flat array; the caller freezes it."""
+        (rows, cols), n = self.maps[0].shape, self.n
         if self.rects == ((_ALL, _ALL),):
-            flat = np.empty_like(amps)
-        else:  # ``amps + 0`` turns -0.0 into +0.0, as the CSR sum ``0 + 1 * x`` does.
+            flat = np.empty(n * n * rows, dtype=amps.dtype)
+        elif rows == cols:  # ``amps + 0`` turns -0.0 into +0.0, as the CSR sum ``0 + 1 * x`` does.
             flat = amps + 0 if self.rest_identity else np.zeros_like(amps)
-        t, out = amps.reshape(self.n, self.n, 8), flat.reshape(self.n, self.n, 8)
+        else:  # 8x4 maps: the identity puts spin-only entry i at 2 i in one pass, q = 1 stays +0.0
+            flat = np.zeros(n * n * rows, dtype=amps.dtype)
+            if self.rest_identity:
+                np.add(amps.reshape(n, n, cols), 0, out=flat.reshape(n, n, rows)[..., ::2])
+        t, out = amps.reshape(n, n, cols), flat.reshape(n, n, rows)
         for rect, m in zip(self.rects, self.maps):
             _map_8(m, t[rect], out[rect])
         return flat
@@ -375,7 +383,7 @@ def _kick_blocks(n: int, o1: Region, mode: str) -> PairBlocks:
 
 
 def _detector_blocks(n: int, o3: Region, mode: str) -> PairBlocks:
-    if mode == "label2":  # applied to occupied branches only, which are +0.0 off these rectangles
+    if mode == "label2":  # applied after the occupancy branching, where it also lifts the unoccupied branches
         return PairBlocks(n, _occupied_rects(n, o3), (_COUPLING[1],) * 3, rest_identity=True)
     return _by_occupant(n, o3, "O3", *_COUPLING)
 
@@ -425,36 +433,30 @@ def _joint_step(space: CompositeSpace, mode: str, o2: Optional[Region], branches
 
 
 def _detector_step(space: CompositeSpace, o3: Region, mode: str, branches: list, selective: bool = False) -> list:
-    """The detector stage on the list ``branches``, which it takes over.
+    """The detector stage on the spin-only list ``branches``, which it takes over; it returns ``(n, n, 8)`` branches.
 
     ``position`` mode applies the exchange-symmetric position-controlled
-    coupling unitary; with ``selective`` true it then branches on the O3
-    occupancy projector and keeps only the occupied outcome (renormalized).
+    coupling unitary; with ``selective`` true it keeps only the occupied
+    outcome of the O3 occupancy projector, which commutes with it.
     ``label2`` mode is the label-addressed procedure: branch on O3 occupancy
     and apply the coupling to particle slot 2's spin on the occupied branch
     regardless of which particle actually sits in O3.  It is not exchange
     symmetric and breaks the antisymmetry of fermionic states.
 
     Branching is the Lueders update on the occupancy projectors ``(P, Q)``:
-    the occupied branches come first, then the unoccupied ones, each in the
-    order of the input branches.
+    the occupied branches come first, then the unoccupied ones (which the
+    coupling only lifts), each in the order of the input branches.
     """
     coupling = _detector_blocks(space.n_sites, o3, mode)
-    if mode == "position":
-        branches = _each(coupling, branches)
-        if not selective:
-            return branches
-    occupancy = _occupancy_outcomes(space.n_sites, o3)
-    hits, misses = luders_update(branches, [op.apply for op in occupancy])
-    if mode == "label2":  # on the normalized branch: normalizing after the coupling rounds differently
-        for k, (w, s) in enumerate(hits):  # each hit is freed once its coupled state is built
-            hits[k] = (w, coupling(s))
-    if not selective:
-        return hits + misses
-    total = sum(w for w, _ in hits)
+    if mode == "position" and not selective:
+        return _each(coupling, branches)
+    hits, misses = luders_update(branches, [op.apply for op in _occupancy_outcomes(space.n_sites, o3)])
+    total = sum(w for w, _ in hits) if selective else 1.0
     if total <= 1e-12:
         raise ValueError("selective detection post-selected on an empty outcome")
-    return [(w / total, s) for w, s in hits]
+    branches = [(w / total, s) for w, s in hits] + ([] if selective else misses)
+    del hits, misses  # so that _each frees each spin-only branch once its image is built
+    return _each(coupling, branches)
 
 
 # ---------------------------------------------------------------------------
@@ -501,14 +503,14 @@ def qubit_one_probability(ens: BranchEnsemble) -> float:
 
 
 def run_arm_stages(cfg: ScenarioConfig, kicked: bool) -> Mapping[str, BranchEnsemble]:
-    """Run one arm of a scenario and return the four stage snapshots.
+    """Run one arm of a scenario and return the four stage snapshots, all on the ``8 n^2`` basis.
 
     Stages: ``prepared`` (initial state), ``post_kick`` (after the optional
     O1 kick, before any evolution), ``post_o2`` (after the t1 evolution and
     the joint measurement), ``final`` (after the t2 evolution and the
-    detector measurement).
+    detector measurement).  The first three are lifted from spin-only states.
     """
-    return {name: ens for name, ens in _run_arm(cfg, prepare_scenario(cfg)[2], kicked) if name in STAGES}
+    return {name: _with_qubit(ens) for name, ens in _run_arm(cfg, prepare_scenario(cfg)[2], kicked) if name in STAGES}
 
 
 def _keep_peak_mapped(cfg: ScenarioConfig) -> None:
@@ -534,15 +536,17 @@ def _run_arm(cfg: ScenarioConfig, psi0: StateVector, kicked: bool) -> Iterator[t
     """Run one arm from ``psi0``, yielding ``(name, ensemble)`` per stage as it is built.
 
     The stages are the four of ``STAGES`` and ``pre_detector``, after the t2
-    evolution.  The arm holds a stage as a list of branches.  Every step
-    (``_each``, ``_joint_step``, ``_detector_step``) takes the list over and
-    returns the next one; it empties its input and releases each input branch
-    once its images are built, so a consumer that drops each yielded ensemble
-    before asking for the next stage frees the stage branch by branch.
+    evolution; all but ``final`` are spin-only.  The arm holds a stage as a
+    list of branches.  Every step (``_each``, ``_joint_step``,
+    ``_detector_step``) takes the list over and returns the next one; it
+    empties its input and releases each input branch once its images are
+    built, so a consumer that drops each yielded ensemble before asking for
+    the next stage frees the stage branch by branch.
     """
     lat, space = make_lattice(cfg.n, cfg.hopping), CompositeSpace(cfg.n)
     u1, u2 = propagator(lat, cfg.t1), propagator(lat, cfg.t2)
     branches = [(1.0, psi0)]
+    del psi0  # so the first step that takes the branch over frees it
     yield "prepared", BranchEnsemble(branches)
     if kicked and cfg.kick_mode != "off":
         branches = _each(_kick_blocks(cfg.n, cfg.o1, cfg.kick_mode), branches)
@@ -559,7 +563,8 @@ def run_scenario(cfg: ScenarioConfig) -> SignalingReport:
     """Run both arms of a scenario and assemble the signaling report.
 
     The arms run one after the other, each stage freed before the next is
-    built; BLAS parallelizes the drifts itself.
+    built, and the kicked arm frees ``psi0`` once its kick is built; BLAS
+    parallelizes the drifts itself.
 
     Returns
     -------
@@ -573,9 +578,11 @@ def run_scenario(cfg: ScenarioConfig) -> SignalingReport:
     lat, space, psi0 = prepare_scenario(cfg)
     certificate = check_spacelike(lat, cfg.o1, cfg.o3, psi0, cfg.t_total, cfg.eps)
     violation, arrival, p_q1, branch_count = antisymmetry_violation(psi0), 0.0, {}, {}
-    for kicked in (False, True):
-        for name, ens in _run_arm(cfg, psi0, kicked):
-            if ens.branches[0][1] is not psi0:  # psi0's own violation is taken once, above
+    arms, first = {kicked: _run_arm(cfg, psi0, kicked) for kicked in (False, True)}, weakref.ref(psi0)
+    del psi0  # from here the arms hold the only references
+    for kicked, arm in arms.items():
+        for name, ens in arm:
+            if ens.branches[0][1] is not first():  # psi0's own violation is taken once, above
                 violation = max(violation, *(antisymmetry_violation(s) for _, s in ens.branches))
             if name == "pre_detector" and not kicked:
                 occ1, occ2 = position_occupancy(space, ens)

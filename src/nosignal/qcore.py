@@ -4,8 +4,8 @@ The scenario pipeline passes the typed values defined here between its
 stages: :class:`StateVector` and :class:`BranchEnsemble` (a weighted mixture
 of pure states, which stands in for a density matrix during non-selective
 measurements).  The kernels inside a stage (the drift, ``PairBlocks.apply``)
-work on raw ``(n, n, 8)`` tensors, and each state they build is checked
-once, by :class:`StateVector`.
+work on raw ``(n, n, 4)`` or ``(n, n, 8)`` tensors, and each state they
+build is checked once, by :class:`StateVector`.
 
 Conventions used throughout the package:
 
@@ -21,7 +21,7 @@ Conventions used throughout the package:
 
 The scenario pipeline never builds an operator on the ``8 n^2``-dimensional
 composite space: it drifts the amplitude tensor and applies
-position-controlled 8x8 maps to it (see ``protocol``).
+position-controlled fixed maps to it (see ``protocol``).
 """
 
 from __future__ import annotations

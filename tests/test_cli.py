@@ -12,7 +12,9 @@ import sys
 import numpy as np
 import pytest
 
-from nosignal import PacketSpec, Region, ScenarioConfig, cli
+from nosignal import CompositeSpace, PacketSpec, Region, ScenarioConfig, basis_index, cli, decode_basis_index
+from nosignal import protocol
+from nosignal.protocol import prepare_scenario
 from nosignal.cli import (
     certificate_to_dict,
     config_to_dict,
@@ -443,6 +445,34 @@ def test_dump_state_csv(tmp_path):
         assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-10)
         weight_total += entries[0][0]
     assert weight_total == pytest.approx(1.0, abs=1e-10)
+
+
+def test_dump_state_of_a_spin_only_stage_keeps_the_8n2_basis(tmp_path):
+    # The arm carries post_o2 spin-only; the dump still lists every index of
+    # the 8 n^2 basis, with spin-only entry i at index 2 i and q = 1 rows 0.0.
+    cfg_path = _write_config(tmp_path, joint_mode="global_bell")
+    state_path = tmp_path / "state.csv"
+    assert main(["dump-density", "--config", cfg_path, "--arm", "nokick", "--stage", "post_o2",
+                 "--out", str(tmp_path / "dens.csv"), "--dump-state", str(state_path)]) == 0
+    with open(state_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["branch", "weight", "index", "re", "im"]
+    cfg = parse_config(json.dumps(_config_dict(joint_mode="global_bell")))
+    space = CompositeSpace(cfg.n)
+    spin_only = dict(protocol._run_arm(cfg, prepare_scenario(cfg)[2], kicked=False))["post_o2"]
+    assert spin_only.dim == space.dim // 2 and spin_only.branch_count == 2
+    assert len(rows) == 1 + spin_only.branch_count * space.dim
+    for b, (w, state) in enumerate(spin_only.branches):
+        branch = rows[1 + b * space.dim : 1 + (b + 1) * space.dim]
+        assert {row[0] for row in branch} == {str(b)} and {row[1] for row in branch} == {repr(w)}
+        assert [int(row[2]) for row in branch] == list(range(space.dim))
+        for index, (_, _, _, re_part, im_part) in enumerate(branch):
+            x1, x2, s1, s2, q = decode_basis_index(space, index)
+            assert basis_index(space, x1, x2, s1, s2, q) == index
+            amp = state.amps[index // 2] if q == 0 else 0.0j
+            assert (re_part, im_part) == (repr(float(amp.real)), repr(float(amp.imag))), index
+            if q == 1:
+                assert (re_part, im_part) == ("0.0", "0.0")
 
 
 # ---------------------------------------------------------------------------

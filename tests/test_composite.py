@@ -169,8 +169,9 @@ def test_exchange_sector_is_wrapped_without_a_copy():
 
 @pytest.mark.parametrize("statistics", ["fermion", "boson", "distinguishable"])
 def test_prepare_initial_holds_two_states_at_its_peak(statistics):
-    # The product tensor and the state built from it: the sector is scaled in
-    # place.  Wrapping it with a copy and normalizing that took 3.0 states.
+    # The product tensor and the state built from it, both spin-only (64 n^2
+    # bytes each): the sector is scaled in place.  Wrapping it with a copy and
+    # normalizing that took 3.0 states.
     n = 48
     lat = make_lattice(n, 1.0)
     p1 = wavepacket(lat, Region(4, 10), 7.0, 1.5, 0.0)
@@ -183,7 +184,7 @@ def test_prepare_initial_holds_two_states_at_its_peak(statistics):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * 128 * n**2
+    assert peak <= 2.1 * 64 * n**2
 
 
 def test_antisymmetrize_rejects_symmetric_input():
@@ -226,7 +227,8 @@ def test_prepare_initial_matches_reference(statistics):
         assert antisymmetry_violation(psi) == pytest.approx(1.0, abs=1e-12)
     else:
         want = oc.product_state(12, p1.amps, p2.amps)
-    np.testing.assert_allclose(psi.amps, want, atol=1e-12)
+    assert psi.dim == space.dim // 2 and not np.any(want[1::2])  # spin-only: the q = 0 entries
+    np.testing.assert_allclose(psi.amps, want[::2], atol=1e-12)
 
 
 def test_prepare_initial_requires_disjoint_support_for_identical_particles():

@@ -62,12 +62,21 @@ def _basic_config(**overrides):
 
 
 def _kernel_matrix(op: PairBlocks) -> np.ndarray:
-    """Dense matrix of a position-controlled kernel: column j is ``op.apply(e_j)``."""
-    return np.column_stack([op.apply(e) for e in np.eye(8 * op.n**2, dtype=np.complex128)])
+    """Dense matrix of a position-controlled kernel: column j is ``op.apply(e_j)``.
+
+    Spin-only maps give a ``4 n^2 x 4 n^2`` matrix, the detector couplings an ``8 n^2 x 4 n^2`` one.
+    """
+    return np.column_stack([op.apply(e) for e in np.eye(op.maps[0].shape[1] * op.n**2, dtype=np.complex128)])
+
+
+def _kron_qubit(m: np.ndarray) -> np.ndarray:
+    """A spin-only operator on the ``8 n^2`` basis: the identity on the qubit, which is the fastest index."""
+    return np.kron(m, np.eye(2))
 
 
 def _unitarity_defect(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m.conj().T @ m - np.eye(len(m))))
+    """``|m^H m - 1|``: zero for a unitary, and for an isometry such as a detector coupling's ``q = 0`` columns."""
+    return float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[1])))
 
 
 def _projector_defect(m: np.ndarray) -> float:
@@ -75,9 +84,10 @@ def _projector_defect(m: np.ndarray) -> float:
 
 
 def _exchange_defect(n: int, mat: np.ndarray) -> float:
-    """Frobenius norm of ``S mat S - mat`` for the oracle exchange matrix ``S``."""
+    """Frobenius norm of ``S mat S - mat`` for the oracle exchange ``S``, restricted to q = 0 on a spin-only side."""
     s = oc.exchange_matrix(n)
-    return float(np.linalg.norm(s @ mat @ s - mat))
+    s_out, s_in = (s if k == len(s) else s[::2, ::2] for k in mat.shape)
+    return float(np.linalg.norm(s_out @ mat @ s_in - mat))
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +172,18 @@ def test_kick_operator_position_mode():
     space = CompositeSpace(n)
     o1 = Region(1, 4)
     k = _kernel_matrix(protocol_mod._kick_blocks(n, o1, "position"))
-    np.testing.assert_allclose(k, oc.kick_unitary(n, range(1, 4), "position"), atol=1e-14)
+    assert k.shape == (space.dim // 2,) * 2
+    np.testing.assert_allclose(_kron_qubit(k), oc.kick_unitary(n, range(1, 4), "position"), atol=1e-14)
     assert _exchange_defect(n, k) <= 1e-12
     assert _unitarity_defect(k) < 1e-14
-    np.testing.assert_allclose(k @ k, np.eye(space.dim), atol=1e-14)
+    np.testing.assert_allclose(k @ k, np.eye(space.dim // 2), atol=1e-14)
 
 
 def test_kick_operator_label1_mode():
     n = 8
     o1 = Region(1, 4)
     k = _kernel_matrix(protocol_mod._kick_blocks(n, o1, "label1"))
-    np.testing.assert_allclose(k, oc.kick_unitary(n, range(1, 4), "label1"), atol=1e-14)
+    np.testing.assert_allclose(_kron_qubit(k), oc.kick_unitary(n, range(1, 4), "label1"), atol=1e-14)
     assert _exchange_defect(n, k) > 1e-12
 
 
@@ -188,8 +199,8 @@ def test_kick_flips_the_region_supported_wing():
     space = CompositeSpace(n)
     psi0 = prepare_initial(space, "fermion", p1, p2)
     kick = _kernel_matrix(protocol_mod._kick_blocks(n, o1, "position"))
-    np.testing.assert_allclose(kick, oc.kick_unitary(n, range(0, 6), "position"), atol=1e-14)
-    kicked = StateVector(kick @ psi0.amps)
+    np.testing.assert_allclose(_kron_qubit(kick), oc.kick_unitary(n, range(0, 6), "position"), atol=1e-14)
+    kicked = StateVector(kick @ psi0.amps)  # spin-only: the basis index with q = 0, halved
 
     want = np.zeros(space.dim, dtype=np.complex128)
     for x1 in range(n):
@@ -198,7 +209,8 @@ def test_kick_flips_the_region_supported_wing():
             want[oc.basis_index(n, x1, x2, 1, 0, 0)] += p1.amps[x1] * p2.amps[x2]
             want[oc.basis_index(n, x1, x2, 0, 1, 0)] -= p2.amps[x1] * p1.amps[x2]
     want /= np.linalg.norm(want)
-    np.testing.assert_allclose(kicked.amps, want, atol=1e-12)
+    assert not np.any(want[1::2])
+    np.testing.assert_allclose(kicked.amps, want[::2], atol=1e-12)
     assert antisymmetry_violation(kicked) < 1e-14
 
 
@@ -207,8 +219,8 @@ def test_occupancy_projector_matches_reference():
     space = CompositeSpace(n)
     p, q = (_kernel_matrix(op) for op in protocol_mod._occupancy_outcomes(n, Region(5, 8)))
     want = np.diag(oc.union_occupancy_diag(n, range(5, 8)))
-    np.testing.assert_array_equal(p, want)
-    np.testing.assert_array_equal(q, np.eye(space.dim) - want)
+    np.testing.assert_array_equal(_kron_qubit(p), want)
+    np.testing.assert_array_equal(_kron_qubit(q), np.eye(space.dim) - want)
     assert _projector_defect(p) == 0.0
     assert _exchange_defect(n, p) <= 1e-12
 
@@ -217,10 +229,18 @@ def test_position_detector_unitary_matches_reference():
     n = 8
     space = CompositeSpace(n)
     o3 = Region(5, 8)
+    # The 8x8 unitaries whose q = 0 columns the detector keeps, placed on the same rectangles.
+    unitaries = (protocol_mod._spin_qubit_map_8(1), protocol_mod._spin_qubit_map_8(2),
+                 protocol_mod._both_in_region_coupling_8())
+    full = _kernel_matrix(protocol_mod._by_occupant(n, o3, "O3", *unitaries))
+    np.testing.assert_allclose(full, oc.position_detector(n, range(5, 8)), atol=1e-14)
+    assert _unitarity_defect(full) < 1e-12
+    np.testing.assert_allclose(full @ full, np.eye(space.dim), atol=1e-12)
+    assert _exchange_defect(n, full) <= 1e-12
     v = _kernel_matrix(protocol_mod._detector_blocks(n, o3, "position"))
-    np.testing.assert_allclose(v, oc.position_detector(n, range(5, 8)), atol=1e-14)
+    assert v.shape == (space.dim, space.dim // 2)
+    np.testing.assert_array_equal(v, full[:, ::2])
     assert _unitarity_defect(v) < 1e-12
-    np.testing.assert_allclose(v @ v, np.eye(space.dim), atol=1e-12)
     assert _exchange_defect(n, v) <= 1e-12
 
 
@@ -229,7 +249,7 @@ def test_position_detector_unitary_matches_reference():
 
 
 def _fermion_pair_with_spin_up_in(n, window_lo, window_hi, up_packet, down_packet):
-    """Antisymmetrized state: up_packet carries spin up, down_packet spin down."""
+    """Antisymmetrized spin-only state: up_packet carries spin up, down_packet spin down."""
     space = CompositeSpace(n)
     amps = np.zeros(space.dim, dtype=np.complex128)
     for x1 in range(n):
@@ -237,7 +257,7 @@ def _fermion_pair_with_spin_up_in(n, window_lo, window_hi, up_packet, down_packe
             amps[oc.basis_index(n, x1, x2, 1, 0, 0)] += up_packet[x1] * down_packet[x2]
             amps[oc.basis_index(n, x1, x2, 0, 1, 0)] -= down_packet[x1] * up_packet[x2]
     amps /= np.linalg.norm(amps)
-    return space, StateVector(amps)
+    return space, StateVector(amps[::2])  # the q = 0 entries
 
 
 def _packets_for_detector(n=12):
@@ -303,14 +323,17 @@ def test_selective_hit_branch_is_the_csr_projection_byte_for_byte():
     space = CompositeSpace(n)
     o3 = Region(5, 8)
     rng = np.random.default_rng(7)
-    amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    amps = rng.normal(size=space.dim // 2) + 1j * rng.normal(size=space.dim // 2)
     psi = StateVector(amps / np.linalg.norm(amps))
     out = BranchEnsemble(_detector_step(space, o3, "position", [(1.0, psi)], selective=True))
-    moved = protocol_mod._detector_blocks(n, o3, "position").apply(psi.amps)
-    arm = sp.csr_array(np.diag(oc.union_occupancy_diag(n, range(5, 8))).astype(np.complex128)) @ moved
+    # The occupancy projection of the spin-only state, normalized, then the 8 n^2 x 4 n^2 coupling.
+    occupied = oc.union_occupancy_diag(n, range(5, 8))[::2]
+    arm = sp.csr_array(np.diag(occupied).astype(np.complex128)) @ psi.amps
+    coupling = _kernel_matrix(protocol_mod._detector_blocks(n, o3, "position"))
+    want = sp.csr_array(coupling) @ (arm / np.linalg.norm(arm))
     assert out.branch_count == 1
     assert out.branches[0][0] == 1.0
-    assert out.branches[0][1].amps.tobytes() == (arm / np.linalg.norm(arm)).tobytes()
+    assert out.branches[0][1].amps.tobytes() == want.tobytes()
 
 
 def test_label2_detector_lists_every_hit_before_every_miss():
@@ -319,18 +342,23 @@ def test_label2_detector_lists_every_hit_before_every_miss():
     occupied = oc.union_occupancy_diag(n, range(5, 8)).astype(bool)
     rng = np.random.default_rng(11)
     states = []
-    for scale_inside in (1.0, 3.0):  # two branches with different occupancies
-        amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-        amps[occupied] *= scale_inside
+    for scale_inside in (1.0, 3.0):  # two spin-only branches with different occupancies
+        amps = rng.normal(size=space.dim // 2) + 1j * rng.normal(size=space.dim // 2)
+        amps[occupied[::2]] *= scale_inside
         states.append(amps / np.linalg.norm(amps))
     ens = BranchEnsemble(tuple((w, StateVector(a)) for w, a in zip((0.3, 0.7), states)))
     out = BranchEnsemble(_detector_step(space, Region(5, 8), "label2", list(ens.branches)))
-    p_in = [float(np.sum(np.abs(a[occupied]) ** 2)) for a in states]
+    p_in = [float(np.sum(np.abs(a[occupied[::2]]) ** 2)) for a in states]
     want = [0.3 * p_in[0], 0.7 * p_in[1], 0.3 * (1 - p_in[0]), 0.7 * (1 - p_in[1])]
     assert [w for w, _ in out.branches] == pytest.approx(want, rel=1e-12)
     for k, (_, state) in enumerate(out.branches):
+        assert state.dim == space.dim
         outside_outcome = ~occupied if k < 2 else occupied
         assert not np.any(state.amps[outside_outcome])
+        if k >= 2:  # a miss is only lifted: the spin-only miss at the even indices, +0.0 at the odd ones
+            miss = np.where(occupied[::2], 0.0, states[k - 2])
+            np.testing.assert_allclose(state.amps[::2], miss / np.linalg.norm(miss), rtol=1e-14, atol=0)
+            assert not np.any(state.amps.view(np.uint64).reshape(-1, 2, 2)[:, 1])
 
 
 def test_only_a_branching_detector_builds_the_occupancy_projectors(monkeypatch):
@@ -365,13 +393,16 @@ def test_joint_measurement_matches_reference_update():
     rng = np.random.default_rng(41)
     n = 8
     space = CompositeSpace(n)
-    amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    state = StateVector(amps / np.linalg.norm(amps))
+    amps = rng.normal(size=space.dim // 2) + 1j * rng.normal(size=space.dim // 2)
+    state = StateVector(amps / np.linalg.norm(amps))  # spin-only
     for mode, sites in (("global_bell", None), ("localized_bell", range(3, 6))):
         o2 = None if sites is None else Region(3, 6)
         out = BranchEnsemble(_joint_step(space, mode, o2, [(1.0, state)]))
         rho = oc.density_from_branches((w, s.amps) for w, s in out.branches)
         projs = oc.joint_projectors(n, mode, sites)
+        for p in projs:  # the identity on the qubit, so the q = 0 block acts on spin-only states
+            np.testing.assert_array_equal(_kron_qubit(p[::2, ::2]), p)
+        projs = [p[::2, ::2] for p in projs]
         rho_ref = sum(p @ np.outer(state.amps, state.amps.conj()) @ p for p in projs)
         assert np.linalg.norm(rho - rho_ref) < 1e-12
         assert abs(sum(w for w, _ in out.branches) - 1.0) < 1e-10
@@ -394,20 +425,31 @@ def test_kernels_match_materialized_operators_exactly(n):
     ops["occupancy P"], ops["occupancy Q"] = protocol_mod._occupancy_outcomes(n, region)
     for mode in ("position", "label2"):
         ops[f"detector {mode}"] = protocol_mod._detector_blocks(n, region, mode)
+    # 8x8 maps on (n, n, 8) states: the unitaries whose q = 0 columns the detector keeps, and a global one.
+    unitaries = (protocol_mod._spin_qubit_map_8(1), protocol_mod._spin_qubit_map_8(2),
+                 protocol_mod._both_in_region_coupling_8())
+    ops["detector position 8x8"] = protocol_mod._by_occupant(n, region, "O3", *unitaries)
+    ops["global 8x8"] = PairBlocks(n, ((slice(None), slice(None)),), (unitaries[1],), False)
+    ops["global 8x4"] = PairBlocks(n, ((slice(None), slice(None)),), (unitaries[1][:, ::2],), False)
     matrices = {name: _kernel_matrix(op) for name, op in ops.items()}
+    widths = {name: op.maps[0].shape for name, op in ops.items()}
+    assert {widths[name] for name in ops if "8x8" not in name} == {(4, 4), (8, 4)}
     for _ in range(3):
-        amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-        parts = amps.view(np.float64)
-        parts[rng.random(parts.size) < 0.2] = -0.0
-        parts[rng.random(parts.size) < 0.1] = 0.0
         for name, op in ops.items():
+            amps = rng.normal(size=matrices[name].shape[1]) + 1j * rng.normal(size=matrices[name].shape[1])
+            parts = amps.view(np.float64)
+            parts[rng.random(parts.size) < 0.2] = -0.0
+            parts[rng.random(parts.size) < 0.1] = 0.0
             want = sp.csr_array(matrices[name]) @ amps
             assert op.apply(amps).view(np.float64).tobytes() == want.view(np.float64).tobytes(), name
-    # label2: the coupling on slot 2's spin on the O3-occupied pairs, the identity elsewhere.
+    # label2: the coupling on slot 2's spin on the O3-occupied pairs, the identity elsewhere,
+    # on the q = 0 columns (spin-only inputs).
     occupied = oc.union_occupancy_diag(n, region.sites()).astype(bool)
     coupling = np.kron(np.eye(2 * n * n), detector_coupling())
     label2 = np.where(occupied[:, None], coupling, np.eye(space.dim))
-    np.testing.assert_array_equal(matrices["detector label2"], label2)
+    assert matrices["detector label2"].shape == (space.dim, space.dim // 2)
+    np.testing.assert_array_equal(matrices["detector label2"], label2[:, ::2])
+    np.testing.assert_array_equal(matrices["detector position"], matrices["detector position 8x8"][:, ::2])
 
 
 def test_label2_coupling_on_occupied_branches_equals_the_global_map_byte_for_byte():
@@ -415,30 +457,36 @@ def test_label2_coupling_on_occupied_branches_equals_the_global_map_byte_for_byt
     space = CompositeSpace(n)
     o3 = Region(7, 11)
     rng = np.random.default_rng(3)
-    coupling = protocol_mod._detector_blocks(n, o3, "label2")
-    everywhere = PairBlocks(n, ((slice(None), slice(None)),), (protocol_mod._spin_qubit_map_8(2),), True)
-    occupied, _ = protocol_mod._occupancy_outcomes(n, o3)
+    coupling = protocol_mod._detector_blocks(n, o3, "label2")  # 4 -> 8
+    everywhere = PairBlocks(n, ((slice(None), slice(None)),), (protocol_mod._spin_qubit_map_8(2)[:, ::2],), True)
+    occupied, unoccupied = protocol_mod._occupancy_outcomes(n, o3)
     for _ in range(3):
-        amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        amps = rng.normal(size=space.dim // 2) + 1j * rng.normal(size=space.dim // 2)
         parts = amps.view(np.float64)
         parts[rng.random(parts.size) < 0.2] = -0.0
         hit = occupied.apply(amps)
         hit /= np.linalg.norm(hit)
         assert coupling.apply(hit).tobytes() == everywhere.apply(hit).tobytes()
+        # On an unoccupied branch the coupling only lifts: spin entry i at index 2 i, +0.0 at the odd ones.
+        miss = unoccupied.apply(amps)
+        miss /= np.linalg.norm(miss)
+        lifted = np.zeros(space.dim, dtype=np.complex128)
+        lifted[::2] = miss
+        assert coupling.apply(miss).tobytes() == lifted.tobytes()
 
 
 def test_joint_measurement_equals_luders_on_materialized_projectors():
     n = 8
     space = CompositeSpace(n)
     rng = np.random.default_rng(5)
-    amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    ens = BranchEnsemble.pure(StateVector(amps / np.linalg.norm(amps)))
+    amps = rng.normal(size=space.dim // 2) + 1j * rng.normal(size=space.dim // 2)
+    ens = BranchEnsemble.pure(StateVector(amps / np.linalg.norm(amps)))  # spin-only
     for mode in ("global_bell", "localized_bell"):
         got = BranchEnsemble(_joint_step(space, mode, Region(3, 6), list(ens.branches)))
         matrices = [_kernel_matrix(op) for op in protocol_mod._joint_outcomes(n, mode, Region(3, 6))]
         assert max(map(_projector_defect, matrices)) < 1e-14
         assert np.linalg.norm(matrices[0] @ matrices[1]) < 1e-14
-        assert np.linalg.norm(sum(matrices) - np.eye(space.dim)) < 1e-14
+        assert np.linalg.norm(sum(matrices) - np.eye(space.dim // 2)) < 1e-14
         csrs = [sp.csr_array(m) for m in matrices]
         want = BranchEnsemble(sum(luders_update(list(ens.branches), [c.__matmul__ for c in csrs]), []))
         assert [w for w, _ in got.branches] == [w for w, _ in want.branches]
@@ -668,6 +716,27 @@ def test_run_scenario_frees_the_first_arms_stages(monkeypatch):
     assert report.branch_count_kick >= 1
 
 
+def test_the_kicked_arm_frees_psi0_once_its_kick_is_built(monkeypatch):
+    # run_scenario hands psi0 to both arms and drops it: the unkicked arm's
+    # drifts still see it alive, the kicked arm's drifts no longer.
+    prepare, drift, psi0, alive = protocol_mod.prepare_scenario, protocol_mod.evolve_positions, [], []
+
+    def preparing(cfg):
+        lat, space, state = prepare(cfg)
+        psi0.append(weakref.ref(state))
+        return lat, space, state
+
+    def drifting(space, u, state):
+        alive.append(psi0[0]() is not None)
+        return drift(space, u, state)
+
+    monkeypatch.setattr(protocol_mod, "prepare_scenario", preparing)
+    monkeypatch.setattr(protocol_mod, "evolve_positions", drifting)
+    report = run_scenario(_basic_config())
+    assert alive == [True, True, False, False]
+    assert report.max_antisym_violation <= 1e-10
+
+
 def test_each_step_frees_an_input_branch_once_its_images_are_built(monkeypatch):
     # A two-branch label2 arm: when the t2 drift starts on branch 2, and when
     # the detector builds the outcomes of branch 2, branch 1 is already freed.
@@ -815,6 +884,35 @@ def test_pipeline_matches_dense_density_matrix_reference(overrides):
             rho_pkg = oc.density_from_branches((w, s.amps) for w, s in stages[name].branches)
             assert np.linalg.norm(rho_pkg - ref[name]) < 1e-10, (overrides, kicked, name)
         assert qubit_one_probability(stages["final"]) == pytest.approx(pq1_ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("overrides", [*PIPELINE_COMBOS, dict(kick_mode="label1", joint_mode="global_bell",
+                                                              detector_mode="label2")])
+def test_the_arm_carries_spin_only_states_until_the_detector(overrides):
+    # Every stage before ``final`` is (n, n, 4); every final branch (n, n, 8).
+    # run_arm_stages lifts the spin-only stages to the 8 n^2 basis: spin
+    # entry i at index 2 i, the q = 1 half exactly +0.0.
+    cfg = _basic_config(**overrides)
+    dim = CompositeSpace(cfg.n).dim
+    for kicked in (False, True):
+        arm = list(protocol_mod._run_arm(cfg, prepare_scenario(cfg)[2], kicked))
+        assert [name for name, _ in arm] == [*STAGES[:3], "pre_detector", "final"]
+        for name, ens in arm:
+            assert {s.dim for _, s in ens.branches} == {dim if name == "final" else dim // 2}, name
+        stages = run_arm_stages(cfg, kicked)
+        for name, ens in arm:
+            if name not in STAGES:
+                continue
+            lifted = stages[name]
+            assert [w for w, _ in lifted.branches] == [w for w, _ in ens.branches], name
+            for (_, s), (_, big) in zip(ens.branches, lifted.branches):
+                assert big.dim == dim
+                words = big.amps.view(np.uint64).reshape(-1, 2, 2)  # (spin entry, q, re/im)
+                if name == "final":
+                    assert big.amps.tobytes() == s.amps.tobytes()
+                    continue
+                assert not np.any(words[:, 1]), name  # the q = 1 half is +0.0
+                assert words[:, 0].tobytes() == s.amps.tobytes(), name
 
 
 def test_run_scenario_report_consistency():
