@@ -241,16 +241,19 @@ def prepare_initial(
     return symmetrize(state)
 
 
+def _nonzero(words: np.ndarray) -> np.ndarray:
+    """Rows of a 2-D array of raw float words with a bit set besides the sign bit: -0.0 is zero, a subnormal not."""
+    return np.flatnonzero(np.bitwise_or.reduce(words, axis=1) & np.uint64(2**63 - 1))
+
+
 def _live_columns(tensor: np.ndarray) -> np.ndarray:
     """Indices of the nonzero columns of the last axis of a complex ``(n, n, w)`` tensor.
 
-    ORs the raw 64-bit words over ``x1`` and then over ``x2``, and masks off
-    the sign bit: ``-0.0`` counts as zero and a subnormal as nonzero, as in
-    ``tensor.any(axis=(0, 1))``.
+    ORs the raw 64-bit words over ``x1``, then over ``x2``, then over each
+    column's words (:func:`_nonzero`), as in ``tensor.any(axis=(0, 1))``.
     """
     bits = np.bitwise_or.reduce(tensor.view(np.uint64).reshape(tensor.shape[0], -1), axis=0)
-    bits = np.bitwise_or.reduce(bits.reshape(-1, 2 * tensor.shape[2]), axis=0) & np.uint64(2**63 - 1)
-    return np.flatnonzero(bits.reshape(-1, 2).any(axis=1))
+    return _nonzero(np.bitwise_or.reduce(bits.reshape(-1, 2 * tensor.shape[2]), axis=0).reshape(-1, 2))
 
 
 def _check_dim(space: CompositeSpace, state) -> None:
@@ -262,22 +265,29 @@ def evolve_positions(space: CompositeSpace, u: np.ndarray, state: StateVector) -
     """Apply a one-particle position operator ``u`` (an ``n x n`` array) to both slots at once.
 
     Computes ``(u (x) u (x) identity)`` on the reshaped amplitude tensor
-    instead of materializing the ``8 n^2`` dimensional matrix, which is what
-    makes lattices near ``n = 100`` cheap to evolve.  Only the spin (and
-    qubit) columns with a nonzero amplitude are contracted; the others map
-    to exact zeros, so skipping them changes no amplitude.
+    instead of materializing the ``8 n^2`` dimensional matrix.  Each spin (and
+    qubit) column ``X`` with a nonzero amplitude is gathered contiguous and
+    contracted as ``u X u^T`` over only its nonzero rows and columns, gathered
+    again unless full.  Skipped entries and dead columns are exact zeros, so
+    only the order of the sums changes.  The output is allocated last.
     """
     n = space.n_sites
     if u.shape != (n, n):
         raise ValueError(f"u must act on the {n}-site position basis, got shape {u.shape}")
     _check_dim(space, state)
-    tensor = state.amps.reshape(n, n, -1)
-    live = _live_columns(tensor)
-    half = np.tensordot(u, tensor[:, :, live], axes=([1], [0]))  # (x1', x2, k)
-    full = np.tensordot(u, half, axes=([1], [1]))                # (x2', x1', k)
-    del half  # freed before the output is allocated
+    tensor, images = state.amps.reshape(n, n, -1), []
+    for c in _live_columns(tensor):
+        x = np.ascontiguousarray(tensor[:, :, c])
+        words = x.view(np.uint64).reshape(n, 2 * n)
+        rows, cols = (s if s.size < n else slice(None)  # a full range is used in place
+                      for s in (_nonzero(words), _nonzero(np.bitwise_or.reduce(words, axis=0).reshape(n, 2))))
+        half = u[:, rows] @ x[rows][:, cols]
+        del x, words  # the gathered column goes before the second GEMM, the half before the next column
+        images.append((c, half @ u[:, cols].T))
+        del half
     out = np.zeros(tensor.shape, dtype=complex)
-    out[:, :, live] = full.transpose(1, 0, 2)
+    for c, image in images:
+        out[:, :, c] = image
     return StateVector(freeze(out).ravel())
 
 

@@ -495,8 +495,8 @@ def run_naive_sorkin(observable: np.ndarray, kick: bool) -> float:
 
 
 def qubit_one_probability(ens: BranchEnsemble) -> float:
-    """Probability that the detector qubit reads 1 (qubit is the fastest index)."""
-    total = 0.0
+    """Probability that the qubit reads 1, on the ``8 n^2`` basis: exactly 0 if spin-only, ValueError if neither."""
+    total, ens = 0.0, _with_qubit(ens)
     for w, state in ens.branches:
         total += w * float(np.sum(np.abs(state.amps[1::2]) ** 2))
     return total

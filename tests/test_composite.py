@@ -16,11 +16,14 @@ from nosignal import (
     antisymmetry_violation,
     basis_index,
     decode_basis_index,
+    default_scenario,
     evolve_positions,
     joint_position_probability,
     make_lattice,
     position_occupancy,
     prepare_initial,
+    prepare_scenario,
+    propagator,
     symmetrize,
     wavepacket,
     Region,
@@ -261,19 +264,48 @@ def test_prepare_initial_validates_packets():
 # evolution and marginals
 
 
+def _cut_to(tensor: np.ndarray, support: str) -> None:
+    """Zero ``tensor``'s entries outside one of the compact supports the drift contracts over, in place."""
+    n = len(tensor)
+    keep = np.ones((n, n), dtype=bool)
+    if support == "one-row":
+        keep[np.arange(n) != 3] = False
+    elif support == "two-intervals":  # rows [1, 4) and [n-5, n-2), columns [0, 2) and [n/2, n/2+3)
+        keep[:] = False
+        keep[np.ix_(np.r_[1:4, n - 5 : n - 2], np.r_[0:2, n // 2 : n // 2 + 3])] = True
+    tensor[~keep] = 0.0
+    if support == "subnormal":  # column 3 holds one subnormal and nothing else
+        tensor[:, :, 3] = 0.0
+        tensor[2, 4, 3] = complex(0.0, 5e-324)
+    elif support == "minus-zero-row":
+        tensor[5] = complex(-0.0, -0.0)
+
+
 @pytest.mark.parametrize(
-    "live, n",
-    [(range(8), 6), ([0], 6), ([2, 4], 6), ([0, 6], 6), ([], 6), ([0, 2, 4], 37)],
-    ids=["all", "0", "2-4", "0-6", "none", "n37-0-2-4"],
+    "live, n, support",
+    [
+        (range(8), 6, "full"),
+        ([0], 6, "full"),
+        ([2, 4], 6, "full"),
+        ([0, 6], 6, "full"),
+        ([], 6, "full"),
+        ([0, 2, 4], 37, "full"),
+        ([0, 2], 37, "one-row"),
+        ([0, 2], 37, "two-intervals"),
+        ([0, 3], 37, "subnormal"),
+        ([0, 2, 4], 37, "minus-zero-row"),
+    ],
+    ids=["all", "0", "2-4", "0-6", "none", "n37-0-2-4", "one-row", "two-intervals", "subnormal", "minus-zero-row"],
 )
-def test_evolve_positions_matches_kron_action(live, n):
-    # Columns are the (s1, s2, q) index; the drift contracts only the live ones.
-    # n = 37 is odd.
+def test_evolve_positions_matches_kron_action(live, n, support):
+    # Columns are the (s1, s2, q) index; the drift contracts only the live
+    # ones, each over its own nonzero rows and columns.  n = 37 is odd.
     rng = np.random.default_rng(37)
     space, state = _random_composite_state(rng, n)
     dead = np.setdiff1d(np.arange(8), list(live))
     tensor = state.amps.reshape(n, n, 8).copy()
     tensor[:, :, dead] = 0.0
+    _cut_to(tensor, support)
     state = StateVector(tensor.ravel())
     u = oc.single_propagator(n, 1.0, 0.8)
     got = evolve_positions(space, u, state)
@@ -283,23 +315,63 @@ def test_evolve_positions_matches_kron_action(live, n):
     assert np.all(got.amps.reshape(n, n, 8)[:, :, dead] == 0.0)
 
 
+def test_drifting_the_prepared_wavepackets_equals_a_full_contraction():
+    # psi0's columns are nonzero only on the packets' sites, so the drift
+    # contracts each over a few rows and columns of the 96.
+    cfg = default_scenario()
+    lat, space, psi0 = prepare_scenario(cfg)
+    n, u = cfg.n, propagator(lat, cfg.t2)
+    tensor = psi0.amps.reshape(n, n, 4)
+    assert 0 < np.count_nonzero(tensor.any(axis=(1, 2))) < n
+    got = evolve_positions(space, u, psi0).amps.reshape(n, n, 4)
+    want = np.stack([u @ tensor[:, :, c] @ u.T for c in range(4)], axis=-1)
+    assert np.abs(got - want).max() <= 1e-15
+
+
+def _gathered_drift(u: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """The drift's own GEMMs in plain numpy: each live column over its nonzero rows and columns, placed into zeros."""
+    out = np.zeros(tensor.shape, dtype=complex)
+    for c in np.flatnonzero(tensor.any(axis=(0, 1))):
+        x = tensor[:, :, c].copy()
+        rows, cols = np.flatnonzero(x.any(axis=1)), np.flatnonzero(x.any(axis=0))
+        out[:, :, c] = (u[:, rows] @ x[np.ix_(rows, cols)]) @ u[:, cols].T
+    return out
+
+
+def _with_minus_zeros(rng: np.random.Generator, tensor: np.ndarray, live) -> np.ndarray:
+    """``tensor`` with -0.0 in about a fifth of the live real and imaginary parts and in every dead column."""
+    tensor.real[rng.random(tensor.shape) < 0.2] = -0.0
+    tensor.imag[rng.random(tensor.shape) < 0.2] = -0.0
+    tensor[:, :, np.setdiff1d(np.arange(tensor.shape[2]), live)] = complex(-0.0, -0.0)
+    return tensor
+
+
 @pytest.mark.parametrize("live", [[], [0], [2, 4], list(range(8))], ids=["none", "0", "2-4", "all"])
 @pytest.mark.parametrize("n", [37, 70])
 def test_drift_placement_is_byte_exact(n, live):
-    # Dead columns hold -0.0, and so do some live entries.
+    # Dead columns hold -0.0, and so do some live entries; every live
+    # column's support is full, so the drift contracts it ungathered.
     rng = np.random.default_rng(n)
     space, state = _random_composite_state(rng, n)
-    tensor = state.amps.reshape(n, n, 8).copy()
-    tensor.real[rng.random(tensor.shape) < 0.2] = -0.0
-    tensor.imag[rng.random(tensor.shape) < 0.2] = -0.0
-    tensor[:, :, np.setdiff1d(np.arange(8), live)] = complex(-0.0, -0.0)
+    tensor = _with_minus_zeros(rng, state.amps.reshape(n, n, 8).copy(), live)
     u = oc.single_propagator(n, 1.0, 0.8)
     got = evolve_positions(space, u, StateVector(tensor.ravel()))
-    # the same two tensordots, placed with a plain transpose
-    half = np.tensordot(u, tensor[:, :, live], axes=([1], [0]))
-    want = np.zeros((n, n, 8), dtype=complex)
-    want[:, :, live] = np.tensordot(u, half, axes=([1], [1])).transpose(1, 0, 2)
-    assert np.array_equal(got.amps.view(np.uint64), want.ravel().view(np.uint64))
+    assert np.array_equal(got.amps.view(np.uint64), _gathered_drift(u, tensor).ravel().view(np.uint64))
+
+
+@pytest.mark.parametrize("support", ["one-row", "two-intervals", "subnormal", "minus-zero-row"])
+def test_drift_on_compact_supports_is_byte_exact(support):
+    # The same, with each live column cut to a compact support that the
+    # drift gathers.  A spin-only (n, n, 4) state, as the pipeline drifts.
+    n, live = 37, [0, 2, 3]
+    rng = np.random.default_rng(3)
+    space, state = _random_composite_state(rng, n)
+    tensor = _with_minus_zeros(rng, state.amps.reshape(n, n, 8)[:, :, :4].copy(), live)
+    _cut_to(tensor, support)
+    np.testing.assert_array_equal(_live_columns(tensor), live)  # the subnormal column stays live
+    u = oc.single_propagator(n, 1.0, 0.8)
+    got = evolve_positions(space, u, StateVector(tensor.ravel()))
+    assert np.array_equal(got.amps.view(np.uint64), _gathered_drift(u, tensor).ravel().view(np.uint64))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -673,6 +673,17 @@ def test_qubit_one_probability_counts_odd_indices():
     assert qubit_one_probability(ens) == pytest.approx(0.25, abs=1e-15)
 
 
+def test_qubit_one_probability_reads_the_layout_from_the_dimension():
+    # A spin-only (n, n, 4) state with s2 = up at an odd index: its qubit is |0> by layout.
+    space = CompositeSpace(8)
+    spin_only = np.zeros(space.dim // 2, dtype=np.complex128)
+    spin_only[1] = 1.0  # s1 = down, s2 = up
+    assert qubit_one_probability(BranchEnsemble.pure(StateVector(spin_only))) == 0.0
+    seven = np.full(7, 1 / math.sqrt(7), dtype=np.complex128)
+    with pytest.raises(ValueError, match="not of the composite form"):
+        qubit_one_probability(BranchEnsemble.pure(StateVector(seven)))
+
+
 def test_run_arm_stages_structure():
     cfg = _basic_config()
     stages = run_arm_stages(cfg, kicked=True)
