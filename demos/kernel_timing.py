@@ -43,7 +43,7 @@ import time
 
 import numpy as np
 
-from nosignal import CompositeSpace, Region, StateVector, evolve_positions, make_lattice, propagator
+from nosignal import Region, StateVector, evolve_positions, make_lattice, propagator
 from nosignal.composite import _with_exchanged
 from nosignal.protocol import _detector_blocks, _joint_outcomes, _kick_blocks, _occupancy_outcomes
 from nosignal.qcore import luders_update
@@ -71,12 +71,12 @@ ROWS = [
 ]
 
 
-def seeded_state(space: CompositeSpace, live, rng: np.random.Generator) -> StateVector:
-    """A normalized spin-only state with random amplitudes in the ``live`` columns and exact zeros elsewhere.
+def seeded_state(n: int, live, rng: np.random.Generator) -> StateVector:
+    """A normalized spin-only state on ``n`` sites with random amplitudes in the ``live`` columns and exact zeros elsewhere.
 
     ``live = "psi0"`` puts them in column 0 on the packets' sites only, as in ``prepare_initial``'s fermion state.
     """
-    n, x = space.n_sites, np.arange(space.n_sites)
+    x = np.arange(n)
     tensor = np.zeros((n, n, 4), dtype=np.complex128)
     packets = (abs(x - 14 * n / 96) < 3 * n / 96) | (abs(x - 62 * n / 96) < 6 * n / 96)
     block = np.ix_(packets, packets, [0]) if live == "psi0" else (slice(None), slice(None), list(live))
@@ -101,15 +101,14 @@ def operators(n: int, cold: bool):
 
 def kernels(n: int) -> dict:
     """Each kernel of ``ROWS`` as a function of one state, keyed by its row."""
-    space = CompositeSpace(n)
     u2 = propagator(make_lattice(n, 1.0), 7.0 * n / 96)
     o1, o3 = Region(n // 12, 5 * n // 24), Region(19 * n // 24, 11 * n // 12)
     kick = _kick_blocks(n, o1, "position")
     bell = _joint_outcomes(n, "global_bell", None)
     label2 = _detector_blocks(n, o3, "label2")
     fns = {
-        "exchange": lambda s: _with_exchanged(np.add, space, s.amps),
-        "drift": lambda s: evolve_positions(space, u2, s),
+        "exchange": lambda s: _with_exchanged(np.add, s),
+        "drift": lambda s: evolve_positions(u2, s),
         "kick": lambda s: kick.apply(s.amps),
         "bell-P": lambda s: bell[0].apply(s.amps),
         "label2": lambda s: label2.apply(s.amps),
@@ -145,9 +144,9 @@ def main(argv=None) -> None:
     rng = np.random.default_rng(args.seed)
     table = {row: [] for row in ROWS}
     for n in args.n:
-        space, fns = CompositeSpace(n), kernels(n)
+        fns = kernels(n)
         for row in ROWS:
-            state = None if row[0] == "operators" else seeded_state(space, row[1], rng)
+            state = None if row[0] == "operators" else seeded_state(n, row[1], rng)
             table[row].append(best_ms(fns[row], state, args.repeat))
     for (name, live), times in table.items():
         live = ",".join(map(str, live)) if isinstance(live, tuple) else live

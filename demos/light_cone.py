@@ -60,7 +60,7 @@ def main() -> None:
     print()
 
     cfg = default_scenario()
-    lat, _space, psi0 = prepare_scenario(cfg)
+    lat, psi0 = prepare_scenario(cfg)
     cert = check_spacelike(lat, cfg.o1, cfg.o3, psi0, cfg.t_total, cfg.eps)
     print(f"default geometry, O1=[{cfg.o1.lo},{cfg.o1.hi}) O3=[{cfg.o3.lo},{cfg.o3.hi}), "
           f"t_total={cfg.t_total}")

@@ -10,7 +10,6 @@ past of O3, they signal under a passing certificate.
 """
 
 from .composite import (
-    CompositeSpace,
     Statistics,
     antisymmetrize,
     antisymmetry_violation,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchEnsemble",
-    "CompositeSpace",
     "Lattice1D",
     "PacketSpec",
     "PAULI_X",

@@ -264,7 +264,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_check_spacelike(args) -> int:
     cfg = parse_config(_load_text(args.config))
-    lat, _space, psi0 = prepare_scenario(cfg)
+    lat, psi0 = prepare_scenario(cfg)
     cert = check_spacelike(lat, cfg.o1, cfg.o3, psi0, cfg.t_total, cfg.eps)
     print(json.dumps(certificate_to_dict(cert), indent=2))
     return 0 if cert.passed else 1
@@ -272,12 +272,12 @@ def _cmd_check_spacelike(args) -> int:
 
 def _cmd_dump_density(args) -> int:
     cfg = parse_config(_load_text(args.config))
-    _lat, space, psi0 = prepare_scenario(cfg)
+    _lat, psi0 = prepare_scenario(cfg)
     for name, ens in _run_arm(cfg, psi0, kicked=(args.arm == "kick")):
         if name == args.stage:
             break
         del ens  # keeps only the requested stage, as run_scenario does
-    occ1, occ2 = position_occupancy(space, ens)
+    occ1, occ2 = position_occupancy(ens)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["site", "occ_particle_slot1", "occ_particle_slot2", "occ_symmetrized"])

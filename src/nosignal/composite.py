@@ -8,7 +8,8 @@ basis index is normative for every file format in this package:
 
 Until the detector the qubit is ``|0>``, so the pipeline carries spin-only
 states of dimension ``4 n^2``, whose index is the ``8 n^2`` index with
-``q = 0``, halved.  Every function here takes either layout.
+``q = 0``, halved.  Every function here takes either layout, and reads the
+lattice size ``n`` and the layout from the dimension alone (:func:`_sites`).
 
 Particle labels 1 and 2 are bookkeeping slots, not physical identities.
 Physical states of indistinguishable particles are the antisymmetric
@@ -22,7 +23,6 @@ measurable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Union
@@ -53,81 +53,50 @@ class Statistics(str, Enum):
     DISTINGUISHABLE = "distinguishable"
 
 
-@dataclass(frozen=True)
-class CompositeSpace:
-    """Index bookkeeping for the ``8 * n_sites**2`` dimensional space."""
-
-    n_sites: int
-
-    def __post_init__(self):
-        if int(self.n_sites) != self.n_sites or self.n_sites < 2:
-            raise ValueError(f"composite space needs at least 2 sites, got {self.n_sites}")
-        object.__setattr__(self, "n_sites", int(self.n_sites))
-
-    @property
-    def dim(self) -> int:
-        return 8 * self.n_sites * self.n_sites
-
-    @property
-    def axis_dims(self) -> tuple:
-        n = self.n_sites
-        return (n, n, 2, 2, 2)
+def _integer_in(name: str, v, hi: int) -> int:
+    """``int(v)`` if ``v`` is an integer (not a bool) in ``[0, hi)``, else ``ValueError``."""
+    if isinstance(v, (bool, np.bool_)) or int(v) != v or not (0 <= int(v) < hi):
+        raise ValueError(f"{name} must be an integer in [0, {hi}), got {v}")
+    return int(v)
 
 
-def basis_index(space: CompositeSpace, x1: int, x2: int, s1: int, s2: int, q: int) -> int:
-    """Flat index of the basis state ``|x1 s1; x2 s2; q>``.
+def basis_index(n: int, x1: int, x2: int, s1: int, s2: int, q: int) -> int:
+    """Flat index of the basis state ``|x1 s1; x2 s2; q>`` on ``n`` sites.
 
     Spins and the qubit use 0/1 encoding (spin down = 0, spin up = 1).
     """
-    n = space.n_sites
-    for name, v, hi in (("x1", x1, n), ("x2", x2, n), ("s1", s1, 2), ("s2", s2, 2), ("q", q, 2)):
-        if int(v) != v or not (0 <= int(v) < hi):
-            raise ValueError(f"{name} must be an integer in [0, {hi}), got {v}")
-    return int(q) + 2 * (int(s2) + 2 * (int(s1) + 2 * (int(x2) + n * int(x1))))
+    x1, x2 = _integer_in("x1", x1, n), _integer_in("x2", x2, n)
+    s1, s2, q = (_integer_in(name, v, 2) for name, v in (("s1", s1), ("s2", s2), ("q", q)))
+    return q + 2 * (s2 + 2 * (s1 + 2 * (x2 + n * x1)))
 
 
-def decode_basis_index(space: CompositeSpace, index: int) -> tuple:
+def decode_basis_index(n: int, index: int) -> tuple:
     """Inverse of :func:`basis_index`: returns ``(x1, x2, s1, s2, q)``."""
-    index = int(index)
-    if not (0 <= index < space.dim):
-        raise ValueError(f"index must be in [0, {space.dim}), got {index}")
-    q = index % 2
-    index //= 2
-    s2 = index % 2
-    index //= 2
-    s1 = index % 2
-    index //= 2
-    x2 = index % space.n_sites
-    x1 = index // space.n_sites
-    return (x1, x2, s1, s2, q)
+    index = _integer_in("index", index, 8 * n * n)
+    x12, s1, s2, q = index // 8, (index >> 2) & 1, (index >> 1) & 1, index & 1
+    return (x12 // n, x12 % n, s1, s2, q)
 
 
-def _space_of(value: StateVector) -> CompositeSpace:
-    """Recover the composite space a value lives on from its dimension, ``4 n^2`` (spin-only) or ``8 n^2``."""
+def _sites(value) -> int:
+    """Lattice size ``n`` of a state or ensemble, read from its dimension ``4 n^2`` (spin-only) or ``8 n^2``."""
     for per_pair in (4, 8):  # 4 a^2 = 8 b^2 has no integer solution, so at most one matches
         n = math.isqrt(value.dim // per_pair)
-        if per_pair * n * n == value.dim:
-            return CompositeSpace(n)
-    raise ValueError(f"dimension {value.dim} is not of the composite form 4*n^2 or 8*n^2")
+        if per_pair * n * n == value.dim and n >= 2:
+            return n
+    raise ValueError(f"dimension {value.dim} is not of the composite form 4*n^2 or 8*n^2 with n >= 2")
 
 
 def _with_qubit(ens: BranchEnsemble) -> BranchEnsemble:
     """``ens`` on the ``8 n^2`` basis: spin-only entry ``i`` moves to index ``2 i``, the ``q = 1`` half is ``+0.0``."""
-    if _space_of(ens).dim == ens.dim:
+    if ens.dim == 8 * _sites(ens) ** 2:
         return ens
     return BranchEnsemble([(w, StateVector(np.stack([s.amps, np.zeros_like(s.amps)], 1).ravel()))
                            for w, s in ens.branches])
 
 
-def exchange_permutation(space: CompositeSpace) -> np.ndarray:
-    """Index permutation realizing particle exchange (an involution)."""
-    perm = (
-        np.arange(space.dim)
-        .reshape(space.axis_dims)
-        .transpose(1, 0, 3, 2, 4)
-        .ravel()
-    )
-    return perm
+def exchange_permutation(n: int) -> np.ndarray:
+    """Index permutation realizing particle exchange on the ``8 n^2`` basis (an involution)."""
+    return np.arange(8 * n * n).reshape(n, n, 2, 2, 2).transpose(1, 0, 3, 2, 4).ravel()
 
 
 @lru_cache(maxsize=8)
@@ -138,19 +107,20 @@ def _slab_index(n: int) -> np.ndarray:
     return np.cumsum(idx, axis=0, out=idx)  # in place: a broadcast sum would allocate ufunc buffers
 
 
-def _with_exchanged(ufunc: np.ufunc, space: CompositeSpace, amps: np.ndarray) -> np.ndarray:
-    """``ufunc(amps, S amps)`` for the exchange permutation ``S``, as a fresh flat array that owns its memory.
+def _with_exchanged(ufunc: np.ufunc, s: StateVector) -> np.ndarray:
+    """``ufunc(amps, S amps)`` for the amplitudes of ``s`` and the exchange permutation ``S``.
 
-    ``amps`` must be C-contiguous, as every ``StateVector``'s amplitudes are.
-    ``S amps`` is a pure copy: read as records, one per ``(s1, s2)`` block of
-    a position pair (16 bytes for a spin-only state, 32 bytes, a ``q`` pair,
-    otherwise), pair ``(j, i)`` moves to ``(i, j)`` with the two spins
+    The result is a fresh flat array that owns its memory.  ``S amps`` is a
+    pure copy: read as records, one per ``(s1, s2)`` block of a position
+    pair (16 bytes for a spin-only state, 32 bytes, a ``q`` pair, otherwise),
+    pair ``(j, i)`` moves to ``(i, j)`` with the two spins
     swapped.  Slab ``i0`` of ``PAIR_TILE`` output rows is one ``np.take``
     from ``records[4 i0:]`` with the one cached slab index; the indices are
     in range, and ``mode="clip"`` lets ``take`` write into the slab
     unbuffered.  Each output entry is the same ``a[k] +- a[S k]``.
     """
-    n, out = space.n_sites, np.empty_like(amps)
+    n, amps = _sites(s), s.amps  # C-contiguous, as every StateVector's amplitudes are
+    out = np.empty_like(amps)
     record = f"V{amps.nbytes // (4 * n * n)}"
     records, idx, slabs = amps.view(record), _slab_index(n), out.view(record).reshape(n, n, 4)
     for i0 in range(0, n, PAIR_TILE):
@@ -161,7 +131,7 @@ def _with_exchanged(ufunc: np.ufunc, space: CompositeSpace, amps: np.ndarray) ->
 
 def _sector(ufunc: np.ufunc, s: StateVector, blocked: str) -> StateVector:
     """``ufunc(s, S s)``, renormalized; raises ``state has no {blocked}`` if it is (numerically) zero."""
-    amps = _with_exchanged(ufunc, _space_of(s), s.amps)
+    amps = _with_exchanged(ufunc, s)
     norm = checked_norm(amps)
     if norm <= SYMMETRIZE_NORM_FLOOR:
         raise ValueError(f"state has no {blocked}")
@@ -190,16 +160,10 @@ def antisymmetry_violation(s: StateVector) -> float:
     one for symmetric ones, and ``1/sqrt(2)`` for a bare product of two
     disjoint packets with equal spins.
     """
-    space = _space_of(s)
-    return float(np.linalg.norm(_with_exchanged(np.add, space, s.amps)) / 2.0)
+    return float(np.linalg.norm(_with_exchanged(np.add, s)) / 2.0)
 
 
-def prepare_initial(
-    space: CompositeSpace,
-    statistics: Union[Statistics, str],
-    packet1: StateVector,
-    packet2: StateVector,
-) -> StateVector:
+def prepare_initial(statistics: Union[Statistics, str], packet1: StateVector, packet2: StateVector) -> StateVector:
     """Initial spin-only state: both spins down, packets in the slots (the qubit is ``|0>``).
 
     For ``fermion``/``boson`` statistics the product is antisymmetrized or
@@ -208,24 +172,24 @@ def prepare_initial(
 
     Parameters
     ----------
-    space : CompositeSpace
     statistics : Statistics or str
         ``fermion``, ``boson``, or ``distinguishable``.
     packet1, packet2 : StateVector
-        Normalized single-particle position states for slots 1 and 2.
+        Normalized single-particle position states for slots 1 and 2, on
+        the same ``n >= 2`` sites.
 
     Returns
     -------
     StateVector
         Normalized spin-only composite state, of dimension ``4 n^2``.
     """
-    statistics = Statistics(statistics)
+    statistics, n = Statistics(statistics), packet1.dim
+    if packet2.dim != n or n < 2:
+        raise ValueError(f"packets need the same number of sites, at least 2; got {n} and {packet2.dim}")
     for name, p in (("packet1", packet1), ("packet2", packet2)):
-        if p.dim != space.n_sites:
-            raise ValueError(f"{name} has dimension {p.dim}, expected {space.n_sites}")
         if abs(p.norm - 1.0) > NORMALIZATION_ATOL:
             raise ValueError(f"{name} must be normalized, |norm - 1| = {abs(p.norm - 1.0):.3e}")
-    tensor = np.zeros(space.axis_dims[:4], dtype=np.complex128)
+    tensor = np.zeros((n, n, 2, 2), dtype=np.complex128)
     tensor[:, :, 0, 0] = np.outer(packet1.amps, packet2.amps)
     state = StateVector(freeze(tensor).ravel())
     if statistics is Statistics.DISTINGUISHABLE:
@@ -256,12 +220,7 @@ def _live_columns(tensor: np.ndarray) -> np.ndarray:
     return _nonzero(np.bitwise_or.reduce(bits.reshape(-1, 2 * tensor.shape[2]), axis=0).reshape(-1, 2))
 
 
-def _check_dim(space: CompositeSpace, state) -> None:
-    if state.dim not in (space.dim // 2, space.dim):
-        raise ValueError(f"state of dimension {state.dim} is not on the {space.n_sites}-site composite space")
-
-
-def evolve_positions(space: CompositeSpace, u: np.ndarray, state: StateVector) -> StateVector:
+def evolve_positions(u: np.ndarray, state: StateVector) -> StateVector:
     """Apply a one-particle position operator ``u`` (an ``n x n`` array) to both slots at once.
 
     Computes ``(u (x) u (x) identity)`` on the reshaped amplitude tensor
@@ -271,10 +230,9 @@ def evolve_positions(space: CompositeSpace, u: np.ndarray, state: StateVector) -
     again unless full.  Skipped entries and dead columns are exact zeros, so
     only the order of the sums changes.  The output is allocated last.
     """
-    n = space.n_sites
+    n = _sites(state)
     if u.shape != (n, n):
         raise ValueError(f"u must act on the {n}-site position basis, got shape {u.shape}")
-    _check_dim(space, state)
     tensor, images = state.amps.reshape(n, n, -1), []
     for c in _live_columns(tensor):
         x = np.ascontiguousarray(tensor[:, :, c])
@@ -291,15 +249,14 @@ def evolve_positions(space: CompositeSpace, u: np.ndarray, state: StateVector) -
     return StateVector(freeze(out).ravel())
 
 
-def position_occupancy(space: CompositeSpace, x: Union[StateVector, BranchEnsemble]) -> tuple:
+def position_occupancy(x: Union[StateVector, BranchEnsemble]) -> tuple:
     """Per-site occupation of each particle slot, averaged over branches.
 
     Returns ``(occ1, occ2)``; each array sums to 1.
     """
     if isinstance(x, StateVector):
         x = BranchEnsemble.pure(x)
-    _check_dim(space, x)
-    n = space.n_sites
+    n = _sites(x)
     occ1 = np.zeros(n)
     occ2 = np.zeros(n)
     for w, state in x.branches:
@@ -309,17 +266,10 @@ def position_occupancy(space: CompositeSpace, x: Union[StateVector, BranchEnsemb
     return occ1, occ2
 
 
-def joint_position_probability(
-    space: CompositeSpace,
-    psi: StateVector,
-    sites1: Iterable[int],
-    sites2: Iterable[int],
-) -> float:
-    """Probability that slot 1 sits in ``sites1`` and slot 2 in ``sites2``."""
-    _check_dim(space, psi)
-    n = space.n_sites
-    idx1 = np.asarray(list(sites1), dtype=int)
-    idx2 = np.asarray(list(sites2), dtype=int)
+def joint_position_probability(psi: StateVector, sites1: Iterable[int], sites2: Iterable[int]) -> float:
+    """Probability that slot 1 sits in ``sites1`` and slot 2 in ``sites2``; a site listed twice counts once."""
+    n = _sites(psi)
+    idx1, idx2 = (np.asarray(list(dict.fromkeys(sites)), dtype=int) for sites in (sites1, sites2))  # repeats dropped, order kept
     if idx1.size == 0 or idx2.size == 0:
         return 0.0
     if idx1.min() < 0 or idx1.max() >= n or idx2.min() < 0 or idx2.max() >= n:

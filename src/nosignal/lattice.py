@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .composite import CompositeSpace, joint_position_probability
+from .composite import _sites, joint_position_probability
 from .qcore import StateVector, freeze
 
 UNITARITY_ATOL = 1e-12
@@ -294,8 +294,9 @@ def check_spacelike(
     o1, o3 : Region
         The two regions to certify against each other.
     psi : StateVector
-        Initial state on the two-particle composite space for this lattice
-        (dimension ``4 * n_sites**2``, spin-only, or ``8 * n_sites**2``).
+        Initial two-particle state on this lattice (dimension
+        ``4 * n_sites**2``, spin-only, or ``8 * n_sites**2``); a state of
+        another lattice size raises ``ValueError``.
     t_total : float
         Total protocol duration to cover.
     eps : float
@@ -312,8 +313,9 @@ def check_spacelike(
         raise ValueError(f"t_total must be finite and >= 0, got {t_total}")
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    space = CompositeSpace(lat.n_sites)
+    if _sites(psi) != lat.n_sites:
+        raise ValueError(f"psi of dimension {psi.dim} is not on the {lat.n_sites}-site lattice")
     leak_13 = leak_31 = light_cone_bound(lat, o1, o3, t_total)
-    overlap_o1 = joint_position_probability(space, psi, o1.sites(), o1.sites())
-    overlap_o3 = joint_position_probability(space, psi, o3.sites(), o3.sites())
+    overlap_o1 = joint_position_probability(psi, o1.sites(), o1.sites())
+    overlap_o3 = joint_position_probability(psi, o3.sites(), o3.sites())
     return SpacelikeCertificate(float(eps), leak_13, leak_31, overlap_o1, overlap_o3)

@@ -57,7 +57,6 @@ import numpy as np
 
 from . import qcore
 from .composite import (
-    CompositeSpace,
     Statistics,
     _with_qubit,
     antisymmetry_violation,
@@ -417,7 +416,7 @@ def _each(f: Callable[[StateVector], StateVector], branches: list) -> list:
     return list(BranchEnsemble(out).branches)
 
 
-def _joint_step(space: CompositeSpace, mode: str, o2: Optional[Region], branches: list) -> list:
+def _joint_step(n: int, mode: str, o2: Optional[Region], branches: list) -> list:
     """The O2 stage (non-selective) on the list ``branches``, which it takes over.
 
     ``global_bell`` branches on the Bell-direction spin projector applied to
@@ -428,11 +427,11 @@ def _joint_step(space: CompositeSpace, mode: str, o2: Optional[Region], branches
     """
     if mode == "none":
         return branches
-    outcomes = _joint_outcomes(space.n_sites, mode, o2)
+    outcomes = _joint_outcomes(n, mode, o2)
     return sum(luders_update(branches, [op.apply for op in outcomes]), [])
 
 
-def _detector_step(space: CompositeSpace, o3: Region, mode: str, branches: list, selective: bool = False) -> list:
+def _detector_step(n: int, o3: Region, mode: str, branches: list, selective: bool = False) -> list:
     """The detector stage on the spin-only list ``branches``, which it takes over; it returns ``(n, n, 8)`` branches.
 
     ``position`` mode applies the exchange-symmetric position-controlled
@@ -447,10 +446,10 @@ def _detector_step(space: CompositeSpace, o3: Region, mode: str, branches: list,
     the occupied branches come first, then the unoccupied ones (which the
     coupling only lifts), each in the order of the input branches.
     """
-    coupling = _detector_blocks(space.n_sites, o3, mode)
+    coupling = _detector_blocks(n, o3, mode)
     if mode == "position" and not selective:
         return _each(coupling, branches)
-    hits, misses = luders_update(branches, [op.apply for op in _occupancy_outcomes(space.n_sites, o3)])
+    hits, misses = luders_update(branches, [op.apply for op in _occupancy_outcomes(n, o3)])
     total = sum(w for w, _ in hits) if selective else 1.0
     if total <= 1e-12:
         raise ValueError("selective detection post-selected on an empty outcome")
@@ -510,7 +509,7 @@ def run_arm_stages(cfg: ScenarioConfig, kicked: bool) -> Mapping[str, BranchEnse
     the joint measurement), ``final`` (after the t2 evolution and the
     detector measurement).  The first three are lifted from spin-only states.
     """
-    return {name: _with_qubit(ens) for name, ens in _run_arm(cfg, prepare_scenario(cfg)[2], kicked) if name in STAGES}
+    return {name: _with_qubit(ens) for name, ens in _run_arm(cfg, prepare_scenario(cfg)[1], kicked) if name in STAGES}
 
 
 def _keep_peak_mapped(cfg: ScenarioConfig) -> None:
@@ -519,17 +518,18 @@ def _keep_peak_mapped(cfg: ScenarioConfig) -> None:
 
 
 def prepare_scenario(cfg: ScenarioConfig):
-    """Build the lattice, composite space, and initial state of a scenario.
+    """Build the lattice and the initial spin-only state ``psi0`` of a scenario, as ``(lat, psi0)``.
 
-    It first sets glibc's trim and mmap thresholds to the budget ``cfg.peak_bytes``.
+    ``psi0`` has dimension ``4 n^2``, the only record of its lattice size
+    (see ``composite``).  It first sets glibc's trim and mmap thresholds to
+    the budget ``cfg.peak_bytes``.
     """
     _keep_peak_mapped(cfg)
     lat = make_lattice(cfg.n, cfg.hopping)
-    space = CompositeSpace(cfg.n)
     p1 = wavepacket(lat, cfg.packet1.support, cfg.packet1.center, cfg.packet1.width, cfg.packet1.momentum)
     p2 = wavepacket(lat, cfg.packet2.support, cfg.packet2.center, cfg.packet2.width, cfg.packet2.momentum)
-    psi0 = prepare_initial(space, cfg.statistics, p1, p2)
-    return lat, space, psi0
+    psi0 = prepare_initial(cfg.statistics, p1, p2)
+    return lat, psi0
 
 
 def _run_arm(cfg: ScenarioConfig, psi0: StateVector, kicked: bool) -> Iterator[tuple]:
@@ -543,7 +543,7 @@ def _run_arm(cfg: ScenarioConfig, psi0: StateVector, kicked: bool) -> Iterator[t
     built, so a consumer that drops each yielded ensemble before asking for
     the next stage frees the stage branch by branch.
     """
-    lat, space = make_lattice(cfg.n, cfg.hopping), CompositeSpace(cfg.n)
+    lat = make_lattice(cfg.n, cfg.hopping)
     u1, u2 = propagator(lat, cfg.t1), propagator(lat, cfg.t2)
     branches = [(1.0, psi0)]
     del psi0  # so the first step that takes the branch over frees it
@@ -551,12 +551,12 @@ def _run_arm(cfg: ScenarioConfig, psi0: StateVector, kicked: bool) -> Iterator[t
     if kicked and cfg.kick_mode != "off":
         branches = _each(_kick_blocks(cfg.n, cfg.o1, cfg.kick_mode), branches)
     yield "post_kick", BranchEnsemble(branches)
-    branches = _each(lambda s: evolve_positions(space, u1, s), branches)
-    branches = _joint_step(space, cfg.joint_mode, cfg.o2, branches)
+    branches = _each(lambda s: evolve_positions(u1, s), branches)
+    branches = _joint_step(cfg.n, cfg.joint_mode, cfg.o2, branches)
     yield "post_o2", BranchEnsemble(branches)
-    branches = _each(lambda s: evolve_positions(space, u2, s), branches)
+    branches = _each(lambda s: evolve_positions(u2, s), branches)
     yield "pre_detector", BranchEnsemble(branches)
-    yield "final", BranchEnsemble(_detector_step(space, cfg.o3, cfg.detector_mode, branches, cfg.selective_o3))
+    yield "final", BranchEnsemble(_detector_step(cfg.n, cfg.o3, cfg.detector_mode, branches, cfg.selective_o3))
 
 
 def run_scenario(cfg: ScenarioConfig) -> SignalingReport:
@@ -575,7 +575,7 @@ def run_scenario(cfg: ScenarioConfig) -> SignalingReport:
         of either arm (meaningful for fermion statistics), and the final
         branch counts.
     """
-    lat, space, psi0 = prepare_scenario(cfg)
+    lat, psi0 = prepare_scenario(cfg)
     certificate = check_spacelike(lat, cfg.o1, cfg.o3, psi0, cfg.t_total, cfg.eps)
     violation, arrival, p_q1, branch_count = antisymmetry_violation(psi0), 0.0, {}, {}
     arms, first = {kicked: _run_arm(cfg, psi0, kicked) for kicked in (False, True)}, weakref.ref(psi0)
@@ -585,7 +585,7 @@ def run_scenario(cfg: ScenarioConfig) -> SignalingReport:
             if ens.branches[0][1] is not first():  # psi0's own violation is taken once, above
                 violation = max(violation, *(antisymmetry_violation(s) for _, s in ens.branches))
             if name == "pre_detector" and not kicked:
-                occ1, occ2 = position_occupancy(space, ens)
+                occ1, occ2 = position_occupancy(ens)
                 arrival = float(occ1[cfg.o3.lo:cfg.o3.hi].sum() + occ2[cfg.o3.lo:cfg.o3.hi].sum())
             elif name == "final":
                 p_q1[kicked], branch_count[kicked] = qubit_one_probability(ens), ens.branch_count

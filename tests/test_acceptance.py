@@ -26,7 +26,7 @@ from nosignal import (
     run_naive_sorkin,
     run_scenario,
 )
-from nosignal.composite import CompositeSpace, exchange_permutation
+from nosignal.composite import exchange_permutation
 from nosignal.qcore import StateVector, luders_update
 
 
@@ -101,7 +101,7 @@ def test_criterion_1_naive_closed_forms():
 
 def test_criterion_2_default_geometry_certifies():
     cfg = default_scenario()
-    lat, _space, psi0 = prepare_scenario(cfg)
+    lat, psi0 = prepare_scenario(cfg)
     cert = check_spacelike(lat, cfg.o1, cfg.o3, psi0, cfg.t_total, cfg.eps)
     # the certified leaks must cover the oracle block norm at every time of
     # a fine grid over the protocol, in both directions
@@ -139,7 +139,7 @@ def test_criterion_3_fermion_no_signaling():
 
     # the localized joint region must be out of reach of O1 within t1
     cfg_loc = default_scenario(joint_mode="localized_bell", t1=3.0, t2=7.0)
-    lat, _space, _psi0 = prepare_scenario(cfg_loc)
+    lat, _psi0 = prepare_scenario(cfg_loc)
     reach_12 = leakage(lat, cfg_loc.o1, cfg_loc.o2, cfg_loc.t1)
 
     # dense density-matrix cross-check on the 16-site geometry
@@ -176,7 +176,7 @@ def test_criterion_3_fermion_no_signaling():
 
 def _symmetric_sector_defect(cfg) -> float:
     """Worst ||psi - S psi|| / 2 over all branches of all stages, both arms."""
-    perm = exchange_permutation(CompositeSpace(cfg.n))
+    perm = exchange_permutation(cfg.n)
     worst = 0.0
     for kicked in (False, True):
         for ens in run_arm_stages(cfg, kicked=kicked).values():
@@ -294,7 +294,7 @@ def test_criterion_7_pipeline_hygiene():
     # exchange involution, exact
     involution_exact = True
     for n in (4, 16, 96):
-        perm = exchange_permutation(CompositeSpace(n))
+        perm = exchange_permutation(n)
         involution_exact = involution_exact and bool(
             np.array_equal(perm[perm], np.arange(perm.size)))
 

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from nosignal import CompositeSpace, PacketSpec, Region, ScenarioConfig, basis_index, cli, decode_basis_index
+from nosignal import PacketSpec, Region, ScenarioConfig, basis_index, cli, decode_basis_index
 from nosignal import protocol
 from nosignal.protocol import prepare_scenario
 from nosignal.cli import (
@@ -458,17 +458,17 @@ def test_dump_state_of_a_spin_only_stage_keeps_the_8n2_basis(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["branch", "weight", "index", "re", "im"]
     cfg = parse_config(json.dumps(_config_dict(joint_mode="global_bell")))
-    space = CompositeSpace(cfg.n)
-    spin_only = dict(protocol._run_arm(cfg, prepare_scenario(cfg)[2], kicked=False))["post_o2"]
-    assert spin_only.dim == space.dim // 2 and spin_only.branch_count == 2
-    assert len(rows) == 1 + spin_only.branch_count * space.dim
+    dim = 8 * cfg.n * cfg.n
+    spin_only = dict(protocol._run_arm(cfg, prepare_scenario(cfg)[1], kicked=False))["post_o2"]
+    assert spin_only.dim == dim // 2 and spin_only.branch_count == 2
+    assert len(rows) == 1 + spin_only.branch_count * dim
     for b, (w, state) in enumerate(spin_only.branches):
-        branch = rows[1 + b * space.dim : 1 + (b + 1) * space.dim]
+        branch = rows[1 + b * dim : 1 + (b + 1) * dim]
         assert {row[0] for row in branch} == {str(b)} and {row[1] for row in branch} == {repr(w)}
-        assert [int(row[2]) for row in branch] == list(range(space.dim))
+        assert [int(row[2]) for row in branch] == list(range(dim))
         for index, (_, _, _, re_part, im_part) in enumerate(branch):
-            x1, x2, s1, s2, q = decode_basis_index(space, index)
-            assert basis_index(space, x1, x2, s1, s2, q) == index
+            x1, x2, s1, s2, q = decode_basis_index(cfg.n, index)
+            assert basis_index(cfg.n, x1, x2, s1, s2, q) == index
             amp = state.amps[index // 2] if q == 0 else 0.0j
             assert (re_part, im_part) == (repr(float(amp.real)), repr(float(amp.imag))), index
             if q == 1:

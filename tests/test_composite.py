@@ -1,4 +1,4 @@
-"""Unit tests for the two-particle composite space and exchange symmetry."""
+"""Unit tests for the two-particle composite basis and exchange symmetry."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 
 import oracles as oc
 from nosignal import (
-    CompositeSpace,
     StateVector,
     Statistics,
     antisymmetrize,
@@ -28,7 +27,7 @@ from nosignal import (
     wavepacket,
     Region,
 )
-from nosignal.composite import _live_columns, _with_exchanged, exchange_permutation
+from nosignal.composite import _live_columns, _sites, _with_exchanged, exchange_permutation
 from nosignal.qcore import PAULI_X, freeze
 
 
@@ -40,9 +39,8 @@ def _packets(n=12):
 
 
 def _random_composite_state(rng, n):
-    space = CompositeSpace(n)
-    amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    return space, StateVector(amps / np.linalg.norm(amps))
+    amps = rng.normal(size=8 * n * n) + 1j * rng.normal(size=8 * n * n)
+    return StateVector(amps / np.linalg.norm(amps))
 
 
 # ---------------------------------------------------------------------------
@@ -51,36 +49,40 @@ def _random_composite_state(rng, n):
 
 def test_basis_index_formula_exhaustive():
     # index = q + 2*(s2 + 2*(s1 + 2*(x2 + n*x1))) checked entry by entry
-    space = CompositeSpace(4)
     seen = set()
     for x1 in range(4):
         for x2 in range(4):
             for s1 in (0, 1):
                 for s2 in (0, 1):
                     for q in (0, 1):
-                        idx = basis_index(space, x1, x2, s1, s2, q)
+                        idx = basis_index(4, x1, x2, s1, s2, q)
                         assert idx == oc.basis_index(4, x1, x2, s1, s2, q)
-                        assert decode_basis_index(space, idx) == (x1, x2, s1, s2, q)
+                        assert decode_basis_index(4, idx) == (x1, x2, s1, s2, q)
                         seen.add(idx)
-    assert seen == set(range(space.dim))
-
-
-def test_composite_space_shape():
-    space = CompositeSpace(10)
-    assert space.dim == 800
-    assert space.axis_dims == (10, 10, 2, 2, 2)
-    with pytest.raises(ValueError):
-        CompositeSpace(0)
+    assert seen == set(range(8 * 4 * 4))
 
 
 def test_basis_index_validates_ranges():
-    space = CompositeSpace(4)
     with pytest.raises(ValueError):
-        basis_index(space, 4, 0, 0, 0, 0)
+        basis_index(4, 4, 0, 0, 0, 0)
     with pytest.raises(ValueError):
-        basis_index(space, 0, 0, 2, 0, 0)
+        basis_index(4, 0, 0, 2, 0, 0)
     with pytest.raises(ValueError):
-        decode_basis_index(space, space.dim)
+        decode_basis_index(4, 8 * 4 * 4)
+    # both directions reject what is not an integer, bools included
+    for bad in (3.7, True, np.True_):
+        with pytest.raises(ValueError):
+            decode_basis_index(4, bad)
+        with pytest.raises(ValueError):
+            basis_index(4, bad, 0, 0, 0, 0)
+    assert decode_basis_index(4, np.int64(3)) == decode_basis_index(4, 3.0) == (0, 0, 0, 1, 1)
+
+
+def test_sites_reads_n_from_either_layout_and_rejects_every_other_dimension():
+    assert [_sites(StateVector(np.ones(k * n * n))) for n in (2, 3, 96) for k in (4, 8)] == [2, 2, 3, 3, 96, 96]
+    for dim in (1, 4, 8, 12, 96, 4 * 9 + 1, 8 * 36 - 8):  # n = 1 is no lattice
+        with pytest.raises(ValueError, match="not of the composite form"):
+            _sites(StateVector(np.ones(dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -88,24 +90,22 @@ def test_basis_index_validates_ranges():
 
 
 def test_exchange_permutation_matches_reference():
-    space = CompositeSpace(5)
-    perm = exchange_permutation(space)
+    perm = exchange_permutation(5)
     s_ref = oc.exchange_matrix(5)
     s_pkg = np.zeros_like(s_ref)
-    s_pkg[perm, np.arange(space.dim)] = 1.0
+    s_pkg[perm, np.arange(perm.size)] = 1.0
     np.testing.assert_array_equal(s_pkg, s_ref)
 
 
 def test_exchange_involution_is_exact():
     for n in (4, 9, 16):
-        space = CompositeSpace(n)
-        perm = exchange_permutation(space)
-        assert np.array_equal(perm[perm], np.arange(space.dim))
+        perm = exchange_permutation(n)
+        assert np.array_equal(perm[perm], np.arange(8 * n * n))
 
 
 def test_antisymmetrize_and_violation():
     rng = np.random.default_rng(13)
-    space, state = _random_composite_state(rng, 6)
+    state = _random_composite_state(rng, 6)
     anti = antisymmetrize(state)
     assert abs(anti.norm - 1.0) < 1e-12
     assert antisymmetry_violation(anti) < 1e-14
@@ -118,7 +118,7 @@ def test_antisymmetrize_and_violation():
 
 
 def _exchange_test_state(rng, n, kind):
-    space, state = _random_composite_state(rng, n)
+    state = _random_composite_state(rng, n)
     tensor = state.amps.reshape(n, n, 8).copy()
     if kind == "dead_columns":
         tensor[:, :, [1, 3, 5, 6, 7]] = 0.0
@@ -126,7 +126,7 @@ def _exchange_test_state(rng, n, kind):
         tensor.real[rng.random(tensor.shape) < 0.3] = -0.0
         tensor.imag[rng.random(tensor.shape) < 0.3] = -0.0
         tensor[:, :, [1, 7]] = complex(-0.0, -0.0)
-    return space, StateVector(tensor.ravel())
+    return StateVector(tensor.ravel())
 
 
 def _assert_same_floats(got, want):
@@ -139,9 +139,9 @@ def _assert_same_floats(got, want):
 @pytest.mark.parametrize("n", [6, 37, 70])
 def test_exchange_sector_maps_equal_permutation_reference(n, kind):
     rng = np.random.default_rng(n)
-    space, state = _exchange_test_state(rng, n, kind)
+    state = _exchange_test_state(rng, n, kind)
     amps = state.amps
-    swapped = amps[exchange_permutation(space)]
+    swapped = amps[exchange_permutation(n)]
     plus, minus = amps + swapped, amps - swapped
     assert antisymmetry_violation(state) == float(np.linalg.norm(plus) / 2.0)
     _assert_same_floats(symmetrize(state).amps, plus / np.linalg.norm(plus))
@@ -153,7 +153,7 @@ def test_antisymmetry_violation_allocates_one_state_beyond_its_input():
     # of the exchange permutation, cached or not, would add a quarter of a
     # state or more.
     n = 64
-    space, state = _random_composite_state(np.random.default_rng(64), n)
+    state = _random_composite_state(np.random.default_rng(64), n)
     tracemalloc.start()
     try:
         antisymmetry_violation(state)
@@ -164,8 +164,8 @@ def test_antisymmetry_violation_allocates_one_state_beyond_its_input():
 
 
 def test_exchange_sector_is_wrapped_without_a_copy():
-    space, state = _random_composite_state(np.random.default_rng(7), 12)
-    out = _with_exchanged(np.subtract, space, state.amps)
+    state = _random_composite_state(np.random.default_rng(7), 12)
+    out = _with_exchanged(np.subtract, state)
     assert out.base is None  # owns its memory, so freeze marks all of it read-only
     assert np.shares_memory(StateVector(freeze(out)).amps, out)
 
@@ -179,11 +179,10 @@ def test_prepare_initial_holds_two_states_at_its_peak(statistics):
     lat = make_lattice(n, 1.0)
     p1 = wavepacket(lat, Region(4, 10), 7.0, 1.5, 0.0)
     p2 = wavepacket(lat, Region(25, 37), 31.0, 3.0, np.pi / 2)
-    space = CompositeSpace(n)
-    prepare_initial(space, statistics, p1, p2)  # fills the slab index cache outside the trace
+    prepare_initial(statistics, p1, p2)  # fills the slab index cache outside the trace
     tracemalloc.start()
     try:
-        prepare_initial(space, statistics, p1, p2)
+        prepare_initial(statistics, p1, p2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -194,8 +193,7 @@ def test_antisymmetrize_rejects_symmetric_input():
     # identical packets in both slots: the antisymmetric part vanishes
     lat = make_lattice(12, 1.0)
     pk = wavepacket(lat, Region(0, 12), 5.0, 2.0, 0.0)
-    space = CompositeSpace(12)
-    tensor = np.zeros(space.axis_dims, dtype=np.complex128)
+    tensor = np.zeros((12, 12, 2, 2, 2), dtype=np.complex128)
     tensor[:, :, 0, 0, 0] = np.outer(pk.amps, pk.amps)
     state = StateVector(tensor.ravel())
     with pytest.raises(ValueError, match="[Pp]auli"):
@@ -205,8 +203,7 @@ def test_antisymmetrize_rejects_symmetric_input():
 def test_product_state_violation_value():
     # a disjoint-support product state sits exactly halfway: violation 1/sqrt(2)
     _, p1, p2 = _packets(12)
-    space = CompositeSpace(12)
-    tensor = np.zeros(space.axis_dims, dtype=np.complex128)
+    tensor = np.zeros((12, 12, 2, 2, 2), dtype=np.complex128)
     tensor[:, :, 0, 0, 0] = np.outer(p1.amps, p2.amps)
     state = StateVector(tensor.ravel())
     assert antisymmetry_violation(state) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
@@ -219,8 +216,7 @@ def test_product_state_violation_value():
 @pytest.mark.parametrize("statistics", ["fermion", "boson", "distinguishable"])
 def test_prepare_initial_matches_reference(statistics):
     _, p1, p2 = _packets(12)
-    space = CompositeSpace(12)
-    psi = prepare_initial(space, statistics, p1, p2)
+    psi = prepare_initial(statistics, p1, p2)
     assert abs(psi.norm - 1.0) < 1e-12
     if statistics == "fermion":
         want = oc.antisymmetrized_product(12, p1.amps, p2.amps)
@@ -230,7 +226,7 @@ def test_prepare_initial_matches_reference(statistics):
         assert antisymmetry_violation(psi) == pytest.approx(1.0, abs=1e-12)
     else:
         want = oc.product_state(12, p1.amps, p2.amps)
-    assert psi.dim == space.dim // 2 and not np.any(want[1::2])  # spin-only: the q = 0 entries
+    assert psi.dim == 4 * 12 * 12 and not np.any(want[1::2])  # spin-only: the q = 0 entries
     np.testing.assert_allclose(psi.amps, want[::2], atol=1e-12)
 
 
@@ -238,25 +234,27 @@ def test_prepare_initial_requires_disjoint_support_for_identical_particles():
     lat = make_lattice(12, 1.0)
     a = wavepacket(lat, Region(0, 8), 3.0, 1.5, 0.0)
     b = wavepacket(lat, Region(2, 10), 5.0, 1.5, 0.0)  # overlaps a
-    space = CompositeSpace(12)
     with pytest.raises(ValueError, match="disjoint"):
-        prepare_initial(space, "fermion", a, b)
+        prepare_initial("fermion", a, b)
     with pytest.raises(ValueError, match="disjoint"):
-        prepare_initial(space, "boson", a, b)
+        prepare_initial("boson", a, b)
     # distinguishable particles may overlap
-    psi = prepare_initial(space, "distinguishable", a, b)
+    psi = prepare_initial("distinguishable", a, b)
     assert abs(psi.norm - 1.0) < 1e-12
 
 
 def test_prepare_initial_validates_packets():
     _, p1, p2 = _packets(12)
-    space = CompositeSpace(12)
     with pytest.raises(ValueError):
-        prepare_initial(space, "fermion", StateVector(p1.amps[:-1]).normalized(), p2)
+        prepare_initial("fermion", StateVector(p1.amps[:-1]).normalized(), p2)
     with pytest.raises(ValueError):
-        prepare_initial(space, "fermion", StateVector(2.0 * p1.amps), p2)
+        prepare_initial("distinguishable", p1, StateVector(p2.amps[:-1]).normalized())
     with pytest.raises(ValueError):
-        prepare_initial(space, "not-a-statistics", p1, p2)
+        prepare_initial("distinguishable", StateVector(np.ones(1)), StateVector(np.ones(1)))
+    with pytest.raises(ValueError):
+        prepare_initial("fermion", StateVector(2.0 * p1.amps), p2)
+    with pytest.raises(ValueError):
+        prepare_initial("not-a-statistics", p1, p2)
     assert Statistics("fermion") is Statistics.FERMION
 
 
@@ -301,14 +299,14 @@ def test_evolve_positions_matches_kron_action(live, n, support):
     # Columns are the (s1, s2, q) index; the drift contracts only the live
     # ones, each over its own nonzero rows and columns.  n = 37 is odd.
     rng = np.random.default_rng(37)
-    space, state = _random_composite_state(rng, n)
+    state = _random_composite_state(rng, n)
     dead = np.setdiff1d(np.arange(8), list(live))
     tensor = state.amps.reshape(n, n, 8).copy()
     tensor[:, :, dead] = 0.0
     _cut_to(tensor, support)
     state = StateVector(tensor.ravel())
     u = oc.single_propagator(n, 1.0, 0.8)
-    got = evolve_positions(space, u, state)
+    got = evolve_positions(u, state)
     # (u (x) u (x) 1_8) v, with the identity factor acting on the 8 columns of v.
     want = (oc.kron_all(u, u) @ state.amps.reshape(n * n, 8)).ravel()
     np.testing.assert_allclose(got.amps, want, atol=1e-12)
@@ -319,11 +317,11 @@ def test_drifting_the_prepared_wavepackets_equals_a_full_contraction():
     # psi0's columns are nonzero only on the packets' sites, so the drift
     # contracts each over a few rows and columns of the 96.
     cfg = default_scenario()
-    lat, space, psi0 = prepare_scenario(cfg)
+    lat, psi0 = prepare_scenario(cfg)
     n, u = cfg.n, propagator(lat, cfg.t2)
     tensor = psi0.amps.reshape(n, n, 4)
     assert 0 < np.count_nonzero(tensor.any(axis=(1, 2))) < n
-    got = evolve_positions(space, u, psi0).amps.reshape(n, n, 4)
+    got = evolve_positions(u, psi0).amps.reshape(n, n, 4)
     want = np.stack([u @ tensor[:, :, c] @ u.T for c in range(4)], axis=-1)
     assert np.abs(got - want).max() <= 1e-15
 
@@ -352,10 +350,10 @@ def test_drift_placement_is_byte_exact(n, live):
     # Dead columns hold -0.0, and so do some live entries; every live
     # column's support is full, so the drift contracts it ungathered.
     rng = np.random.default_rng(n)
-    space, state = _random_composite_state(rng, n)
+    state = _random_composite_state(rng, n)
     tensor = _with_minus_zeros(rng, state.amps.reshape(n, n, 8).copy(), live)
     u = oc.single_propagator(n, 1.0, 0.8)
-    got = evolve_positions(space, u, StateVector(tensor.ravel()))
+    got = evolve_positions(u, StateVector(tensor.ravel()))
     assert np.array_equal(got.amps.view(np.uint64), _gathered_drift(u, tensor).ravel().view(np.uint64))
 
 
@@ -365,12 +363,12 @@ def test_drift_on_compact_supports_is_byte_exact(support):
     # drift gathers.  A spin-only (n, n, 4) state, as the pipeline drifts.
     n, live = 37, [0, 2, 3]
     rng = np.random.default_rng(3)
-    space, state = _random_composite_state(rng, n)
+    state = _random_composite_state(rng, n)
     tensor = _with_minus_zeros(rng, state.amps.reshape(n, n, 8)[:, :, :4].copy(), live)
     _cut_to(tensor, support)
     np.testing.assert_array_equal(_live_columns(tensor), live)  # the subnormal column stays live
     u = oc.single_propagator(n, 1.0, 0.8)
-    got = evolve_positions(space, u, StateVector(tensor.ravel()))
+    got = evolve_positions(u, StateVector(tensor.ravel()))
     assert np.array_equal(got.amps.view(np.uint64), _gathered_drift(u, tensor).ravel().view(np.uint64))
 
 
@@ -380,15 +378,15 @@ def test_drift_holds_the_output_and_one_contraction_at_its_peak(k):
     # returns.  Placing the live columns through a transposed copy added
     # another k/8.
     n = 64
-    space, state = _random_composite_state(np.random.default_rng(k), n)
+    state = _random_composite_state(np.random.default_rng(k), n)
     tensor = state.amps.reshape(n, n, 8).copy()
     tensor[:, :, k:] = 0.0
     state = StateVector(tensor.ravel())
     u = oc.single_propagator(n, 1.0, 0.8)
-    evolve_positions(space, u, state)  # warm
+    evolve_positions(u, state)  # warm
     tracemalloc.start()
     try:
-        evolve_positions(space, u, state)
+        evolve_positions(u, state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -411,40 +409,52 @@ def test_live_column_scan_equals_any():
 
 
 def test_evolve_positions_requires_square_site_operator():
-    space = CompositeSpace(6)
-    state = StateVector(np.eye(space.dim)[0])
+    state = StateVector(np.eye(8 * 6 * 6)[0])
     with pytest.raises(ValueError):
-        evolve_positions(space, PAULI_X, state)
+        evolve_positions(PAULI_X, state)
     with pytest.raises(ValueError):
-        evolve_positions(CompositeSpace(5), np.eye(5), state)
+        evolve_positions(np.eye(5), state)  # a lattice of another size than the state's
+    with pytest.raises(ValueError):
+        evolve_positions(np.eye(6), StateVector(np.eye(8 * 6 * 6 - 8)[0]))  # not 4 n^2 or 8 n^2
 
 
 def test_position_occupancy_marginals():
     _, p1, p2 = _packets(12)
-    space = CompositeSpace(12)
-    psi = prepare_initial(space, "distinguishable", p1, p2)
-    occ1, occ2 = position_occupancy(space, psi)
+    psi = prepare_initial("distinguishable", p1, p2)
+    occ1, occ2 = position_occupancy(psi)
     np.testing.assert_allclose(occ1, np.abs(p1.amps) ** 2, atol=1e-12)
     np.testing.assert_allclose(occ2, np.abs(p2.amps) ** 2, atol=1e-12)
     assert occ1.sum() == pytest.approx(1.0, abs=1e-12)
     assert occ2.sum() == pytest.approx(1.0, abs=1e-12)
     # after antisymmetrization the two slots carry the same marginal
-    psi_f = prepare_initial(space, "fermion", p1, p2)
-    f1, f2 = position_occupancy(space, psi_f)
+    psi_f = prepare_initial("fermion", p1, p2)
+    f1, f2 = position_occupancy(psi_f)
     np.testing.assert_allclose(f1, f2, atol=1e-12)
     np.testing.assert_allclose(f1, (np.abs(p1.amps) ** 2 + np.abs(p2.amps) ** 2) / 2, atol=1e-12)
 
 
 def test_joint_position_probability():
     _, p1, p2 = _packets(12)
-    space = CompositeSpace(12)
-    psi = prepare_initial(space, "distinguishable", p1, p2)
+    psi = prepare_initial("distinguishable", p1, p2)
     # slot 1 lives on [0, 6), slot 2 on [6, 12)
-    assert joint_position_probability(space, psi, range(0, 6), range(6, 12)) == pytest.approx(1.0, abs=1e-12)
-    assert joint_position_probability(space, psi, range(6, 12), range(0, 6)) == pytest.approx(0.0, abs=1e-15)
-    psi_f = prepare_initial(space, "fermion", p1, p2)
+    assert joint_position_probability(psi, range(0, 6), range(6, 12)) == pytest.approx(1.0, abs=1e-12)
+    assert joint_position_probability(psi, range(6, 12), range(0, 6)) == pytest.approx(0.0, abs=1e-15)
+    psi_f = prepare_initial("fermion", p1, p2)
     # either ordering carries half the weight for the antisymmetrized state
-    assert joint_position_probability(space, psi_f, range(0, 6), range(6, 12)) == pytest.approx(0.5, abs=1e-12)
+    assert joint_position_probability(psi_f, range(0, 6), range(6, 12)) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_joint_position_probability_counts_a_repeated_site_once():
+    cfg = default_scenario()
+    _, psi0 = prepare_scenario(cfg)
+    o1, everywhere = list(cfg.o1.sites()), range(cfg.n)
+    once = joint_position_probability(psi0, o1, everywhere)
+    assert once == pytest.approx(0.5, abs=1e-12)  # packet 1 sits in O1, in slot 1 half the time
+    assert joint_position_probability(psi0, o1 + o1, everywhere) == once
+    assert joint_position_probability(psi0, o1, [*everywhere, *o1]) == once
+    assert joint_position_probability(psi0, [o1[0]] * 3, [cfg.n - 1] * 2) == joint_position_probability(
+        psi0, [o1[0]], [cfg.n - 1]
+    )
 
 
 def test_joint_position_probability_equals_full_tensor_formula():
@@ -452,7 +462,7 @@ def test_joint_position_probability_equals_full_tensor_formula():
     # tensor and then selecting: same values, same summation order
     rng = np.random.default_rng(17)
     for n, k1, k2 in ((6, 3, 2), (13, 5, 7), (24, 12, 1)):
-        space, psi = _random_composite_state(rng, n)
+        psi = _random_composite_state(rng, n)
         amps = psi.amps.copy()
         amps[rng.random(amps.size) < 0.3] = complex(-0.0, -0.0)
         amps[rng.random(amps.size) < 0.2] *= 1e-160
@@ -460,4 +470,4 @@ def test_joint_position_probability_equals_full_tensor_formula():
         sites1 = rng.choice(n, size=k1, replace=False)
         sites2 = rng.choice(n, size=k2, replace=False)
         old = float((np.abs(psi.amps.reshape(n, n, 8)) ** 2)[np.ix_(sites1, sites2)].sum())
-        assert joint_position_probability(space, psi, sites1, sites2) == old
+        assert joint_position_probability(psi, sites1, sites2) == old

@@ -14,6 +14,7 @@ import oracles as oc
 from nosignal import (
     Region,
     SpacelikeCertificate,
+    StateVector,
     check_spacelike,
     default_scenario,
     hamiltonian,
@@ -25,7 +26,7 @@ from nosignal import (
     wavepacket,
 )
 from nosignal import lattice as lattice_mod
-from nosignal.composite import CompositeSpace, joint_position_probability
+from nosignal.composite import joint_position_probability
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +297,7 @@ def test_import_leaves_sparse_linalg_unloaded():
 
 def test_certificate_on_default_geometry():
     cfg = default_scenario()
-    lat, space, psi0 = prepare_scenario(cfg)
+    lat, psi0 = prepare_scenario(cfg)
     cert = check_spacelike(lat, cfg.o1, cfg.o3, psi0, cfg.t_total, cfg.eps)
     assert cert.passed
     assert cert.epsilon == pytest.approx(1e-6)
@@ -310,15 +311,15 @@ def test_certificate_on_default_geometry():
     fine_max = max(oc.block_leakage(cfg.n, cfg.hopping, sites1, sites3, t) for t in times)
     assert bound >= fine_max
     # and the overlaps are the joint occupancies of the initial state
-    want_o1 = joint_position_probability(space, psi0, cfg.o1.sites(), cfg.o1.sites())
-    want_o3 = joint_position_probability(space, psi0, cfg.o3.sites(), cfg.o3.sites())
+    want_o1 = joint_position_probability(psi0, cfg.o1.sites(), cfg.o1.sites())
+    want_o3 = joint_position_probability(psi0, cfg.o3.sites(), cfg.o3.sites())
     assert cert.overlap_O1 == want_o1
     assert cert.overlap_O3 == want_o3
 
 
 def test_certificate_fails_when_regions_too_close():
     cfg = default_scenario()
-    lat, _space, psi0 = prepare_scenario(cfg)
+    lat, psi0 = prepare_scenario(cfg)
     near = Region(24, 36)  # close enough to O1 for leakage within t_total
     cert = check_spacelike(lat, cfg.o1, near, psi0, cfg.t_total, cfg.eps)
     assert not cert.passed
@@ -340,7 +341,7 @@ def test_certificate_passes_up_to_epsilon_and_fails_one_ulp_above(field):
 
 def test_check_spacelike_validates_inputs():
     cfg = default_scenario()
-    lat, space, psi0 = prepare_scenario(cfg)
+    lat, psi0 = prepare_scenario(cfg)
     with pytest.raises(ValueError):
         check_spacelike(lat, cfg.o1, cfg.o3, psi0, -1.0, cfg.eps)
     for eps in (0.0, -1.0, math.inf, math.nan):
@@ -349,5 +350,9 @@ def test_check_spacelike_validates_inputs():
     small_space_state = wavepacket(lat, Region(8, 20), 14.0, 3.0, 0.0)
     with pytest.raises(ValueError):
         check_spacelike(lat, cfg.o1, cfg.o3, small_space_state, cfg.t_total, cfg.eps)
-    other = CompositeSpace(12)
-    assert other.dim == 8 * 12 * 12  # sanity for the failing dimension path above
+    # Composite states of another lattice size raise, also a 120-site one,
+    # whose site range still covers O1 and O3.
+    for n, per_pair in ((12, 4), (120, 4), (120, 8)):
+        other = StateVector(np.eye(1, per_pair * n * n)[0])
+        with pytest.raises(ValueError, match=f"not on the {cfg.n}-site lattice"):
+            check_spacelike(lat, cfg.o1, cfg.o3, other, cfg.t_total, cfg.eps)

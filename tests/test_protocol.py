@@ -19,7 +19,6 @@ import oracles as oc
 from conftest import geometry_caches
 from nosignal import (
     BranchEnsemble,
-    CompositeSpace,
     PacketSpec,
     Region,
     ScenarioConfig,
@@ -169,14 +168,14 @@ def test_detector_coupling_matches_reference():
 
 def test_kick_operator_position_mode():
     n = 8
-    space = CompositeSpace(n)
+    dim = 8 * n * n
     o1 = Region(1, 4)
     k = _kernel_matrix(protocol_mod._kick_blocks(n, o1, "position"))
-    assert k.shape == (space.dim // 2,) * 2
+    assert k.shape == (dim // 2,) * 2
     np.testing.assert_allclose(_kron_qubit(k), oc.kick_unitary(n, range(1, 4), "position"), atol=1e-14)
     assert _exchange_defect(n, k) <= 1e-12
     assert _unitarity_defect(k) < 1e-14
-    np.testing.assert_allclose(k @ k, np.eye(space.dim // 2), atol=1e-14)
+    np.testing.assert_allclose(k @ k, np.eye(dim // 2), atol=1e-14)
 
 
 def test_kick_operator_label1_mode():
@@ -196,13 +195,13 @@ def test_kick_flips_the_region_supported_wing():
     o1 = Region(0, 6)
     p1 = wavepacket(lat, Region(0, 6), 2.5, 1.0, 0.0)
     p2 = wavepacket(lat, Region(6, 12), 8.5, 1.0, 0.9)
-    space = CompositeSpace(n)
-    psi0 = prepare_initial(space, "fermion", p1, p2)
+    dim = 8 * n * n
+    psi0 = prepare_initial("fermion", p1, p2)
     kick = _kernel_matrix(protocol_mod._kick_blocks(n, o1, "position"))
     np.testing.assert_allclose(_kron_qubit(kick), oc.kick_unitary(n, range(0, 6), "position"), atol=1e-14)
     kicked = StateVector(kick @ psi0.amps)  # spin-only: the basis index with q = 0, halved
 
-    want = np.zeros(space.dim, dtype=np.complex128)
+    want = np.zeros(dim, dtype=np.complex128)
     for x1 in range(n):
         for x2 in range(n):
             # slot 1 carries (packet1, spin up), slot 2 carries (packet2, down)
@@ -216,18 +215,18 @@ def test_kick_flips_the_region_supported_wing():
 
 def test_occupancy_projector_matches_reference():
     n = 8
-    space = CompositeSpace(n)
+    dim = 8 * n * n
     p, q = (_kernel_matrix(op) for op in protocol_mod._occupancy_outcomes(n, Region(5, 8)))
     want = np.diag(oc.union_occupancy_diag(n, range(5, 8)))
     np.testing.assert_array_equal(_kron_qubit(p), want)
-    np.testing.assert_array_equal(_kron_qubit(q), np.eye(space.dim) - want)
+    np.testing.assert_array_equal(_kron_qubit(q), np.eye(dim) - want)
     assert _projector_defect(p) == 0.0
     assert _exchange_defect(n, p) <= 1e-12
 
 
 def test_position_detector_unitary_matches_reference():
     n = 8
-    space = CompositeSpace(n)
+    dim = 8 * n * n
     o3 = Region(5, 8)
     # The 8x8 unitaries whose q = 0 columns the detector keeps, placed on the same rectangles.
     unitaries = (protocol_mod._spin_qubit_map_8(1), protocol_mod._spin_qubit_map_8(2),
@@ -235,10 +234,10 @@ def test_position_detector_unitary_matches_reference():
     full = _kernel_matrix(protocol_mod._by_occupant(n, o3, "O3", *unitaries))
     np.testing.assert_allclose(full, oc.position_detector(n, range(5, 8)), atol=1e-14)
     assert _unitarity_defect(full) < 1e-12
-    np.testing.assert_allclose(full @ full, np.eye(space.dim), atol=1e-12)
+    np.testing.assert_allclose(full @ full, np.eye(dim), atol=1e-12)
     assert _exchange_defect(n, full) <= 1e-12
     v = _kernel_matrix(protocol_mod._detector_blocks(n, o3, "position"))
-    assert v.shape == (space.dim, space.dim // 2)
+    assert v.shape == (dim, dim // 2)
     np.testing.assert_array_equal(v, full[:, ::2])
     assert _unitarity_defect(v) < 1e-12
     assert _exchange_defect(n, v) <= 1e-12
@@ -250,14 +249,14 @@ def test_position_detector_unitary_matches_reference():
 
 def _fermion_pair_with_spin_up_in(n, window_lo, window_hi, up_packet, down_packet):
     """Antisymmetrized spin-only state: up_packet carries spin up, down_packet spin down."""
-    space = CompositeSpace(n)
-    amps = np.zeros(space.dim, dtype=np.complex128)
+    dim = 8 * n * n
+    amps = np.zeros(dim, dtype=np.complex128)
     for x1 in range(n):
         for x2 in range(n):
             amps[oc.basis_index(n, x1, x2, 1, 0, 0)] += up_packet[x1] * down_packet[x2]
             amps[oc.basis_index(n, x1, x2, 0, 1, 0)] -= down_packet[x1] * up_packet[x2]
     amps /= np.linalg.norm(amps)
-    return space, StateVector(amps[::2])  # the q = 0 entries
+    return StateVector(amps[::2])  # the q = 0 entries
 
 
 def _packets_for_detector(n=12):
@@ -271,8 +270,8 @@ def test_position_detector_detects_and_keeps_antisymmetry():
     n = 12
     o3 = Region(8, 12)
     inside, outside = _packets_for_detector(n)
-    space, psi = _fermion_pair_with_spin_up_in(n, o3.lo, o3.hi, inside.amps, outside.amps)
-    out = BranchEnsemble(_detector_step(space, o3, "position", [(1.0, psi)]))
+    psi = _fermion_pair_with_spin_up_in(n, o3.lo, o3.hi, inside.amps, outside.amps)
+    out = BranchEnsemble(_detector_step(n, o3, "position", [(1.0, psi)]))
     assert out.branch_count == 1
     weight, state = out.branches[0]
     assert weight == pytest.approx(1.0)
@@ -288,15 +287,15 @@ def test_label2_detector_breaks_antisymmetry():
     n = 12
     o3 = Region(8, 12)
     inside, outside = _packets_for_detector(n)
-    space, psi = _fermion_pair_with_spin_up_in(n, o3.lo, o3.hi, inside.amps, outside.amps)
-    out = BranchEnsemble(_detector_step(space, o3, "label2", [(1.0, psi)]))
+    psi = _fermion_pair_with_spin_up_in(n, o3.lo, o3.hi, inside.amps, outside.amps)
+    out = BranchEnsemble(_detector_step(n, o3, "label2", [(1.0, psi)]))
     assert out.branch_count == 1
     weight, state = out.branches[0]
     assert weight == pytest.approx(1.0, abs=1e-12)
     assert qubit_one_probability(out) == pytest.approx(0.5, abs=1e-12)
     assert antisymmetry_violation(state) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
 
-    want = np.zeros(space.dim, dtype=np.complex128)
+    want = np.zeros(8 * n * n, dtype=np.complex128)
     for x1 in range(n):
         for x2 in range(n):
             # unflipped wing: (inside, up)(outside, down), pointer 0
@@ -309,23 +308,22 @@ def test_label2_detector_breaks_antisymmetry():
 
 def test_selective_detection_on_empty_window_raises():
     n = 12
-    space = CompositeSpace(n)
     lat = make_lattice(n, 1.0)
     p1 = wavepacket(lat, Region(0, 4), 1.5, 1.0, 0.0)
     p2 = wavepacket(lat, Region(4, 8), 5.5, 1.0, 0.0)
-    psi = prepare_initial(space, "fermion", p1, p2)
+    psi = prepare_initial("fermion", p1, p2)
     with pytest.raises(ValueError, match="empty outcome"):
-        _detector_step(space, Region(8, 12), "position", [(1.0, psi)], selective=True)
+        _detector_step(n, Region(8, 12), "position", [(1.0, psi)], selective=True)
 
 
 def test_selective_hit_branch_is_the_csr_projection_byte_for_byte():
     n = 8
-    space = CompositeSpace(n)
+    dim = 8 * n * n
     o3 = Region(5, 8)
     rng = np.random.default_rng(7)
-    amps = rng.normal(size=space.dim // 2) + 1j * rng.normal(size=space.dim // 2)
+    amps = rng.normal(size=dim // 2) + 1j * rng.normal(size=dim // 2)
     psi = StateVector(amps / np.linalg.norm(amps))
-    out = BranchEnsemble(_detector_step(space, o3, "position", [(1.0, psi)], selective=True))
+    out = BranchEnsemble(_detector_step(n, o3, "position", [(1.0, psi)], selective=True))
     # The occupancy projection of the spin-only state, normalized, then the 8 n^2 x 4 n^2 coupling.
     occupied = oc.union_occupancy_diag(n, range(5, 8))[::2]
     arm = sp.csr_array(np.diag(occupied).astype(np.complex128)) @ psi.amps
@@ -338,21 +336,21 @@ def test_selective_hit_branch_is_the_csr_projection_byte_for_byte():
 
 def test_label2_detector_lists_every_hit_before_every_miss():
     n = 8
-    space = CompositeSpace(n)
+    dim = 8 * n * n
     occupied = oc.union_occupancy_diag(n, range(5, 8)).astype(bool)
     rng = np.random.default_rng(11)
     states = []
     for scale_inside in (1.0, 3.0):  # two spin-only branches with different occupancies
-        amps = rng.normal(size=space.dim // 2) + 1j * rng.normal(size=space.dim // 2)
+        amps = rng.normal(size=dim // 2) + 1j * rng.normal(size=dim // 2)
         amps[occupied[::2]] *= scale_inside
         states.append(amps / np.linalg.norm(amps))
     ens = BranchEnsemble(tuple((w, StateVector(a)) for w, a in zip((0.3, 0.7), states)))
-    out = BranchEnsemble(_detector_step(space, Region(5, 8), "label2", list(ens.branches)))
+    out = BranchEnsemble(_detector_step(n, Region(5, 8), "label2", list(ens.branches)))
     p_in = [float(np.sum(np.abs(a[occupied[::2]]) ** 2)) for a in states]
     want = [0.3 * p_in[0], 0.7 * p_in[1], 0.3 * (1 - p_in[0]), 0.7 * (1 - p_in[1])]
     assert [w for w, _ in out.branches] == pytest.approx(want, rel=1e-12)
     for k, (_, state) in enumerate(out.branches):
-        assert state.dim == space.dim
+        assert state.dim == dim
         outside_outcome = ~occupied if k < 2 else occupied
         assert not np.any(state.amps[outside_outcome])
         if k >= 2:  # a miss is only lifted: the spin-only miss at the even indices, +0.0 at the odd ones
@@ -372,32 +370,32 @@ def test_only_a_branching_detector_builds_the_occupancy_projectors(monkeypatch):
 
 
 def test_detector_and_localized_joint_reject_a_region_past_the_lattice():
-    space = CompositeSpace(8)
+    n = 8
     for mode in DETECTOR_MODES:
         for selective in (False, True):
             with pytest.raises(ValueError, match="exceeds the 8-site lattice"):
-                _detector_step(space, Region(5, 9), mode, [], selective)
+                _detector_step(n, Region(5, 9), mode, [], selective)
     with pytest.raises(ValueError, match="exceeds the 8-site lattice"):
-        _joint_step(space, "localized_bell", Region(5, 9), [])
+        _joint_step(n, "localized_bell", Region(5, 9), [])
 
 
 def test_joint_measurement_none_is_identity():
     cfg = _basic_config()
-    _, space, psi0 = prepare_scenario(cfg)
+    _, psi0 = prepare_scenario(cfg)
     branches = [(1.0, psi0)]
-    assert _joint_step(space, "none", None, branches) is branches
+    assert _joint_step(cfg.n, "none", None, branches) is branches
     assert branches == [(1.0, psi0)]
 
 
 def test_joint_measurement_matches_reference_update():
     rng = np.random.default_rng(41)
     n = 8
-    space = CompositeSpace(n)
-    amps = rng.normal(size=space.dim // 2) + 1j * rng.normal(size=space.dim // 2)
+    dim = 8 * n * n
+    amps = rng.normal(size=dim // 2) + 1j * rng.normal(size=dim // 2)
     state = StateVector(amps / np.linalg.norm(amps))  # spin-only
     for mode, sites in (("global_bell", None), ("localized_bell", range(3, 6))):
         o2 = None if sites is None else Region(3, 6)
-        out = BranchEnsemble(_joint_step(space, mode, o2, [(1.0, state)]))
+        out = BranchEnsemble(_joint_step(n, mode, o2, [(1.0, state)]))
         rho = oc.density_from_branches((w, s.amps) for w, s in out.branches)
         projs = oc.joint_projectors(n, mode, sites)
         for p in projs:  # the identity on the qubit, so the q = 0 block acts on spin-only states
@@ -415,7 +413,7 @@ def test_joint_measurement_matches_reference_update():
 @pytest.mark.parametrize("n", [8, 12])
 def test_kernels_match_materialized_operators_exactly(n):
     # Bytes, not ``==``: -0.0 and +0.0 differ.  The inputs hold both.
-    space = CompositeSpace(n)
+    dim = 8 * n * n
     region, o2 = Region(2, 5), Region(4, 7)
     rng = np.random.default_rng(n)
     ops = {f"kick {mode}": protocol_mod._kick_blocks(n, region, mode) for mode in ("position", "label1")}
@@ -446,22 +444,22 @@ def test_kernels_match_materialized_operators_exactly(n):
     # on the q = 0 columns (spin-only inputs).
     occupied = oc.union_occupancy_diag(n, region.sites()).astype(bool)
     coupling = np.kron(np.eye(2 * n * n), detector_coupling())
-    label2 = np.where(occupied[:, None], coupling, np.eye(space.dim))
-    assert matrices["detector label2"].shape == (space.dim, space.dim // 2)
+    label2 = np.where(occupied[:, None], coupling, np.eye(dim))
+    assert matrices["detector label2"].shape == (dim, dim // 2)
     np.testing.assert_array_equal(matrices["detector label2"], label2[:, ::2])
     np.testing.assert_array_equal(matrices["detector position"], matrices["detector position 8x8"][:, ::2])
 
 
 def test_label2_coupling_on_occupied_branches_equals_the_global_map_byte_for_byte():
     n = 12
-    space = CompositeSpace(n)
+    dim = 8 * n * n
     o3 = Region(7, 11)
     rng = np.random.default_rng(3)
     coupling = protocol_mod._detector_blocks(n, o3, "label2")  # 4 -> 8
     everywhere = PairBlocks(n, ((slice(None), slice(None)),), (protocol_mod._spin_qubit_map_8(2)[:, ::2],), True)
     occupied, unoccupied = protocol_mod._occupancy_outcomes(n, o3)
     for _ in range(3):
-        amps = rng.normal(size=space.dim // 2) + 1j * rng.normal(size=space.dim // 2)
+        amps = rng.normal(size=dim // 2) + 1j * rng.normal(size=dim // 2)
         parts = amps.view(np.float64)
         parts[rng.random(parts.size) < 0.2] = -0.0
         hit = occupied.apply(amps)
@@ -470,23 +468,23 @@ def test_label2_coupling_on_occupied_branches_equals_the_global_map_byte_for_byt
         # On an unoccupied branch the coupling only lifts: spin entry i at index 2 i, +0.0 at the odd ones.
         miss = unoccupied.apply(amps)
         miss /= np.linalg.norm(miss)
-        lifted = np.zeros(space.dim, dtype=np.complex128)
+        lifted = np.zeros(dim, dtype=np.complex128)
         lifted[::2] = miss
         assert coupling.apply(miss).tobytes() == lifted.tobytes()
 
 
 def test_joint_measurement_equals_luders_on_materialized_projectors():
     n = 8
-    space = CompositeSpace(n)
+    dim = 8 * n * n
     rng = np.random.default_rng(5)
-    amps = rng.normal(size=space.dim // 2) + 1j * rng.normal(size=space.dim // 2)
+    amps = rng.normal(size=dim // 2) + 1j * rng.normal(size=dim // 2)
     ens = BranchEnsemble.pure(StateVector(amps / np.linalg.norm(amps)))  # spin-only
     for mode in ("global_bell", "localized_bell"):
-        got = BranchEnsemble(_joint_step(space, mode, Region(3, 6), list(ens.branches)))
+        got = BranchEnsemble(_joint_step(n, mode, Region(3, 6), list(ens.branches)))
         matrices = [_kernel_matrix(op) for op in protocol_mod._joint_outcomes(n, mode, Region(3, 6))]
         assert max(map(_projector_defect, matrices)) < 1e-14
         assert np.linalg.norm(matrices[0] @ matrices[1]) < 1e-14
-        assert np.linalg.norm(sum(matrices) - np.eye(space.dim // 2)) < 1e-14
+        assert np.linalg.norm(sum(matrices) - np.eye(dim // 2)) < 1e-14
         csrs = [sp.csr_array(m) for m in matrices]
         want = BranchEnsemble(sum(luders_update(list(ens.branches), [c.__matmul__ for c in csrs]), []))
         assert [w for w, _ in got.branches] == [w for w, _ in want.branches]
@@ -659,10 +657,11 @@ def test_naive_rejects_bad_observables():
 
 
 def test_qubit_one_probability_counts_odd_indices():
-    space = CompositeSpace(8)
-    up = np.zeros(space.dim, dtype=np.complex128)
+    n = 8
+    dim = 8 * n * n
+    up = np.zeros(dim, dtype=np.complex128)
     up[1] = 1.0  # q = 1
-    down = np.zeros(space.dim, dtype=np.complex128)
+    down = np.zeros(dim, dtype=np.complex128)
     down[0] = 1.0  # q = 0
     ens = BranchEnsemble(
         (
@@ -675,8 +674,9 @@ def test_qubit_one_probability_counts_odd_indices():
 
 def test_qubit_one_probability_reads_the_layout_from_the_dimension():
     # A spin-only (n, n, 4) state with s2 = up at an odd index: its qubit is |0> by layout.
-    space = CompositeSpace(8)
-    spin_only = np.zeros(space.dim // 2, dtype=np.complex128)
+    n = 8
+    dim = 8 * n * n
+    spin_only = np.zeros(dim // 2, dtype=np.complex128)
     spin_only[1] = 1.0  # s1 = down, s2 = up
     assert qubit_one_probability(BranchEnsemble.pure(StateVector(spin_only))) == 0.0
     seven = np.full(7, 1 / math.sqrt(7), dtype=np.complex128)
@@ -733,13 +733,13 @@ def test_the_kicked_arm_frees_psi0_once_its_kick_is_built(monkeypatch):
     prepare, drift, psi0, alive = protocol_mod.prepare_scenario, protocol_mod.evolve_positions, [], []
 
     def preparing(cfg):
-        lat, space, state = prepare(cfg)
+        lat, state = prepare(cfg)
         psi0.append(weakref.ref(state))
-        return lat, space, state
+        return lat, state
 
-    def drifting(space, u, state):
+    def drifting(u, state):
         alive.append(psi0[0]() is not None)
-        return drift(space, u, state)
+        return drift(u, state)
 
     monkeypatch.setattr(protocol_mod, "prepare_scenario", preparing)
     monkeypatch.setattr(protocol_mod, "evolve_positions", drifting)
@@ -766,9 +766,9 @@ def test_each_step_frees_an_input_branch_once_its_images_are_built(monkeypatch):
             assert refs[0]() is None, stage
             checked.append(stage)
 
-    def drifting(space, u, state):
+    def drifting(u, state):
         check("post_o2", state.amps)
-        return drift(space, u, state)
+        return drift(u, state)
 
     def applying(self, amps):
         check("pre_detector", amps)
@@ -904,9 +904,9 @@ def test_the_arm_carries_spin_only_states_until_the_detector(overrides):
     # run_arm_stages lifts the spin-only stages to the 8 n^2 basis: spin
     # entry i at index 2 i, the q = 1 half exactly +0.0.
     cfg = _basic_config(**overrides)
-    dim = CompositeSpace(cfg.n).dim
+    dim = 8 * cfg.n * cfg.n
     for kicked in (False, True):
-        arm = list(protocol_mod._run_arm(cfg, prepare_scenario(cfg)[2], kicked))
+        arm = list(protocol_mod._run_arm(cfg, prepare_scenario(cfg)[1], kicked))
         assert [name for name, _ in arm] == [*STAGES[:3], "pre_detector", "final"]
         for name, ens in arm:
             assert {s.dim for _, s in ens.branches} == {dim if name == "final" else dim // 2}, name

@@ -51,7 +51,8 @@ def test_star_import_resolves_all_and_the_operator_algebra_is_gone():
     namespace = {}
     exec("from nosignal import *", namespace)
     assert set(nosignal.__all__) <= set(namespace)
-    for name in ("LinearOperator", "apply", "expectation", "identity", "luders_measure", "tensor_product"):
+    gone = ("CompositeSpace", "LinearOperator", "apply", "expectation", "identity", "luders_measure", "tensor_product")
+    for name in gone:
         with pytest.raises(ImportError):
             exec(f"from nosignal import {name}", {})
 
