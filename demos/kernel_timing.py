@@ -1,13 +1,15 @@
 """Per-call times of the kernels that dominate a scenario.
 
-Each kernel runs on a seeded random spin-only (n, n, 4) state, the layout
-the pipeline carries until the detector, whose live (s1, s2) columns are
-ones the benchmark workloads hand it (column c = 2*s1 + s2, so 0 is |dd>,
-2 is |ud> and 3 is |uu>), in the workloads' geometry scaled to n sites:
-O1 = [n/12, 5n/24), O3 = [19n/24, 11n/12), t2 = 7n/96.
+Each kernel runs on a seeded random spin-only column state, the four
+(s1, s2) columns the pipeline carries until the detector, whose live
+columns are ones the benchmark workloads hand it (column c = 2*s1 + s2, so
+0 is |dd>, 2 is |ud> and 3 is |uu>; the others absent), in the workloads'
+geometry scaled to n sites: O1 = [n/12, 5n/24), O3 = [19n/24, 11n/12),
+t2 = 7n/96.
 
-  exchange  composite._with_exchanged(np.add, ...), the sum psi + S psi
-            behind every stage's exchange-sector defect
+  exchange  composite.antisymmetry_violation, |psi + S psi| / 2 summed once
+            over each pair of exchanged columns, every stage's exchange
+            defect
   drift     composite.evolve_positions with the t2 propagator, which
             contracts each live column over only its nonzero rows and
             columns; the "psi0" row's state holds column 0 only on the sites
@@ -18,7 +20,7 @@ O1 = [n/12, 5n/24), O3 = [19n/24, 11n/12), t2 = 7n/96.
   kick      PairBlocks.apply of the position kick in O1
   bell-P    PairBlocks.apply of the global Bell projector
   label2    PairBlocks.apply of the label2 detector coupling in O3, which
-            maps the spin-only state to an (n, n, 8) one
+            maps the four spin columns to eight (s1, s2, q) ones
   luders    qcore.luders_update on the global Bell pair (P, Q)
   normalize StateVector.normalized()
   operators both propagators and the four protocol builders (kick, joint,
@@ -43,8 +45,7 @@ import time
 
 import numpy as np
 
-from nosignal import Region, StateVector, evolve_positions, make_lattice, propagator
-from nosignal.composite import _with_exchanged
+from nosignal import Region, StateVector, antisymmetry_violation, evolve_positions, make_lattice, propagator
 from nosignal.protocol import _detector_blocks, _joint_outcomes, _kick_blocks, _occupancy_outcomes
 from nosignal.qcore import luders_update
 
@@ -72,17 +73,19 @@ ROWS = [
 
 
 def seeded_state(n: int, live, rng: np.random.Generator) -> StateVector:
-    """A normalized spin-only state on ``n`` sites with random amplitudes in the ``live`` columns and exact zeros elsewhere.
+    """A normalized spin-only column state on ``n`` sites with random ``live`` columns, the others absent.
 
-    ``live = "psi0"`` puts them in column 0 on the packets' sites only, as in ``prepare_initial``'s fermion state.
+    ``live = "psi0"`` fills column 0 on the packets' sites only, as in ``prepare_initial``'s fermion state.
     """
     x = np.arange(n)
-    tensor = np.zeros((n, n, 4), dtype=np.complex128)
     packets = (abs(x - 14 * n / 96) < 3 * n / 96) | (abs(x - 62 * n / 96) < 6 * n / 96)
-    block = np.ix_(packets, packets, [0]) if live == "psi0" else (slice(None), slice(None), list(live))
-    shape = tensor[block].shape
-    tensor[block] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return StateVector(tensor.ravel() / np.linalg.norm(tensor))
+    block = np.ix_(packets, packets) if live == "psi0" else (slice(None), slice(None))
+    cols = [None] * 4
+    for c in (0,) if live == "psi0" else live:
+        cols[c] = np.zeros((n, n), dtype=np.complex128)
+        shape = cols[c][block].shape
+        cols[c][block] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return StateVector(tuple(cols)).normalized()
 
 
 def operators(n: int, cold: bool):
@@ -107,7 +110,7 @@ def kernels(n: int) -> dict:
     bell = _joint_outcomes(n, "global_bell", None)
     label2 = _detector_blocks(n, o3, "label2")
     fns = {
-        "exchange": lambda s: _with_exchanged(np.add, s),
+        "exchange": antisymmetry_violation,
         "drift": lambda s: evolve_positions(u2, s),
         "kick": lambda s: kick.apply(s.amps),
         "bell-P": lambda s: bell[0].apply(s.amps),

@@ -20,8 +20,6 @@ shows a geometry that is too tight to certify.
 
 from __future__ import annotations
 
-import numpy as np
-
 from nosignal import (
     Region,
     check_spacelike,
@@ -75,7 +73,7 @@ def main() -> None:
     print(f"moving O3 to [{tight.lo},{tight.hi}) puts it inside the cone:")
     print(f"  leak O1->O3  {cert_bad.leak_13:.3e}   certified: {cert_bad.passed}")
 
-    sq = np.sqrt(float(np.vdot(psi0.amps, psi0.amps).real))
+    sq = psi0.norm
     print()
     print(f"(initial state norm {sq:.12f}; the certificate's leaks are the")
     print("closed-form bound at t_total, which holds for every earlier time)")

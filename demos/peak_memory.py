@@ -2,9 +2,10 @@
 
 Each row runs one scenario once to fill the lattice caches, then again
 under ``tracemalloc``, and prints the traced peak in units of one
-``(n, n, 8)`` complex128 state of ``128 n^2`` bytes: live branches and
-temporaries included, the caches filled before the trace not.  The
-spin-only states the pipeline carries until the detector count one half.  Every
+complex128 state of ``128 n^2`` bytes, all eight ``(s1, s2, q)`` columns:
+live branches and temporaries included, the caches filled before the trace
+not.  The pipeline carries only the live columns of a state, ``16 n^2``
+bytes each, one eighth of a unit.  Every
 scenario is the demo geometry (t1 = 3, t2 = 7 at n = 96) scaled to n
 sites.  The rows are
 

@@ -41,7 +41,7 @@ import typing
 
 import numpy as np
 
-from .composite import _with_qubit, position_occupancy
+from .composite import position_occupancy, to_flat
 from .lattice import SpacelikeCertificate, check_spacelike
 from .protocol import (
     STAGES,
@@ -294,10 +294,9 @@ def _cmd_dump_density(args) -> int:
         with open(args.dump_state, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["branch", "weight", "index", "re", "im"])
-            for b, (w, state) in enumerate(_with_qubit(ens).branches):  # on the 8 n^2 basis
-                weight = repr(float(w))
-                for idx in range(state.dim):
-                    amp = state.amps[idx]
+            for b, (w, state) in enumerate(ens.branches):
+                weight, amps = repr(float(w)), to_flat(state)  # on the 8 n^2 basis
+                for idx, amp in enumerate(amps):
                     writer.writerow([b, weight, idx, repr(float(amp.real)), repr(float(amp.imag))])
     return 0
 

@@ -6,10 +6,13 @@ basis index is normative for every file format in this package:
 
     index = q + 2 * (s2 + 2 * (s1 + 2 * (x2 + n * x1)))
 
-Until the detector the qubit is ``|0>``, so the pipeline carries spin-only
-states of dimension ``4 n^2``, whose index is the ``8 n^2`` index with
-``q = 0``, halved.  Every function here takes either layout, and reads the
-lattice size ``n`` and the layout from the dimension alone (:func:`_sites`).
+The pipeline carries a column state: a :class:`~nosignal.qcore.StateVector`
+whose amplitudes are a tuple of one read-only, C-contiguous ``(n, n)`` array
+``X[x1, x2]`` per spin column, ``None`` where a column is absent (zero).
+Until the detector the qubit is ``|0>`` and the tuple holds the four
+``(s1, s2)`` columns, index ``s2 + 2 s1``; then the eight ``(s1, s2, q)``
+ones, index ``q + 2 (s2 + 2 s1)``.  ``n`` and the width are read from the
+tuple (:func:`_sites`); :func:`to_flat` and :func:`from_flat` convert.
 
 Particle labels 1 and 2 are bookkeeping slots, not physical identities.
 Physical states of indistinguishable particles are the antisymmetric
@@ -24,8 +27,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -33,18 +35,13 @@ from .qcore import (
     NORMALIZATION_ATOL,
     BranchEnsemble,
     StateVector,
-    checked_norm,
     freeze,
-    reciprocal,
+    squared_norm,
 )
 
 # Norm threshold below which a state counts as having no component of the
 # requested exchange sector (e.g. antisymmetrizing a Pauli-blocked state).
 SYMMETRIZE_NORM_FLOOR = 1e-10
-
-# Output rows per gather of the particle exchange: its slab index holds
-# 4 * PAIR_TILE * n entries, a sixteenth of a state at n = 64.
-PAIR_TILE = 16
 
 
 class Statistics(str, Enum):
@@ -78,20 +75,40 @@ def decode_basis_index(n: int, index: int) -> tuple:
 
 
 def _sites(value) -> int:
-    """Lattice size ``n`` of a state or ensemble, read from its dimension ``4 n^2`` (spin-only) or ``8 n^2``."""
-    for per_pair in (4, 8):  # 4 a^2 = 8 b^2 has no integer solution, so at most one matches
-        n = math.isqrt(value.dim // per_pair)
-        if per_pair * n * n == value.dim and n >= 2:
-            return n
-    raise ValueError(f"dimension {value.dim} is not of the composite form 4*n^2 or 8*n^2 with n >= 2")
+    """Lattice size ``n`` of a column state or ensemble, read from the shape of its live columns."""
+    cols = (value.branches[0][1] if isinstance(value, BranchEnsemble) else value).amps
+    shape = next(c.shape for c in cols if c is not None) if isinstance(cols, tuple) else ()
+    if len(cols) not in (4, 8) or len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
+        raise ValueError("not a composite column state: 4 or 8 columns of one shape (n, n) with n >= 2")
+    return shape[0]
 
 
-def _with_qubit(ens: BranchEnsemble) -> BranchEnsemble:
-    """``ens`` on the ``8 n^2`` basis: spin-only entry ``i`` moves to index ``2 i``, the ``q = 1`` half is ``+0.0``."""
-    if ens.dim == 8 * _sites(ens) ** 2:
-        return ens
-    return BranchEnsemble([(w, StateVector(np.stack([s.amps, np.zeros_like(s.amps)], 1).ravel()))
-                           for w, s in ens.branches])
+def to_flat(state: StateVector) -> np.ndarray:
+    """The amplitudes of a column state on the ``8 n^2`` basis of :func:`basis_index`, as a fresh array.
+
+    Spin-only column ``c`` lands on ``q = 0``; absent columns and a spin-only ``q = 1`` read ``+0.0``.
+    """
+    n, cols = _sites(state), state.amps
+    out = np.zeros((n, n, 8), dtype=np.complex128)
+    for c, x in enumerate(cols):
+        if x is not None:
+            out[:, :, 8 // len(cols) * c] = x
+    return out.ravel()
+
+
+def from_flat(amps) -> StateVector:
+    """The column state of flat amplitudes on the ``8 n^2`` basis, or on the spin-only ``4 n^2`` one.
+
+    The spin-only index is the ``8 n^2`` index with ``q = 0``, halved.  A
+    column of zeros, ``-0.0`` included, is absent; one subnormal keeps it live.
+    """
+    amps = np.asarray(amps, dtype=np.complex128).ravel()
+    for width in (4, 8):  # 4 a^2 = 8 b^2 has no integer solution, so at most one matches
+        n = math.isqrt(amps.size // width)
+        if width * n * n == amps.size and n >= 2:
+            tensor = amps.reshape(n, n, width)
+            return StateVector(tuple(tensor[:, :, c].copy() if tensor[:, :, c].any() else None for c in range(width)))
+    raise ValueError(f"dimension {amps.size} is not of the composite form 4*n^2 or 8*n^2 with n >= 2")
 
 
 def exchange_permutation(n: int) -> np.ndarray:
@@ -99,44 +116,32 @@ def exchange_permutation(n: int) -> np.ndarray:
     return np.arange(8 * n * n).reshape(n, n, 2, 2, 2).transpose(1, 0, 3, 2, 4).ravel()
 
 
-@lru_cache(maxsize=8)
-def _slab_index(n: int) -> np.ndarray:
-    """``idx[r, x2, f] = 4 (x2 n + r) + (0, 2, 1, 3)[f]``; writable, or ``take`` copies it."""
-    idx = np.full((PAIR_TILE, n, 4), 4, dtype=np.intp)
-    idx[0] = np.add.outer(np.arange(0, 4 * n * n, 4 * n), (0, 2, 1, 3))
-    return np.cumsum(idx, axis=0, out=idx)  # in place: a broadcast sum would allocate ufunc buffers
+# Column c of S psi is the transpose of column _SWAP[width][c] of psi: the two spins trade places.
+_SWAP = {4: (0, 2, 1, 3), 8: (0, 1, 4, 5, 2, 3, 6, 7)}
 
 
-def _with_exchanged(ufunc: np.ufunc, s: StateVector) -> np.ndarray:
-    """``ufunc(amps, S amps)`` for the amplitudes of ``s`` and the exchange permutation ``S``.
+def _exchanged(ufunc: np.ufunc, x: Optional[np.ndarray], xt: Optional[np.ndarray]) -> np.ndarray:
+    """``ufunc(x, xt^T)`` as a fresh C-contiguous column, an absent one read as ``+0`` (as in the flat sum).
 
-    The result is a fresh flat array that owns its memory.  ``S amps`` is a
-    pure copy: read as records, one per ``(s1, s2)`` block of a position
-    pair (16 bytes for a spin-only state, 32 bytes, a ``q`` pair, otherwise),
-    pair ``(j, i)`` moves to ``(i, j)`` with the two spins
-    swapped.  Slab ``i0`` of ``PAIR_TILE`` output rows is one ``np.take``
-    from ``records[4 i0:]`` with the one cached slab index; the indices are
-    in range, and ``mode="clip"`` lets ``take`` write into the slab
-    unbuffered.  Each output entry is the same ``a[k] +- a[S k]``.
+    The transpose is copied once and summed into: a ufunc would buffer a transposed operand.
     """
-    n, amps = _sites(s), s.amps  # C-contiguous, as every StateVector's amplitudes are
-    out = np.empty_like(amps)
-    record = f"V{amps.nbytes // (4 * n * n)}"
-    records, idx, slabs = amps.view(record), _slab_index(n), out.view(record).reshape(n, n, 4)
-    for i0 in range(0, n, PAIR_TILE):
-        slab = slabs[i0 : i0 + PAIR_TILE]
-        np.take(records[4 * i0 :], idx[: len(slab)], mode="clip", out=slab)
-    return ufunc(amps, out, out=out)
+    if xt is None:
+        return ufunc(x, 0)
+    y = np.ascontiguousarray(xt.T)
+    return ufunc(0 if x is None else x, y, out=y)
 
 
 def _sector(ufunc: np.ufunc, s: StateVector, blocked: str) -> StateVector:
-    """``ufunc(s, S s)``, renormalized; raises ``state has no {blocked}`` if it is (numerically) zero."""
-    amps = _with_exchanged(ufunc, s)
-    norm = checked_norm(amps)
-    if norm <= SYMMETRIZE_NORM_FLOOR:
+    """``ufunc(s, S s)``, renormalized; raises ``state has no {blocked}`` if it is (numerically) zero.
+
+    Column ``c`` is ``ufunc(X_c, X_d^T)`` for ``d = _SWAP[c]``, absent where both are.
+    """
+    cols = s.amps
+    out = StateVector(freeze(tuple(None if x is None and cols[d] is None else _exchanged(ufunc, x, cols[d])
+                                   for x, d in zip(cols, _SWAP[len(cols)]))))
+    if out.norm <= SYMMETRIZE_NORM_FLOOR:
         raise ValueError(f"state has no {blocked}")
-    amps *= reciprocal(norm)
-    return StateVector(freeze(amps))
+    return out.normalized()
 
 
 def antisymmetrize(s: StateVector) -> StateVector:
@@ -158,9 +163,16 @@ def antisymmetry_violation(s: StateVector) -> float:
 
     Defined as ``|(I + S) s| / 2``: zero for exchange-antisymmetric states,
     one for symmetric ones, and ``1/sqrt(2)`` for a bare product of two
-    disjoint packets with equal spins.
+    disjoint packets with equal spins.  Column ``d = _SWAP[c]`` of
+    ``(I + S) s`` is the transpose of column ``c``, so each pair of columns
+    is summed once, twice weighted, over the pairs with a live column.
     """
-    return float(np.linalg.norm(_with_exchanged(np.add, s)) / 2.0)
+    cols, total = s.amps, 0.0
+    for c, d in enumerate(_SWAP[len(cols)]):
+        x, xt = cols[c], cols[d]
+        if d >= c and (x is not None or xt is not None):
+            total += (2 - (c == d)) * squared_norm(xt if x is None else x if xt is None else _exchanged(np.add, x, xt))
+    return math.sqrt(total) / 2.0
 
 
 def prepare_initial(statistics: Union[Statistics, str], packet1: StateVector, packet2: StateVector) -> StateVector:
@@ -181,7 +193,7 @@ def prepare_initial(statistics: Union[Statistics, str], packet1: StateVector, pa
     Returns
     -------
     StateVector
-        Normalized spin-only composite state, of dimension ``4 n^2``.
+        Normalized spin-only column state (four columns), of dimension ``4 n^2``.
     """
     statistics, n = Statistics(statistics), packet1.dim
     if packet2.dim != n or n < 2:
@@ -189,9 +201,7 @@ def prepare_initial(statistics: Union[Statistics, str], packet1: StateVector, pa
     for name, p in (("packet1", packet1), ("packet2", packet2)):
         if abs(p.norm - 1.0) > NORMALIZATION_ATOL:
             raise ValueError(f"{name} must be normalized, |norm - 1| = {abs(p.norm - 1.0):.3e}")
-    tensor = np.zeros((n, n, 2, 2), dtype=np.complex128)
-    tensor[:, :, 0, 0] = np.outer(packet1.amps, packet2.amps)
-    state = StateVector(freeze(tensor).ravel())
+    state = StateVector((freeze(np.outer(packet1.amps, packet2.amps)), None, None, None))
     if statistics is Statistics.DISTINGUISHABLE:
         return state.normalized()
     overlap = np.abs(packet1.amps) * np.abs(packet2.amps)
@@ -210,43 +220,31 @@ def _nonzero(words: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.bitwise_or.reduce(words, axis=1) & np.uint64(2**63 - 1))
 
 
-def _live_columns(tensor: np.ndarray) -> np.ndarray:
-    """Indices of the nonzero columns of the last axis of a complex ``(n, n, w)`` tensor.
-
-    ORs the raw 64-bit words over ``x1``, then over ``x2``, then over each
-    column's words (:func:`_nonzero`), as in ``tensor.any(axis=(0, 1))``.
-    """
-    bits = np.bitwise_or.reduce(tensor.view(np.uint64).reshape(tensor.shape[0], -1), axis=0)
-    return _nonzero(np.bitwise_or.reduce(bits.reshape(-1, 2 * tensor.shape[2]), axis=0).reshape(-1, 2))
+def _drift(u: np.ndarray, x: np.ndarray) -> Optional[np.ndarray]:
+    """``u x u^T`` over only the nonzero rows and columns of ``x``, gathered unless full; ``None`` if ``x`` is zero."""
+    n = len(x)
+    words = x.view(np.uint64).reshape(n, 2 * n)
+    rows = _nonzero(words)
+    if rows.size == 0:
+        return None
+    rows, cols = (s if s.size < n else slice(None)  # a full range is used in place
+                  for s in (rows, _nonzero(np.bitwise_or.reduce(words, axis=0).reshape(n, 2))))
+    return freeze((u[:, rows] @ x[rows][:, cols]) @ u[:, cols].T)
 
 
 def evolve_positions(u: np.ndarray, state: StateVector) -> StateVector:
     """Apply a one-particle position operator ``u`` (an ``n x n`` array) to both slots at once.
 
-    Computes ``(u (x) u (x) identity)`` on the reshaped amplitude tensor
-    instead of materializing the ``8 n^2`` dimensional matrix.  Each spin (and
-    qubit) column ``X`` with a nonzero amplitude is gathered contiguous and
-    contracted as ``u X u^T`` over only its nonzero rows and columns, gathered
-    again unless full.  Skipped entries and dead columns are exact zeros, so
-    only the order of the sums changes.  The output is allocated last.
+    Computes ``(u (x) u (x) identity)`` column by column instead of
+    materializing the ``8 n^2`` dimensional matrix: each live spin (and
+    qubit) column ``X`` is contracted as ``u X u^T`` over only its nonzero
+    rows and columns.  Skipped entries are exact zeros, so only the order of
+    the sums changes; a column with none stays absent.
     """
     n = _sites(state)
     if u.shape != (n, n):
         raise ValueError(f"u must act on the {n}-site position basis, got shape {u.shape}")
-    tensor, images = state.amps.reshape(n, n, -1), []
-    for c in _live_columns(tensor):
-        x = np.ascontiguousarray(tensor[:, :, c])
-        words = x.view(np.uint64).reshape(n, 2 * n)
-        rows, cols = (s if s.size < n else slice(None)  # a full range is used in place
-                      for s in (_nonzero(words), _nonzero(np.bitwise_or.reduce(words, axis=0).reshape(n, 2))))
-        half = u[:, rows] @ x[rows][:, cols]
-        del x, words  # the gathered column goes before the second GEMM, the half before the next column
-        images.append((c, half @ u[:, cols].T))
-        del half
-    out = np.zeros(tensor.shape, dtype=complex)
-    for c, image in images:
-        out[:, :, c] = image
-    return StateVector(freeze(out).ravel())
+    return StateVector(tuple(None if x is None else _drift(u, x) for x in state.amps))
 
 
 def position_occupancy(x: Union[StateVector, BranchEnsemble]) -> tuple:
@@ -254,15 +252,12 @@ def position_occupancy(x: Union[StateVector, BranchEnsemble]) -> tuple:
 
     Returns ``(occ1, occ2)``; each array sums to 1.
     """
-    if isinstance(x, StateVector):
-        x = BranchEnsemble.pure(x)
-    n = _sites(x)
-    occ1 = np.zeros(n)
-    occ2 = np.zeros(n)
-    for w, state in x.branches:
-        prob = np.abs(state.amps.reshape(n, n, -1)) ** 2
-        occ1 += w * prob.sum(axis=(1, 2))
-        occ2 += w * prob.sum(axis=(0, 2))
+    n, branches = _sites(x), x.branches if isinstance(x, BranchEnsemble) else ((1.0, x),)
+    occ1, occ2 = np.zeros(n), np.zeros(n)
+    for w, state in branches:
+        prob = sum(np.abs(c) ** 2 for c in state.amps if c is not None)
+        occ1 += w * prob.sum(axis=1)
+        occ2 += w * prob.sum(axis=0)
     return occ1, occ2
 
 
@@ -274,5 +269,5 @@ def joint_position_probability(psi: StateVector, sites1: Iterable[int], sites2: 
         return 0.0
     if idx1.min() < 0 or idx1.max() >= n or idx2.min() < 0 or idx2.max() >= n:
         raise ValueError("sites out of lattice range")
-    block = psi.amps.reshape(n, n, -1)[np.ix_(idx1, idx2)]
-    return float((np.abs(block) ** 2).sum())
+    block = np.ix_(idx1, idx2)
+    return float(sum((np.abs(c[block]) ** 2).sum() for c in psi.amps if c is not None))

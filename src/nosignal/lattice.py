@@ -294,9 +294,8 @@ def check_spacelike(
     o1, o3 : Region
         The two regions to certify against each other.
     psi : StateVector
-        Initial two-particle state on this lattice (dimension
-        ``4 * n_sites**2``, spin-only, or ``8 * n_sites**2``); a state of
-        another lattice size raises ``ValueError``.
+        Initial two-particle column state on this lattice (see
+        ``composite``); a state of another lattice size raises ``ValueError``.
     t_total : float
         Total protocol duration to cover.
     eps : float

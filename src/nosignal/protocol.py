@@ -26,14 +26,14 @@ After preparation every operation is diagonal in the positions: a
 cols)``, each with a fixed map on the spins: the 4x4 spin flip as slot 1,
 slot 2 or both occupy the region, an outcome pair ``(P, 1 - P)`` of the
 Bell projector or of occupancy, or the detector coupling, whose 8x4 map
-(the ``q = 0`` columns of an 8x8 unitary) takes the arm's spin-only states
-(see ``composite``) to ``(n, n, 8)``.  The maps are read-only arrays, module
+(the ``q = 0`` columns of an 8x8 unitary) takes the arm's four spin columns
+(see ``composite``) to eight.  The maps are read-only arrays, module
 constants built and checked once at import; each arm places them where it
 uses them.  Every region is an interval, so "slot 1 only in R" is the two
 rectangles ``(R, [0, lo))`` and ``(R, [hi, n))``, "both in R" is ``(R, R)``,
-and a global map is ``(all, all)``.  The pipeline applies the maps in CSR
-mat-vec order: output ``i`` sums ``m[i, j] * x_j`` from zero over the
-nonzero ``j`` ascending.
+and a global map is ``(all, all)``.  The pipeline applies the maps column
+by column in CSR mat-vec order: output column ``i`` sums ``m[i, j] * X_j``
+from zero over the nonzero ``j`` ascending, skipping absent columns.
 Measurements are pairs ``(P, Q)`` of such operations, and branch through
 :func:`nosignal.qcore.luders_update`.  The package builds no sparse matrix;
 the test suite checks that amplitudes are bit-identical to the CSR mat-vec of
@@ -58,7 +58,7 @@ import numpy as np
 from . import qcore
 from .composite import (
     Statistics,
-    _with_qubit,
+    _sites,
     antisymmetry_violation,
     evolve_positions,
     position_occupancy,
@@ -304,21 +304,6 @@ _OCCUPANCY = _checked((np.eye(4), np.zeros((4, 4))))
 # position-controlled operations
 
 
-def _map_8(m: np.ndarray, src: np.ndarray, out: np.ndarray) -> None:
-    """Write the matrix ``m``, of any shape, applied to the last axis of ``src`` into ``out``, in CSR order.
-
-    Pass ``k`` adds the ``k``-th nonzero term of every row at once, gathered
-    with one ``np.take``.  A row with fewer terms adds coefficient 0, which
-    leaves a sum that began at ``+0`` unchanged.
-    """
-    cols = [np.flatnonzero(row) for row in m]
-    for k in range(max(1, *map(len, cols))):
-        idx = [c[k] if k < len(c) else 0 for c in cols]
-        term = np.take(src, idx, axis=-1)
-        term *= [m[i, j] if k < len(c) else 0 for i, (c, j) in enumerate(zip(cols, idx))]
-        np.add(out if k else 0, term, out=out)
-
-
 _ALL = slice(None)
 
 
@@ -326,10 +311,10 @@ _ALL = slice(None)
 class PairBlocks:
     """An operation diagonal in the positions ``(x1, x2)``.
 
-    It acts by the map ``maps[k]`` on the rectangle ``rects[k]`` of the
-    ``(n, n, w)`` amplitude tensor, a pair ``(rows, cols)`` of site slices
-    for slot 1 and slot 2, and as the identity (when ``rest_identity``) or
-    zero on every pair outside the rectangles, which are disjoint.
+    It acts by the map ``maps[k]`` on the rectangle ``rects[k]`` of every
+    spin column, a pair ``(rows, cols)`` of site slices for slot 1 and
+    slot 2, and as the identity (when ``rest_identity``) or zero on every
+    pair outside the rectangles, which are disjoint.
     """
 
     n: int
@@ -340,21 +325,30 @@ class PairBlocks:
     def __post_init__(self):  # read-only copies, so no caller's array can change the operation
         object.__setattr__(self, "maps", tuple(qcore._frozen_matrix(m) for m in self.maps))
 
-    def apply(self, amps: np.ndarray) -> np.ndarray:
-        """The image of the flat ``amps`` as a fresh, writable flat array; the caller freezes it."""
-        (rows, cols), n = self.maps[0].shape, self.n
-        if self.rects == ((_ALL, _ALL),):
-            flat = np.empty(n * n * rows, dtype=amps.dtype)
-        elif rows == cols:  # ``amps + 0`` turns -0.0 into +0.0, as the CSR sum ``0 + 1 * x`` does.
-            flat = amps + 0 if self.rest_identity else np.zeros_like(amps)
-        else:  # 8x4 maps: the identity puts spin-only entry i at 2 i in one pass, q = 1 stays +0.0
-            flat = np.zeros(n * n * rows, dtype=amps.dtype)
-            if self.rest_identity:
-                np.add(amps.reshape(n, n, cols), 0, out=flat.reshape(n, n, rows)[..., ::2])
-        t, out = amps.reshape(n, n, cols), flat.reshape(n, n, rows)
+    def apply(self, cols: tuple) -> tuple:
+        """The image of the column tuple ``cols`` as a fresh tuple of writable columns; the caller freezes it.
+
+        Outside the rectangles the identity copies ``X_j + 0`` (``-0.0`` turns
+        ``+0.0``, as the CSR sum ``0 + 1 * x`` does) to column ``j``, or ``2 j``
+        for an 8x4 map.  A column with no present source stays absent.
+        """
+        (rows, width), n = self.maps[0].shape, self.n
+        out = [None] * rows
+        if self.rest_identity and self.rects != ((_ALL, _ALL),):
+            out[:: rows // width] = [None if x is None else x + 0 for x in cols]
         for rect, m in zip(self.rects, self.maps):
-            _map_8(m, t[rect], out[rect])
-        return flat
+            for i, row in enumerate(m):
+                terms = [(row[j], cols[j][rect]) for j in np.flatnonzero(row) if cols[j] is not None]
+                if out[i] is not None:
+                    out[i][rect] = 0
+                elif terms:
+                    out[i] = np.zeros((n, n), dtype=np.complex128)
+                else:
+                    continue
+                block = out[i][rect]
+                for a, x in terms:  # 1 * x has the bits of x, and a sum from +0 adds -0.0 as +0.0
+                    block += x if a == 1 else a * x
+        return tuple(out)
 
     def __call__(self, state: StateVector) -> StateVector:
         """The image of ``state``, as a new checked state."""
@@ -432,7 +426,7 @@ def _joint_step(n: int, mode: str, o2: Optional[Region], branches: list) -> list
 
 
 def _detector_step(n: int, o3: Region, mode: str, branches: list, selective: bool = False) -> list:
-    """The detector stage on the spin-only list ``branches``, which it takes over; it returns ``(n, n, 8)`` branches.
+    """The detector stage on the spin-only list ``branches``, which it takes over; it returns eight-column branches.
 
     ``position`` mode applies the exchange-symmetric position-controlled
     coupling unitary; with ``selective`` true it keeps only the occupied
@@ -494,22 +488,21 @@ def run_naive_sorkin(observable: np.ndarray, kick: bool) -> float:
 
 
 def qubit_one_probability(ens: BranchEnsemble) -> float:
-    """Probability that the qubit reads 1, on the ``8 n^2`` basis: exactly 0 if spin-only, ValueError if neither."""
-    total, ens = 0.0, _with_qubit(ens)
-    for w, state in ens.branches:
-        total += w * float(np.sum(np.abs(state.amps[1::2]) ** 2))
-    return total
+    """Probability that the qubit reads 1, summed over the live ``q = 1`` columns: exactly 0 if spin-only."""
+    _sites(ens)  # a ValueError unless a column state
+    return sum((w * qcore.squared_norm(s.amps[1::2]) for w, s in ens.branches if len(s.amps) == 8), 0.0)
 
 
 def run_arm_stages(cfg: ScenarioConfig, kicked: bool) -> Mapping[str, BranchEnsemble]:
-    """Run one arm of a scenario and return the four stage snapshots, all on the ``8 n^2`` basis.
+    """Run one arm of a scenario and return the four stage snapshots as column states.
 
     Stages: ``prepared`` (initial state), ``post_kick`` (after the optional
     O1 kick, before any evolution), ``post_o2`` (after the t1 evolution and
     the joint measurement), ``final`` (after the t2 evolution and the
-    detector measurement).  The first three are lifted from spin-only states.
+    detector measurement).  The first three are spin-only;
+    :func:`~nosignal.composite.to_flat` gives any of them on the ``8 n^2`` basis.
     """
-    return {name: _with_qubit(ens) for name, ens in _run_arm(cfg, prepare_scenario(cfg)[1], kicked) if name in STAGES}
+    return {name: ens for name, ens in _run_arm(cfg, prepare_scenario(cfg)[1], kicked) if name in STAGES}
 
 
 def _keep_peak_mapped(cfg: ScenarioConfig) -> None:

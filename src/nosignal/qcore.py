@@ -4,8 +4,8 @@ The scenario pipeline passes the typed values defined here between its
 stages: :class:`StateVector` and :class:`BranchEnsemble` (a weighted mixture
 of pure states, which stands in for a density matrix during non-selective
 measurements).  The kernels inside a stage (the drift, ``PairBlocks.apply``)
-work on raw ``(n, n, 4)`` or ``(n, n, 8)`` tensors, and each state they
-build is checked once, by :class:`StateVector`.
+build the spin columns of composite states (see ``composite``), and each
+state they build is checked once, by :class:`StateVector`.
 
 Conventions used throughout the package:
 
@@ -20,12 +20,13 @@ Conventions used throughout the package:
   protocol level, never silently in here).
 
 The scenario pipeline never builds an operator on the ``8 n^2``-dimensional
-composite space: it drifts the amplitude tensor and applies
-position-controlled fixed maps to it (see ``protocol``).
+composite space: it drifts each spin column and applies position-controlled
+fixed maps to the columns (see ``protocol``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -39,25 +40,31 @@ WEIGHT_SUM_ATOL = 1e-10
 BRANCH_PRUNE_THRESHOLD = 1e-14
 
 
-def freeze(arr: np.ndarray) -> np.ndarray:
-    """Mark a freshly computed array read-only and return it.
+def _parts(amps) -> list:
+    """The arrays holding ``amps``: a flat array itself, or the live columns of a column state (a tuple)."""
+    return [c for c in amps if c is not None] if isinstance(amps, tuple) else [amps]
 
-    :class:`StateVector` shares such an array instead of copying it.  Freeze
+
+def freeze(amps):
+    """Mark freshly computed amplitudes (an array or a column tuple) read-only and return them.
+
+    :class:`StateVector` shares such arrays instead of copying them.  Freeze
     the array that owns the memory, then take any reshaped view of it.
     """
-    arr.setflags(write=False)
-    return arr
+    for arr in _parts(amps):
+        arr.setflags(write=False)
+    return amps
 
 
-def _is_frozen(amps) -> bool:
-    """Whether ``amps`` is read-only complex128 memory that no writable array reaches."""
-    if not isinstance(amps, np.ndarray) or amps.dtype != np.complex128:
-        return False
-    while isinstance(amps, np.ndarray) and not amps.flags.writeable:
-        if amps.base is None:
-            return True
-        amps = amps.base
-    return False
+def _owned(arr) -> np.ndarray:
+    """``arr`` if it is read-only C-contiguous complex128 memory that no writable array reaches, else a frozen copy."""
+    base = arr
+    if isinstance(arr, np.ndarray) and arr.dtype == np.complex128 and arr.flags.c_contiguous:
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            if base.base is None:
+                return arr
+            base = base.base
+    return freeze(np.array(arr, dtype=np.complex128, order="C"))
 
 
 def _frozen_matrix(matrix) -> np.ndarray:
@@ -81,48 +88,51 @@ def reciprocal(d: float) -> complex:
     return complex(1.0 / d, -0.0)
 
 
-def checked_norm(arr: np.ndarray) -> float:
-    """``np.linalg.norm(arr)``; raises if an entry is not finite (entries are scanned only when the norm is not)."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(arr))
-    if not np.isfinite(norm) and not np.all(np.isfinite(arr)):
-        raise ValueError("state amplitudes must be finite")
-    return norm
+def squared_norm(amps) -> float:
+    """``|amps|^2``: one real ``vdot`` of the float parts of a flat array, or of each live column, summed in order."""
+    return sum(float(np.vdot(arr.view(np.float64), arr.view(np.float64))) for arr in _parts(amps))
 
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state: complex amplitudes over a fixed basis.
 
-    It is checked once, when built: ``norm`` is ``np.linalg.norm(amps)``, and
-    a non-finite entry raises.  ``norm`` cannot go stale, because ``amps`` is
-    read-only memory that no writable array reaches.
+    ``amps`` is a flat array, or a column state (see ``composite``): a tuple
+    of 2-D columns of one shape, ``None`` where a column is absent, one live
+    at least.  It is checked once, when built: ``norm`` is
+    ``sqrt(squared_norm(amps))``, and a non-finite entry raises.  ``norm``
+    cannot go stale: every array is read-only memory no writable array reaches.
     """
 
-    amps: np.ndarray
+    amps: object
     norm: float = field(init=False)
 
     def __post_init__(self):
-        arr = self.amps if _is_frozen(self.amps) else np.array(self.amps, dtype=np.complex128)
-        if arr.ndim != 1:
-            raise ValueError(f"state amplitudes must be one-dimensional, got shape {arr.shape}")
-        if arr.size == 0:
-            raise ValueError("state must have dimension >= 1")
-        norm = checked_norm(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "amps", arr)
+        amps = tuple(None if c is None else _owned(c) for c in self.amps) if isinstance(self.amps, tuple) \
+            else _owned(self.amps)
+        shapes = {arr.shape for arr in _parts(amps)}
+        if isinstance(amps, tuple) and (len(shapes) != 1 or len(*shapes) != 2):
+            raise ValueError(f"a column state needs live columns of one 2-D shape, got {shapes or 'none'}")
+        if not isinstance(amps, tuple) and (amps.ndim != 1 or amps.size == 0):
+            raise ValueError(f"state amplitudes must be a nonempty one-dimensional array, got shape {amps.shape}")
+        norm = math.sqrt(squared_norm(amps))
+        if not math.isfinite(norm) and not all(np.all(np.isfinite(arr)) for arr in _parts(amps)):
+            raise ValueError("state amplitudes must be finite")
+        object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "norm", norm)
 
     @property
     def dim(self) -> int:
-        return self.amps.size
+        return len(self.amps) * _parts(self.amps)[0].size if isinstance(self.amps, tuple) else self.amps.size
 
     def normalized(self) -> "StateVector":
         """Return the unit-norm version of this state; error on (near-)zero norm."""
         n = self.norm
         if n <= 1e-300:
             raise ValueError("cannot normalize a zero state")
-        return StateVector(freeze(self.amps * reciprocal(n)))
+        amps, r = self.amps, reciprocal(n)
+        amps = tuple(None if c is None else c * r for c in amps) if isinstance(amps, tuple) else amps * r
+        return StateVector(freeze(amps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,19 +193,22 @@ def luders_update(branches: list, outcomes: Sequence[Callable]) -> list:
     next is built.  The result is a list of lists, one per outcome: entry
     ``i`` holds the surviving ``(weight, state)`` branches of outcome ``i``,
     in the order of the input branches, and the weights of all entries sum
-    to 1.
+    to 1.  An outcome's :func:`squared_norm` gives its weight and its divisor.
     """
     by_outcome = [[] for _ in outcomes]
     while branches:
         w, state = branches.pop(0)
         # Outcome probabilities are taken relative to the branch norm so the
         # output weights keep summing to 1 even after ~1e-15 rounding drift.
-        base = float(np.vdot(state.amps, state.amps).real)
+        base = squared_norm(state.amps)
         for kept, outcome in zip(by_outcome, outcomes):
             arm = outcome(state.amps)
-            weight = w * (float(np.vdot(arm, arm).real) / base)
+            square = squared_norm(arm)
+            weight = w * (square / base)
             if weight > BRANCH_PRUNE_THRESHOLD:
-                arm *= reciprocal(np.linalg.norm(arm))
+                r = reciprocal(math.sqrt(square))
+                for arr in _parts(arm):
+                    arr *= r
                 kept.append((weight, StateVector(freeze(arm))))
             del arm
     return by_outcome

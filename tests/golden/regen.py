@@ -34,6 +34,7 @@ for path in (ROOT / "src", ROOT):
         sys.path.insert(0, str(path))
 
 from nosignal import cli, protocol  # noqa: E402
+from nosignal.composite import to_flat  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 
@@ -116,7 +117,8 @@ def _float_fields(obj, prefix: str = "") -> dict:
 
 
 def _branch_digests(ens) -> list:
-    return [hashlib.sha256(np.float64(w).tobytes() + s.amps.tobytes()).hexdigest() for w, s in ens.branches]
+    """Per branch, the SHA-256 of its weight and of its amplitudes on the ``8 n^2`` basis (``to_flat``)."""
+    return [hashlib.sha256(np.float64(w).tobytes() + to_flat(s).tobytes()).hexdigest() for w, s in ens.branches]
 
 
 def record(cfg: dict, workdir: Path) -> dict:

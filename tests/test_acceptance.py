@@ -26,7 +26,7 @@ from nosignal import (
     run_naive_sorkin,
     run_scenario,
 )
-from nosignal.composite import exchange_permutation
+from nosignal.composite import exchange_permutation, to_flat
 from nosignal.qcore import StateVector, luders_update
 
 
@@ -149,7 +149,7 @@ def test_criterion_3_fermion_no_signaling():
     for kicked in (False, True):
         stages = run_arm_stages(cfg16, kicked=kicked)
         final = stages["final"]
-        rho_pkg = oc.density_from_branches((w, s.amps) for w, s in final.branches)
+        rho_pkg = oc.density_from_branches((w, to_flat(s)) for w, s in final.branches)
         ref, pq1_ref, _arr = _oracle_arm(cfg16, kicked)
         cross_dev = max(cross_dev, float(np.linalg.norm(rho_pkg - ref["final"])))
         cross_dev = max(cross_dev, abs(qubit_one_probability(final) - pq1_ref))
@@ -181,7 +181,8 @@ def _symmetric_sector_defect(cfg) -> float:
     for kicked in (False, True):
         for ens in run_arm_stages(cfg, kicked=kicked).values():
             for _w, s in ens.branches:
-                worst = max(worst, 0.5 * float(np.linalg.norm(s.amps - s.amps[perm])))
+                amps = to_flat(s)
+                worst = max(worst, 0.5 * float(np.linalg.norm(amps - amps[perm])))
     return worst
 
 
@@ -318,7 +319,7 @@ def test_criterion_7_pipeline_hygiene():
             ref, _pq1, _arr = _oracle_arm(cfg, kicked, keep_stages=True)
             for name in ("prepared", "post_kick", "post_o2", "final"):
                 rho_pkg = oc.density_from_branches(
-                    (w, s.amps) for w, s in stages[name].branches)
+                    (w, to_flat(s)) for w, s in stages[name].branches)
                 branch_dev = max(branch_dev, float(np.linalg.norm(rho_pkg - ref[name])))
 
     ok = (unitarity <= 1e-12 and weight_dev <= 1e-10 and involution_exact

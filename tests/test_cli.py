@@ -469,7 +469,8 @@ def test_dump_state_of_a_spin_only_stage_keeps_the_8n2_basis(tmp_path):
         for index, (_, _, _, re_part, im_part) in enumerate(branch):
             x1, x2, s1, s2, q = decode_basis_index(cfg.n, index)
             assert basis_index(cfg.n, x1, x2, s1, s2, q) == index
-            amp = state.amps[index // 2] if q == 0 else 0.0j
+            column = state.amps[2 * s1 + s2]  # the (s1, s2) column; q = 1 is not carried
+            amp = 0.0j if q == 1 or column is None else column[x1, x2]
             assert (re_part, im_part) == (repr(float(amp.real)), repr(float(amp.imag))), index
             if q == 1:
                 assert (re_part, im_part) == ("0.0", "0.0")

@@ -14,7 +14,6 @@ import oracles as oc
 from nosignal import (
     Region,
     SpacelikeCertificate,
-    StateVector,
     check_spacelike,
     default_scenario,
     hamiltonian,
@@ -26,6 +25,7 @@ from nosignal import (
     wavepacket,
 )
 from nosignal import lattice as lattice_mod
+from nosignal.composite import from_flat
 from nosignal.composite import joint_position_probability
 
 
@@ -353,6 +353,6 @@ def test_check_spacelike_validates_inputs():
     # Composite states of another lattice size raise, also a 120-site one,
     # whose site range still covers O1 and O3.
     for n, per_pair in ((12, 4), (120, 4), (120, 8)):
-        other = StateVector(np.eye(1, per_pair * n * n)[0])
+        other = from_flat(np.eye(1, per_pair * n * n)[0])
         with pytest.raises(ValueError, match=f"not on the {cfg.n}-site lattice"):
             check_spacelike(lat, cfg.o1, cfg.o3, other, cfg.t_total, cfg.eps)

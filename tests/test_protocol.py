@@ -40,6 +40,7 @@ from nosignal import (
 from nosignal import lattice as lattice_mod
 from nosignal import protocol as protocol_mod
 from nosignal.cli import config_to_dict, emit_report, main as cli_main, report_to_dict
+from nosignal.composite import from_flat, to_flat
 from nosignal.lattice import propagator
 from nosignal.protocol import DETECTOR_MODES, PEAK_STATES, STAGES, PairBlocks, _detector_step, _joint_step
 from nosignal.qcore import PAULI_X, PAULI_Y, PAULI_Z, luders_update
@@ -60,12 +61,22 @@ def _basic_config(**overrides):
     return ScenarioConfig(**base)
 
 
+def _joined(cols: tuple, n: int) -> np.ndarray:
+    """A column tuple as flat amplitudes on its own width, an absent column ``+0.0`` (``to_flat`` for any tuple)."""
+    return np.stack([np.zeros((n, n), dtype=np.complex128) if c is None else c for c in cols], axis=-1).ravel()
+
+
+def _apply_flat(op: PairBlocks, amps: np.ndarray) -> np.ndarray:
+    """``op.apply`` on flat amplitudes of its input width (``from_flat``'s columns), flat on its output width."""
+    return _joined(op.apply(from_flat(amps).amps), op.n)
+
+
 def _kernel_matrix(op: PairBlocks) -> np.ndarray:
     """Dense matrix of a position-controlled kernel: column j is ``op.apply(e_j)``.
 
     Spin-only maps give a ``4 n^2 x 4 n^2`` matrix, the detector couplings an ``8 n^2 x 4 n^2`` one.
     """
-    return np.column_stack([op.apply(e) for e in np.eye(op.maps[0].shape[1] * op.n**2, dtype=np.complex128)])
+    return np.column_stack([_apply_flat(op, e) for e in np.eye(op.maps[0].shape[1] * op.n**2, dtype=np.complex128)])
 
 
 def _kron_qubit(m: np.ndarray) -> np.ndarray:
@@ -199,7 +210,7 @@ def test_kick_flips_the_region_supported_wing():
     psi0 = prepare_initial("fermion", p1, p2)
     kick = _kernel_matrix(protocol_mod._kick_blocks(n, o1, "position"))
     np.testing.assert_allclose(_kron_qubit(kick), oc.kick_unitary(n, range(0, 6), "position"), atol=1e-14)
-    kicked = StateVector(kick @ psi0.amps)  # spin-only: the basis index with q = 0, halved
+    kicked = from_flat(kick @ to_flat(psi0)[::2])  # spin-only: the basis index with q = 0, halved
 
     want = np.zeros(dim, dtype=np.complex128)
     for x1 in range(n):
@@ -209,7 +220,7 @@ def test_kick_flips_the_region_supported_wing():
             want[oc.basis_index(n, x1, x2, 0, 1, 0)] -= p2.amps[x1] * p1.amps[x2]
     want /= np.linalg.norm(want)
     assert not np.any(want[1::2])
-    np.testing.assert_allclose(kicked.amps, want[::2], atol=1e-12)
+    np.testing.assert_allclose(to_flat(kicked), want, atol=1e-12)
     assert antisymmetry_violation(kicked) < 1e-14
 
 
@@ -256,7 +267,7 @@ def _fermion_pair_with_spin_up_in(n, window_lo, window_hi, up_packet, down_packe
             amps[oc.basis_index(n, x1, x2, 1, 0, 0)] += up_packet[x1] * down_packet[x2]
             amps[oc.basis_index(n, x1, x2, 0, 1, 0)] -= down_packet[x1] * up_packet[x2]
     amps /= np.linalg.norm(amps)
-    return StateVector(amps[::2])  # the q = 0 entries
+    return from_flat(amps[::2])  # the q = 0 entries
 
 
 def _packets_for_detector(n=12):
@@ -303,7 +314,7 @@ def test_label2_detector_breaks_antisymmetry():
             # flipped wing: slot 2 spin up absorbed into pointer 1
             want[oc.basis_index(n, x1, x2, 0, 0, 1)] -= outside.amps[x1] * inside.amps[x2]
     want /= np.linalg.norm(want)
-    np.testing.assert_allclose(state.amps, want, atol=1e-12)
+    np.testing.assert_allclose(to_flat(state), want, atol=1e-12)
 
 
 def test_selective_detection_on_empty_window_raises():
@@ -322,16 +333,17 @@ def test_selective_hit_branch_is_the_csr_projection_byte_for_byte():
     o3 = Region(5, 8)
     rng = np.random.default_rng(7)
     amps = rng.normal(size=dim // 2) + 1j * rng.normal(size=dim // 2)
-    psi = StateVector(amps / np.linalg.norm(amps))
+    psi = from_flat(amps / np.linalg.norm(amps))
     out = BranchEnsemble(_detector_step(n, o3, "position", [(1.0, psi)], selective=True))
-    # The occupancy projection of the spin-only state, normalized, then the 8 n^2 x 4 n^2 coupling.
+    # The occupancy projection of the spin-only state, normalized by its column-state
+    # norm (one vdot a column, summed in column order), then the 8 n^2 x 4 n^2 coupling.
     occupied = oc.union_occupancy_diag(n, range(5, 8))[::2]
-    arm = sp.csr_array(np.diag(occupied).astype(np.complex128)) @ psi.amps
+    arm = sp.csr_array(np.diag(occupied).astype(np.complex128)) @ to_flat(psi)[::2]
     coupling = _kernel_matrix(protocol_mod._detector_blocks(n, o3, "position"))
-    want = sp.csr_array(coupling) @ (arm / np.linalg.norm(arm))
+    want = sp.csr_array(coupling) @ (arm / from_flat(arm).norm)
     assert out.branch_count == 1
     assert out.branches[0][0] == 1.0
-    assert out.branches[0][1].amps.tobytes() == want.tobytes()
+    assert to_flat(out.branches[0][1]).tobytes() == want.tobytes()
 
 
 def test_label2_detector_lists_every_hit_before_every_miss():
@@ -344,19 +356,20 @@ def test_label2_detector_lists_every_hit_before_every_miss():
         amps = rng.normal(size=dim // 2) + 1j * rng.normal(size=dim // 2)
         amps[occupied[::2]] *= scale_inside
         states.append(amps / np.linalg.norm(amps))
-    ens = BranchEnsemble(tuple((w, StateVector(a)) for w, a in zip((0.3, 0.7), states)))
+    ens = BranchEnsemble(tuple((w, from_flat(a)) for w, a in zip((0.3, 0.7), states)))
     out = BranchEnsemble(_detector_step(n, Region(5, 8), "label2", list(ens.branches)))
     p_in = [float(np.sum(np.abs(a[occupied[::2]]) ** 2)) for a in states]
     want = [0.3 * p_in[0], 0.7 * p_in[1], 0.3 * (1 - p_in[0]), 0.7 * (1 - p_in[1])]
     assert [w for w, _ in out.branches] == pytest.approx(want, rel=1e-12)
     for k, (_, state) in enumerate(out.branches):
         assert state.dim == dim
+        amps = to_flat(state)
         outside_outcome = ~occupied if k < 2 else occupied
-        assert not np.any(state.amps[outside_outcome])
+        assert not np.any(amps[outside_outcome])
         if k >= 2:  # a miss is only lifted: the spin-only miss at the even indices, +0.0 at the odd ones
             miss = np.where(occupied[::2], 0.0, states[k - 2])
-            np.testing.assert_allclose(state.amps[::2], miss / np.linalg.norm(miss), rtol=1e-14, atol=0)
-            assert not np.any(state.amps.view(np.uint64).reshape(-1, 2, 2)[:, 1])
+            np.testing.assert_allclose(amps[::2], miss / np.linalg.norm(miss), rtol=1e-14, atol=0)
+            assert not np.any(amps.view(np.uint64).reshape(-1, 2, 2)[:, 1])
 
 
 def test_only_a_branching_detector_builds_the_occupancy_projectors(monkeypatch):
@@ -392,16 +405,17 @@ def test_joint_measurement_matches_reference_update():
     n = 8
     dim = 8 * n * n
     amps = rng.normal(size=dim // 2) + 1j * rng.normal(size=dim // 2)
-    state = StateVector(amps / np.linalg.norm(amps))  # spin-only
+    amps /= np.linalg.norm(amps)
+    state = from_flat(amps)  # spin-only
     for mode, sites in (("global_bell", None), ("localized_bell", range(3, 6))):
         o2 = None if sites is None else Region(3, 6)
         out = BranchEnsemble(_joint_step(n, mode, o2, [(1.0, state)]))
-        rho = oc.density_from_branches((w, s.amps) for w, s in out.branches)
+        rho = oc.density_from_branches((w, to_flat(s)[::2]) for w, s in out.branches)
         projs = oc.joint_projectors(n, mode, sites)
         for p in projs:  # the identity on the qubit, so the q = 0 block acts on spin-only states
             np.testing.assert_array_equal(_kron_qubit(p[::2, ::2]), p)
         projs = [p[::2, ::2] for p in projs]
-        rho_ref = sum(p @ np.outer(state.amps, state.amps.conj()) @ p for p in projs)
+        rho_ref = sum(p @ np.outer(amps, amps.conj()) @ p for p in projs)
         assert np.linalg.norm(rho - rho_ref) < 1e-12
         assert abs(sum(w for w, _ in out.branches) - 1.0) < 1e-10
 
@@ -412,7 +426,8 @@ def test_joint_measurement_matches_reference_update():
 
 @pytest.mark.parametrize("n", [8, 12])
 def test_kernels_match_materialized_operators_exactly(n):
-    # Bytes, not ``==``: -0.0 and +0.0 differ.  The inputs hold both.
+    # Bytes, not ``==``: -0.0 and +0.0 differ.  The inputs hold both, and in
+    # the last round two columns of -0.0 only, which the kernels take as absent.
     dim = 8 * n * n
     region, o2 = Region(2, 5), Region(4, 7)
     rng = np.random.default_rng(n)
@@ -432,14 +447,16 @@ def test_kernels_match_materialized_operators_exactly(n):
     matrices = {name: _kernel_matrix(op) for name, op in ops.items()}
     widths = {name: op.maps[0].shape for name, op in ops.items()}
     assert {widths[name] for name in ops if "8x8" not in name} == {(4, 4), (8, 4)}
-    for _ in range(3):
+    for k in range(3):
         for name, op in ops.items():
             amps = rng.normal(size=matrices[name].shape[1]) + 1j * rng.normal(size=matrices[name].shape[1])
             parts = amps.view(np.float64)
             parts[rng.random(parts.size) < 0.2] = -0.0
             parts[rng.random(parts.size) < 0.1] = 0.0
+            if k == 2:
+                amps.reshape(n * n, -1)[:, [1, 2]] = complex(-0.0, -0.0)
             want = sp.csr_array(matrices[name]) @ amps
-            assert op.apply(amps).view(np.float64).tobytes() == want.view(np.float64).tobytes(), name
+            assert _apply_flat(op, amps).view(np.float64).tobytes() == want.view(np.float64).tobytes(), name
     # label2: the coupling on slot 2's spin on the O3-occupied pairs, the identity elsewhere,
     # on the q = 0 columns (spin-only inputs).
     occupied = oc.union_occupancy_diag(n, region.sites()).astype(bool)
@@ -448,6 +465,20 @@ def test_kernels_match_materialized_operators_exactly(n):
     assert matrices["detector label2"].shape == (dim, dim // 2)
     np.testing.assert_array_equal(matrices["detector label2"], label2[:, ::2])
     np.testing.assert_array_equal(matrices["detector position"], matrices["detector position 8x8"][:, ::2])
+
+
+def test_an_output_column_whose_sources_are_all_absent_stays_absent():
+    # A spin-only state with only its (down, down) column: the Bell pair maps
+    # it to |dd> and |uu>, so |du> and |ud> have no source; the slot-2
+    # coupling leaves every q = 1 column without one.
+    n = 8
+    x = np.random.default_rng(2).normal(size=(n, n)) + 0j
+    for op in protocol_mod._joint_outcomes(n, "global_bell", None) + protocol_mod._joint_outcomes(n, "localized_bell",
+                                                                                                  Region(2, 5)):
+        assert [c is None for c in op.apply((x, None, None, None))] == [False, True, True, False]
+    for mode in DETECTOR_MODES:
+        out = protocol_mod._detector_blocks(n, Region(5, 8), mode).apply((x, None, None, None))
+        assert [c is None for c in out] == [False, True, True, True, True, True, True, True]
 
 
 def test_label2_coupling_on_occupied_branches_equals_the_global_map_byte_for_byte():
@@ -462,15 +493,15 @@ def test_label2_coupling_on_occupied_branches_equals_the_global_map_byte_for_byt
         amps = rng.normal(size=dim // 2) + 1j * rng.normal(size=dim // 2)
         parts = amps.view(np.float64)
         parts[rng.random(parts.size) < 0.2] = -0.0
-        hit = occupied.apply(amps)
+        hit = _apply_flat(occupied, amps)
         hit /= np.linalg.norm(hit)
-        assert coupling.apply(hit).tobytes() == everywhere.apply(hit).tobytes()
+        assert _apply_flat(coupling, hit).tobytes() == _apply_flat(everywhere, hit).tobytes()
         # On an unoccupied branch the coupling only lifts: spin entry i at index 2 i, +0.0 at the odd ones.
-        miss = unoccupied.apply(amps)
+        miss = _apply_flat(unoccupied, amps)
         miss /= np.linalg.norm(miss)
         lifted = np.zeros(dim, dtype=np.complex128)
         lifted[::2] = miss
-        assert coupling.apply(miss).tobytes() == lifted.tobytes()
+        assert _apply_flat(coupling, miss).tobytes() == lifted.tobytes()
 
 
 def test_joint_measurement_equals_luders_on_materialized_projectors():
@@ -478,18 +509,20 @@ def test_joint_measurement_equals_luders_on_materialized_projectors():
     dim = 8 * n * n
     rng = np.random.default_rng(5)
     amps = rng.normal(size=dim // 2) + 1j * rng.normal(size=dim // 2)
-    ens = BranchEnsemble.pure(StateVector(amps / np.linalg.norm(amps)))  # spin-only
+    ens = BranchEnsemble.pure(from_flat(amps / np.linalg.norm(amps)))  # spin-only
     for mode in ("global_bell", "localized_bell"):
         got = BranchEnsemble(_joint_step(n, mode, Region(3, 6), list(ens.branches)))
         matrices = [_kernel_matrix(op) for op in protocol_mod._joint_outcomes(n, mode, Region(3, 6))]
         assert max(map(_projector_defect, matrices)) < 1e-14
         assert np.linalg.norm(matrices[0] @ matrices[1]) < 1e-14
         assert np.linalg.norm(sum(matrices) - np.eye(dim // 2)) < 1e-14
-        csrs = [sp.csr_array(m) for m in matrices]
-        want = BranchEnsemble(sum(luders_update(list(ens.branches), [c.__matmul__ for c in csrs]), []))
+        # The CSR mat-vec of each projector on the column state's flat amplitudes, back on columns.
+        outcomes = [lambda cols, c=sp.csr_array(m): tuple(
+            None if x is None else x.copy() for x in from_flat(c @ _joined(cols, n)).amps) for m in matrices]
+        want = BranchEnsemble(sum(luders_update(list(ens.branches), outcomes), []))
         assert [w for w, _ in got.branches] == [w for w, _ in want.branches]
         for (_, a), (_, b) in zip(got.branches, want.branches):
-            assert np.array_equal(a.amps, b.amps)
+            assert to_flat(a).tobytes() == to_flat(b).tobytes()
 
 
 def test_build_rejects_tampered_8x8_maps():
@@ -530,12 +563,14 @@ def test_pipeline_rejects_a_tampered_branch(monkeypatch, tmp_path, capsys, tampe
     # A kernel's output is checked where the pipeline wraps it: the run fails with the check's ValueError.
     apply = PairBlocks.apply
 
-    def tampered(self, amps):
-        out = apply(self, amps)
+    def tampered(self, cols):
+        out = apply(self, cols)
+        live = [c for c in out if c is not None]
         if tamper == "scale":
-            out *= 1.5  # finite, but not normalized
+            for c in live:
+                c *= 1.5  # finite, but not normalized
         else:
-            out[out.size // 2] = np.nan
+            live[-1][len(live[-1]) // 2, 0] = np.nan
         return out
 
     monkeypatch.setattr(PairBlocks, "apply", tampered)
@@ -576,7 +611,7 @@ def _label2_scenario(**overrides):
 
 def test_the_package_caches_only_what_costs_milliseconds():
     # Each kept cache saves a kernel call or a drift milliseconds a scenario (README, "Caches").
-    assert {cache.__name__ for cache in geometry_caches()} == {"propagator", "_eigensystem", "_slab_index"}
+    assert {cache.__name__ for cache in geometry_caches()} == {"propagator", "_eigensystem"}
 
 
 def test_a_second_scenario_on_one_geometry_calls_no_eigh_product_or_map_check(monkeypatch, cold_caches):
@@ -665,22 +700,22 @@ def test_qubit_one_probability_counts_odd_indices():
     down[0] = 1.0  # q = 0
     ens = BranchEnsemble(
         (
-            (0.25, StateVector(up)),
-            (0.75, StateVector(down)),
+            (0.25, from_flat(up)),
+            (0.75, from_flat(down)),
         )
     )
     assert qubit_one_probability(ens) == pytest.approx(0.25, abs=1e-15)
 
 
-def test_qubit_one_probability_reads_the_layout_from_the_dimension():
-    # A spin-only (n, n, 4) state with s2 = up at an odd index: its qubit is |0> by layout.
+def test_qubit_one_probability_reads_the_layout_from_the_columns():
+    # A spin-only state (four columns) with s2 = up, an odd column: its qubit is |0> by layout.
     n = 8
     dim = 8 * n * n
     spin_only = np.zeros(dim // 2, dtype=np.complex128)
     spin_only[1] = 1.0  # s1 = down, s2 = up
-    assert qubit_one_probability(BranchEnsemble.pure(StateVector(spin_only))) == 0.0
+    assert qubit_one_probability(BranchEnsemble.pure(from_flat(spin_only))) == 0.0
     seven = np.full(7, 1 / math.sqrt(7), dtype=np.complex128)
-    with pytest.raises(ValueError, match="not of the composite form"):
+    with pytest.raises(ValueError, match="not a composite column state"):
         qubit_one_probability(BranchEnsemble.pure(StateVector(seven)))
 
 
@@ -695,11 +730,12 @@ def test_run_arm_stages_structure():
     quiet = run_arm_stages(cfg, kicked=False)
     w0, s0 = quiet["prepared"].branches[0]
     w1, s1 = quiet["post_kick"].branches[0]
-    np.testing.assert_array_equal(s0.amps, s1.amps)
+    np.testing.assert_array_equal(to_flat(s0), to_flat(s1))
 
 
-def _owner(arr: np.ndarray) -> np.ndarray:
-    """The array that owns the memory of ``arr``."""
+def _owner(cols: tuple) -> np.ndarray:
+    """The array that owns the memory of the first live column of ``cols``."""
+    arr = next(c for c in cols if c is not None)
     while arr.base is not None:
         arr = arr.base
     return arr
@@ -892,7 +928,7 @@ def test_pipeline_matches_dense_density_matrix_reference(overrides):
             selective=cfg.selective_o3,
         )
         for name in STAGES:
-            rho_pkg = oc.density_from_branches((w, s.amps) for w, s in stages[name].branches)
+            rho_pkg = oc.density_from_branches((w, to_flat(s)) for w, s in stages[name].branches)
             assert np.linalg.norm(rho_pkg - ref[name]) < 1e-10, (overrides, kicked, name)
         assert qubit_one_probability(stages["final"]) == pytest.approx(pq1_ref, abs=1e-10)
 
@@ -900,30 +936,32 @@ def test_pipeline_matches_dense_density_matrix_reference(overrides):
 @pytest.mark.parametrize("overrides", [*PIPELINE_COMBOS, dict(kick_mode="label1", joint_mode="global_bell",
                                                               detector_mode="label2")])
 def test_the_arm_carries_spin_only_states_until_the_detector(overrides):
-    # Every stage before ``final`` is (n, n, 4); every final branch (n, n, 8).
-    # run_arm_stages lifts the spin-only stages to the 8 n^2 basis: spin
-    # entry i at index 2 i, the q = 1 half exactly +0.0.
+    # Every stage before ``final`` holds the four (s1, s2) columns, every final
+    # branch the eight (s1, s2, q) ones.  run_arm_stages returns the arm's
+    # stages; to_flat puts a spin-only one on the 8 n^2 basis: spin column c
+    # at q = 0, the q = 1 half exactly +0.0.
     cfg = _basic_config(**overrides)
-    dim = 8 * cfg.n * cfg.n
+    n, dim = cfg.n, 8 * cfg.n * cfg.n
     for kicked in (False, True):
         arm = list(protocol_mod._run_arm(cfg, prepare_scenario(cfg)[1], kicked))
         assert [name for name, _ in arm] == [*STAGES[:3], "pre_detector", "final"]
         for name, ens in arm:
+            assert {len(s.amps) for _, s in ens.branches} == {8 if name == "final" else 4}, name
             assert {s.dim for _, s in ens.branches} == {dim if name == "final" else dim // 2}, name
         stages = run_arm_stages(cfg, kicked)
         for name, ens in arm:
             if name not in STAGES:
                 continue
-            lifted = stages[name]
-            assert [w for w, _ in lifted.branches] == [w for w, _ in ens.branches], name
-            for (_, s), (_, big) in zip(ens.branches, lifted.branches):
-                assert big.dim == dim
-                words = big.amps.view(np.uint64).reshape(-1, 2, 2)  # (spin entry, q, re/im)
-                if name == "final":
-                    assert big.amps.tobytes() == s.amps.tobytes()
-                    continue
-                assert not np.any(words[:, 1]), name  # the q = 1 half is +0.0
-                assert words[:, 0].tobytes() == s.amps.tobytes(), name
+            assert [w for w, _ in stages[name].branches] == [w for w, _ in ens.branches], name
+            for (_, s), (_, same) in zip(ens.branches, stages[name].branches):
+                flat = to_flat(s)
+                assert flat.size == dim and flat.tobytes() == to_flat(same).tobytes(), name
+                width = len(s.amps)
+                for c, x in enumerate(s.amps):
+                    column = flat.reshape(n, n, 8)[:, :, 8 // width * c]
+                    assert column.tobytes() == (np.zeros((n, n), complex) if x is None else x).tobytes(), name
+                if width == 4:
+                    assert not np.any(flat.view(np.uint64).reshape(-1, 2, 2)[:, 1]), name  # the q = 1 half is +0.0
 
 
 def test_run_scenario_report_consistency():
