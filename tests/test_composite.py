@@ -232,11 +232,10 @@ def test_exchange_sector_is_wrapped_without_a_copy():
 
 @pytest.mark.parametrize("statistics", ["fermion", "boson", "distinguishable"])
 def test_prepare_initial_holds_two_states_at_its_peak(statistics):
-    # The product column and the one column of the state built from it
-    # (16 n^2 bytes each): the sector is scaled in place.  np.outer's
-    # broadcast multiply also buffers both operands, min(n^2, 8192) entries
-    # each: two more columns at n = 48.  On the (n, n, 4) layout the bound
-    # was two spin-only states of 64 n^2 bytes, eight columns.
+    # Columns of 16 n^2 bytes: the product, the sector column built from
+    # it and its normalized copy; while np.outer runs, the product and its
+    # broadcast buffers of both operands, min(n^2, 8192) entries each, two
+    # columns at n = 48.
     n = 48
     lat = make_lattice(n, 1.0)
     p1 = wavepacket(lat, Region(4, 10), 7.0, 1.5, 0.0)
@@ -455,8 +454,7 @@ def test_drift_on_compact_supports_is_byte_exact(support):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_drift_holds_the_output_and_one_contraction_at_its_peak(k):
     # The k output columns plus the one first contraction (16 n^2 bytes
-    # each) that the second one reads.  On the (n, n, 8) layout the output
-    # was a whole state of eight columns, plus k gathered and contracted ones.
+    # each) that the second one reads.
     n = 64
     tensor = to_flat(_random_composite_state(np.random.default_rng(k), n)).reshape(n, n, 8)
     tensor[:, :, k:] = 0.0

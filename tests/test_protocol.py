@@ -707,7 +707,7 @@ def test_qubit_one_probability_counts_odd_indices():
     assert qubit_one_probability(ens) == pytest.approx(0.25, abs=1e-15)
 
 
-def test_qubit_one_probability_reads_the_layout_from_the_columns():
+def test_qubit_one_probability_reads_the_layout_from_the_dimension():
     # A spin-only state (four columns) with s2 = up, an odd column: its qubit is |0> by layout.
     n = 8
     dim = 8 * n * n
