@@ -88,8 +88,8 @@ DETECTOR_MODES = ("position", "label2")
 
 STAGES = ("prepared", "post_kick", "post_o2", "final")
 
-# Bound on a scenario's peak memory in (n, n, 8) complex128 states, live branches
-# and temporaries included (measured worst 6.11); it also sizes the allocator thresholds.
+# Bound on a scenario's peak memory in states of 128 n^2 bytes (eight full columns), live
+# branches and temporaries included (measured worst 2.47); it also sizes the allocator thresholds.
 PEAK_STATES = 7
 _MALLOPT = getattr(ctypes.CDLL(None), "mallopt", lambda param, value: 0)  # no-op without one
 
@@ -192,7 +192,7 @@ class ScenarioConfig:
 
     @property
     def peak_bytes(self) -> int:
-        """Peak memory budget: ``PEAK_STATES`` (n, n, 8) complex128 tensors."""
+        """Peak memory budget: ``PEAK_STATES`` states of ``128 n^2`` bytes."""
         return PEAK_STATES * 128 * self.n**2
 
 
