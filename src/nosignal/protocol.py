@@ -376,7 +376,7 @@ def _kick_blocks(n: int, o1: Region, mode: str) -> PairBlocks:
 
 
 def _detector_blocks(n: int, o3: Region, mode: str) -> PairBlocks:
-    if mode == "label2":  # applied after the occupancy branching, where it also lifts the unoccupied branches
+    if mode == "label2":  # applied after the occupancy branching, to the occupied branches only
         return PairBlocks(n, _occupied_rects(n, o3), (_COUPLING[1],) * 3, rest_identity=True)
     return _by_occupant(n, o3, "O3", *_COUPLING)
 
@@ -437,8 +437,9 @@ def _detector_step(n: int, o3: Region, mode: str, branches: list, selective: boo
     symmetric and breaks the antisymmetry of fermionic states.
 
     Branching is the Lueders update on the occupancy projectors ``(P, Q)``:
-    the occupied branches come first, then the unoccupied ones (which the
-    coupling only lifts), each in the order of the input branches.
+    the occupied branches come first, then the unoccupied ones, each in the
+    order of the input branches.  The coupling acts as the identity on an
+    unoccupied branch, so that branch is only lifted (:func:`_lifted`).
     """
     coupling = _detector_blocks(n, o3, mode)
     if mode == "position" and not selective:
@@ -447,9 +448,14 @@ def _detector_step(n: int, o3: Region, mode: str, branches: list, selective: boo
     total = sum(w for w, _ in hits) if selective else 1.0
     if total <= 1e-12:
         raise ValueError("selective detection post-selected on an empty outcome")
-    branches = [(w / total, s) for w, s in hits] + ([] if selective else misses)
+    branches = [(w / total, s) for w, s in hits] + ([] if selective else [(w, _lifted(s)) for w, s in misses])
     del hits, misses  # so that _each frees each spin-only branch once its image is built
-    return _each(coupling, branches)
+    return _each(lambda s: s if len(s.amps) == 8 else coupling(s), branches)
+
+
+def _lifted(state: StateVector) -> StateVector:
+    """A spin-only state with the qubit in ``|0>``: spin column ``c`` becomes column ``2 c``, sharing its memory."""
+    return StateVector(tuple(c for x in state.amps for c in (x, None)))
 
 
 # ---------------------------------------------------------------------------

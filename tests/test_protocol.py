@@ -370,6 +370,25 @@ def test_label2_detector_lists_every_hit_before_every_miss():
             miss = np.where(occupied[::2], 0.0, states[k - 2])
             np.testing.assert_allclose(amps[::2], miss / np.linalg.norm(miss), rtol=1e-14, atol=0)
             assert not np.any(amps.view(np.uint64).reshape(-1, 2, 2)[:, 1])
+            assert state.amps[1::2] == (None,) * 4  # no coupling ran: no q = 1 column was built
+
+
+def test_label2_detector_lifts_a_miss_without_copying_its_columns(monkeypatch):
+    n, o3 = 8, Region(5, 8)
+    rng = np.random.default_rng(13)
+    amps = rng.normal(size=4 * n * n) + 1j * rng.normal(size=4 * n * n)
+    misses = []
+    luders = protocol_mod.luders_update
+
+    def recording(branches, outcomes):
+        out = luders(branches, outcomes)
+        misses.extend(out[1])
+        return out
+
+    monkeypatch.setattr(protocol_mod, "luders_update", recording)
+    out = _detector_step(n, o3, "label2", [(1.0, from_flat(amps / np.linalg.norm(amps)))])
+    (_, miss), (_, lifted) = misses[0], out[1]
+    assert all(a is b for a, b in zip(lifted.amps[::2], miss.amps)) and lifted.amps[1::2] == (None,) * 4
 
 
 def test_only_a_branching_detector_builds_the_occupancy_projectors(monkeypatch):
