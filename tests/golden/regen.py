@@ -12,7 +12,7 @@ of both arms at every stage.  Float bytes depend on the BLAS build and its
 thread count, so the file also stores the :func:`fingerprint` of the
 machine that wrote it; ``tests/test_golden.py`` reads it.  A change that
 means to move bytes runs this script, which prints every field that differs
-from the file it replaces, and lists them.
+from the file it replaces, then the :func:`summary` the change lists.
 """
 
 from __future__ import annotations
@@ -178,6 +178,50 @@ def changes(old: dict, new: dict) -> list:
     return lines
 
 
+def _certificate_passes(floats: dict):
+    """The verdict ``SpacelikeCertificate.passed`` read back from a report's floats; ``None`` without them."""
+    keys = [f"certificate.{k}" for k in ("leak_13", "leak_31", "overlap_O1", "overlap_O3", "epsilon")]
+    if not all(k in floats for k in keys):
+        return None
+    *bounds, eps = (float(floats[k]) for k in keys)
+    return max(bounds) <= eps
+
+
+def summary(old: dict, new: dict) -> list:
+    """What a regeneration reports besides its changed fields, over the configs both payloads hold.
+
+    Per float field, the largest relative change over the values above
+    ``1e-12``; every no-signal delta (below ``1e-10`` before or after),
+    before and after; and every exit code, certificate verdict and stage
+    branch count that changed, or a line saying none did.
+    """
+    was, now = old.get("configs", {}), new["configs"]
+    names = sorted(was.keys() & now.keys())
+    worst, deltas, moved = {}, [], []
+    for name in names:
+        a, b = was[name], now[name]
+        for key in sorted(a["floats"].keys() & b["floats"].keys()):
+            x, y = float(a["floats"][key]), float(b["floats"][key])
+            if abs(x) > 1e-12:
+                worst[key] = max(worst.get(key, (0.0, "")), (abs(y - x) / abs(x), name))
+        x, y = a["floats"].get("delta"), b["floats"].get("delta")
+        if x is not None and y is not None and min(float(x), float(y)) < 1e-10:
+            deltas.append(f"  {name}: {x} (same)" if x == y else f"  {name}: {x} -> {y}")
+        counts = [{arm: {stage: len(d) for stage, d in sorted(by_stage.items())}
+                   for arm, by_stage in sorted(e["stages"].items())} for e in (a, b)]
+        verdicts = [_certificate_passes(e["floats"]) for e in (a, b)]
+        for what, before, after in (("exit code", a["exit_code"], b["exit_code"]),
+                                    ("certificate pass", *verdicts), ("stage branch counts", *counts)):
+            if before != after:
+                moved.append(f"  {name}: {what} {before} -> {after}")
+    lines = ["largest relative change of each float above 1e-12:"]
+    lines += [f"  {key} {rel:.1e} ({name})" if rel else f"  {key} 0 (did not move)"
+              for key, (rel, name) in sorted(worst.items())]
+    lines += ["no-signal deltas (< 1e-10), before -> after:"] + deltas
+    lines += ["exit codes, certificate passes and stage branch counts:"] + (moved or ["  no change"])
+    return lines
+
+
 def main() -> None:
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -185,7 +229,8 @@ def main() -> None:
     payload = {"fingerprint": fingerprint(), "configs": entries}
     GOLDEN.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     lines = changes(old, payload)
-    print("\n".join(lines + [f"wrote {len(entries)} configs to {GOLDEN}, {len(lines)} changed fields"]))
+    tail = f"wrote {len(entries)} configs to {GOLDEN}, {len(lines)} changed fields"
+    print("\n".join(lines + summary(old, payload) + [tail]))
 
 
 if __name__ == "__main__":

@@ -92,3 +92,33 @@ def test_regen_lists_every_changed_field():
     ]
     assert regen.changes(old, old) == []
     assert regen.changes({}, old)[0] == "fingerprint: None -> {'numpy': '1'}"
+
+
+def test_regen_summarizes_what_a_regeneration_lists():
+    cert = {"certificate.epsilon": "1e-06", "certificate.leak_13": "1e-30", "certificate.leak_31": "1e-30",
+            "certificate.overlap_O1": "0.0", "certificate.overlap_O3": "0.0"}
+    signal = {"exit_code": 0, "floats": dict(cert, delta="0.25", arrival_prob="1.0"),
+              "stages": {"kick": {"final": ["x", "y"]}}}
+    quiet = {"exit_code": 0, "floats": dict(cert, delta="1e-44", arrival_prob="0.5"), "stages": {"kick": {"final": ["z"]}}}
+    zero = dict(quiet, floats=dict(quiet["floats"], delta="0.0"))
+    old = {"configs": {"a": signal, "b": quiet, "c": zero, "gone": signal}}
+    new = {"configs": {
+        "a": dict(signal, floats=dict(signal["floats"], delta="0.2500000000000005", arrival_prob="1.0000000000000002")),
+        "b": dict(quiet, exit_code=2, floats=dict(quiet["floats"], delta="2e-44", **{"certificate.leak_13": "1.0"}),
+                  stages={"kick": {"final": ["z", "w"]}}),
+        "c": zero,
+    }}
+    assert regen.summary(old, new) == [
+        "largest relative change of each float above 1e-12:",
+        "  arrival_prob 2.2e-16 (a)",
+        "  certificate.epsilon 0 (did not move)",
+        "  delta 2.0e-15 (a)",
+        "no-signal deltas (< 1e-10), before -> after:",
+        "  b: 1e-44 -> 2e-44",
+        "  c: 0.0 (same)",
+        "exit codes, certificate passes and stage branch counts:",
+        "  b: exit code 0 -> 2",
+        "  b: certificate pass True -> False",
+        "  b: stage branch counts {'kick': {'final': 1}} -> {'kick': {'final': 2}}",
+    ]
+    assert regen.summary(old, old)[-1] == "  no change"
