@@ -115,7 +115,7 @@ def kernels(n: int) -> dict:
         "kick": lambda s: kick.apply(s.amps),
         "bell-P": lambda s: bell[0].apply(s.amps),
         "label2": lambda s: label2.apply(s.amps),
-        "luders": lambda s: luders_update([(1.0, s)], [op.apply for op in bell]),
+        "luders": lambda s: luders_update([s], [op.apply for op in bell]),
         "normalize": lambda s: s.normalized(),
     }
     return {(name, live): fns[name] if name in fns else operators(n, live == "cold") for name, live in ROWS}

@@ -53,7 +53,7 @@ def stage_violations(cfg) -> None:
     stages = run_arm_stages(cfg, kicked=True)
     for name in STAGES:
         ens = stages[name]
-        worst = max(antisymmetry_violation(s) for _w, s in ens.branches)
+        worst = max(map(antisymmetry_violation, ens.branches))
         print(f"    {name:<10s} branches={ens.branch_count}  "
               f"worst violation={worst:.6f}")
 

@@ -294,8 +294,8 @@ def _cmd_dump_density(args) -> int:
         with open(args.dump_state, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["branch", "weight", "index", "re", "im"])
-            for b, (w, state) in enumerate(ens.branches):
-                weight, amps = repr(float(w)), to_flat(state)  # on the 8 n^2 basis
+            for b, state in enumerate(ens.branches):  # the weight |psi|^2, then psi / |psi| on the 8 n^2 basis
+                weight, amps = repr(state.norm ** 2), to_flat(state.normalized())
                 for idx, amp in enumerate(amps):
                     writer.writerow([b, weight, idx, repr(float(amp.real)), repr(float(amp.imag))])
     return 0

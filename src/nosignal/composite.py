@@ -76,7 +76,7 @@ def decode_basis_index(n: int, index: int) -> tuple:
 
 def _sites(value) -> int:
     """Lattice size ``n`` of a column state or ensemble, read from the shape of its live columns."""
-    cols = (value.branches[0][1] if isinstance(value, BranchEnsemble) else value).amps
+    cols = (value.branches[0] if isinstance(value, BranchEnsemble) else value).amps
     shape = next(c.shape for c in cols if c is not None) if isinstance(cols, tuple) else ()
     if len(cols) not in (4, 8) or len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
         raise ValueError("not a composite column state: 4 or 8 columns of one shape (n, n) with n >= 2")
@@ -159,11 +159,11 @@ def symmetrize(s: StateVector) -> StateVector:
 
 
 def antisymmetry_violation(s: StateVector) -> float:
-    """Distance of a normalized state from the antisymmetric sector.
+    """Distance of a nonzero state from the antisymmetric sector, relative to its norm.
 
-    Defined as ``|(I + S) s| / 2``: zero for exchange-antisymmetric states,
-    one for symmetric ones, and ``1/sqrt(2)`` for a bare product of two
-    disjoint packets with equal spins.  Column ``d = _SWAP[c]`` of
+    Defined as ``|(I + S) s| / (2 |s|)``: zero for exchange-antisymmetric
+    states, one for symmetric ones, and ``1/sqrt(2)`` for a bare product of
+    two disjoint packets with equal spins, whatever the norm of ``s``.  Column ``d = _SWAP[c]`` of
     ``(I + S) s`` is the transpose of column ``c``, so each pair of columns
     is summed once, twice weighted, over the pairs with a live column.
     """
@@ -172,7 +172,7 @@ def antisymmetry_violation(s: StateVector) -> float:
         x, xt = cols[c], cols[d]
         if d >= c and (x is not None or xt is not None):
             total += (2 - (c == d)) * squared_norm(xt if x is None else x if xt is None else _exchanged(np.add, x, xt))
-    return math.sqrt(total) / 2.0
+    return math.sqrt(total) / (2.0 * s.norm)
 
 
 def prepare_initial(statistics: Union[Statistics, str], packet1: StateVector, packet2: StateVector) -> StateVector:
@@ -248,16 +248,16 @@ def evolve_positions(u: np.ndarray, state: StateVector) -> StateVector:
 
 
 def position_occupancy(x: Union[StateVector, BranchEnsemble]) -> tuple:
-    """Per-site occupation of each particle slot, averaged over branches.
+    """Per-site occupation of each particle slot, summed over branches.
 
-    Returns ``(occ1, occ2)``; each array sums to 1.
+    Returns ``(occ1, occ2)``; each array sums to the squared norm: 1 for an ensemble.
     """
-    n, branches = _sites(x), x.branches if isinstance(x, BranchEnsemble) else ((1.0, x),)
+    n, branches = _sites(x), x.branches if isinstance(x, BranchEnsemble) else (x,)
     occ1, occ2 = np.zeros(n), np.zeros(n)
-    for w, state in branches:
+    for state in branches:
         prob = sum(np.abs(c) ** 2 for c in state.amps if c is not None)
-        occ1 += w * prob.sum(axis=1)
-        occ2 += w * prob.sum(axis=0)
+        occ1 += prob.sum(axis=1)
+        occ2 += prob.sum(axis=0)
     return occ1, occ2
 
 

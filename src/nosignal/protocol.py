@@ -40,8 +40,9 @@ the test suite checks that amplitudes are bit-identical to the CSR mat-vec of
 each operation's matrix.
 
 Every step of an arm has one shape: a plain function that takes the list of
-``(weight, state)`` branches over and returns the next list.  The arm wraps
-each stage in a :class:`~nosignal.qcore.BranchEnsemble` only to yield it.
+branches over and returns the next list.  A branch is unnormalized (its Born
+weight is its squared norm); the arm wraps each stage in a
+:class:`~nosignal.qcore.BranchEnsemble` only to yield it.
 """
 
 from __future__ import annotations
@@ -405,8 +406,7 @@ def _each(f: Callable[[StateVector], StateVector], branches: list) -> list:
     """``branches`` with ``f`` applied to every state, as a checked list; ``branches`` is emptied front to back."""
     out = []
     while branches:
-        w, s = branches.pop(0)
-        out.append((w, f(s)))
+        out.append(f(branches.pop(0)))
     return list(BranchEnsemble(out).branches)
 
 
@@ -438,24 +438,26 @@ def _detector_step(n: int, o3: Region, mode: str, branches: list, selective: boo
 
     Branching is the Lueders update on the occupancy projectors ``(P, Q)``:
     the occupied branches come first, then the unoccupied ones, each in the
-    order of the input branches.  The coupling acts as the identity on an
-    unoccupied branch, so that branch is only lifted (:func:`_lifted`).
+    order of the input branches.  An unoccupied branch is only lifted (the
+    coupling is the identity there): its spin columns, shared, become its
+    ``q = 0`` columns.  Selection scales each coupled occupied branch by the
+    reciprocal root of their total weight.
     """
     coupling = _detector_blocks(n, o3, mode)
     if mode == "position" and not selective:
         return _each(coupling, branches)
     hits, misses = luders_update(branches, [op.apply for op in _occupancy_outcomes(n, o3)])
-    total = sum(w for w, _ in hits) if selective else 1.0
+    if not selective:
+        branches = hits + [StateVector(tuple(c for x in s.amps for c in (x, None))) for s in misses]
+        del hits, misses  # so that _each frees each spin-only branch once its image is built
+        return _each(lambda s: s if len(s.amps) == 8 else coupling(s), branches)
+    total = sum(s.norm ** 2 for s in hits)
+    del misses
     if total <= 1e-12:
         raise ValueError("selective detection post-selected on an empty outcome")
-    branches = [(w / total, s) for w, s in hits] + ([] if selective else [(w, _lifted(s)) for w, s in misses])
-    del hits, misses  # so that _each frees each spin-only branch once its image is built
-    return _each(lambda s: s if len(s.amps) == 8 else coupling(s), branches)
-
-
-def _lifted(state: StateVector) -> StateVector:
-    """A spin-only state with the qubit in ``|0>``: spin column ``c`` becomes column ``2 c``, sharing its memory."""
-    return StateVector(tuple(c for x in state.amps for c in (x, None)))
+    r = qcore.reciprocal(math.sqrt(total))
+    return _each(lambda s: StateVector(qcore.freeze(tuple(
+        None if x is None else np.multiply(x, r, out=x) for x in coupling.apply(s.amps)))), hits)
 
 
 # ---------------------------------------------------------------------------
@@ -486,17 +488,17 @@ def run_naive_sorkin(observable: np.ndarray, kick: bool) -> float:
     if kick:
         amps = np.kron(PAULI_X, eye2) @ amps
     pb = bell_projector()
-    branches = [(1.0, StateVector(amps))]
+    branches = [StateVector(amps)]
     value = 0.0 + 0.0j
-    for w, state in sum(luders_update(branches, [pb.__matmul__, (np.eye(4) - pb).__matmul__]), []):
-        value += w * np.vdot(state.amps, obs @ state.amps)
+    for state in sum(luders_update(branches, [pb.__matmul__, (np.eye(4) - pb).__matmul__]), []):
+        value += np.vdot(state.amps, obs @ state.amps)
     return float(value.real)
 
 
 def qubit_one_probability(ens: BranchEnsemble) -> float:
-    """Probability that the qubit reads 1, summed over the live ``q = 1`` columns: exactly 0 if spin-only."""
+    """Probability that the qubit reads 1, ``|psi_{q=1}|^2`` summed over the branches: exactly 0 if spin-only."""
     _sites(ens)  # a ValueError unless a column state
-    return sum((w * qcore.squared_norm(s.amps[1::2]) for w, s in ens.branches if len(s.amps) == 8), 0.0)
+    return sum((qcore.squared_norm(s.amps[1::2]) for s in ens.branches if len(s.amps) == 8), 0.0)
 
 
 def run_arm_stages(cfg: ScenarioConfig, kicked: bool) -> Mapping[str, BranchEnsemble]:
@@ -544,7 +546,7 @@ def _run_arm(cfg: ScenarioConfig, psi0: StateVector, kicked: bool) -> Iterator[t
     """
     lat = make_lattice(cfg.n, cfg.hopping)
     u1, u2 = propagator(lat, cfg.t1), propagator(lat, cfg.t2)
-    branches = [(1.0, psi0)]
+    branches = [psi0]
     del psi0  # so the first step that takes the branch over frees it
     yield "prepared", BranchEnsemble(branches)
     if kicked and cfg.kick_mode != "off":
@@ -581,8 +583,8 @@ def run_scenario(cfg: ScenarioConfig) -> SignalingReport:
     del psi0  # from here the arms hold the only references
     for kicked, arm in arms.items():
         for name, ens in arm:
-            if ens.branches[0][1] is not first():  # psi0's own violation is taken once, above
-                violation = max(violation, *(antisymmetry_violation(s) for _, s in ens.branches))
+            if ens.branches[0] is not first():  # psi0's own violation is taken once, above
+                violation = max(violation, *map(antisymmetry_violation, ens.branches))
             if name == "pre_detector" and not kicked:
                 occ1, occ2 = position_occupancy(ens)
                 arrival = float(occ1[cfg.o3.lo:cfg.o3.hi].sum() + occ2[cfg.o3.lo:cfg.o3.hi].sum())

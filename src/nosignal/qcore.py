@@ -1,11 +1,12 @@
 """Finite-dimensional states and the Lueders measurement update.
 
 The scenario pipeline passes the typed values defined here between its
-stages: :class:`StateVector` and :class:`BranchEnsemble` (a weighted mixture
-of pure states, which stands in for a density matrix during non-selective
-measurements).  The kernels inside a stage (the drift, ``PairBlocks.apply``)
-build the spin columns of composite states (see ``composite``), and each
-state they build is checked once, by :class:`StateVector`.
+stages: :class:`StateVector` and :class:`BranchEnsemble` (a mixture of
+unnormalized pure states, each weighted by its squared norm, which stands in
+for a density matrix during non-selective measurements).  The kernels inside
+a stage (the drift, ``PairBlocks.apply``) build the spin columns of composite
+states (see ``composite``), and each state they build is checked once, by
+:class:`StateVector`.
 
 Conventions used throughout the package:
 
@@ -137,38 +138,33 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class BranchEnsemble:
-    """Weighted mixture of normalized pure states on a common basis.
+    """Mixture of unnormalized pure states on a common basis.
 
     This is the package's stand-in for a density matrix during non-selective
-    measurement updates: Lueders branching keeps every outcome as a weighted
-    branch instead of collapsing or summing to a mixed-state matrix.
+    measurement updates: Lueders branching keeps every outcome ``P_i psi`` as
+    a branch instead of collapsing or summing to a mixed-state matrix.  A
+    branch's Born weight is its squared norm, ``state.norm ** 2``, and the
+    weights sum to 1 within ``WEIGHT_SUM_ATOL``.
     """
 
     branches: tuple
 
     def __post_init__(self):
-        branches = tuple((float(w), s) for w, s in self.branches)
+        branches = tuple(self.branches)
         if not branches:
             raise ValueError("ensemble must hold at least one branch")
-        dim = branches[0][1].dim
-        total = 0.0
-        for w, state in branches:
-            if not isinstance(state, StateVector):
-                raise TypeError("ensemble branches must hold StateVector values")
-            if not np.isfinite(w) or w < 0.0:
-                raise ValueError(f"branch weight must be finite and >= 0, got {w}")
-            if state.dim != dim:
-                raise ValueError("ensemble branches must share one basis")
-            if abs(state.norm - 1.0) > NORMALIZATION_ATOL:
-                raise ValueError(f"branch state not normalized: |norm - 1| = {abs(state.norm - 1.0):.3e}")
-            total += w
+        if not all(isinstance(state, StateVector) for state in branches):
+            raise TypeError("ensemble branches must be StateVector values")
+        if len({state.dim for state in branches}) != 1:
+            raise ValueError("ensemble branches must share one basis")
+        total = sum(state.norm ** 2 for state in branches)
         if abs(total - 1.0) > WEIGHT_SUM_ATOL:
-            raise ValueError(f"branch weights must sum to 1, got {total!r}")
+            raise ValueError(f"branch weights |psi|^2 must sum to 1, got {total!r}")
         object.__setattr__(self, "branches", branches)
 
     @classmethod
     def pure(cls, state: StateVector) -> "BranchEnsemble":
-        return cls(((1.0, state),))
+        return cls((state,))
 
     @property
     def branch_count(self) -> int:
@@ -176,40 +172,32 @@ class BranchEnsemble:
 
     @property
     def dim(self) -> int:
-        return self.branches[0][1].dim
+        return self.branches[0].dim
 
 
 def luders_update(branches: list, outcomes: Sequence[Callable]) -> list:
-    """Non-selective Lueders update of a list of branches, outcome by outcome.
+    """Non-selective Lueders update of a list of unnormalized branches, outcome by outcome.
 
-    Every input branch ``(w, psi)`` spawns one output branch
-    ``(w * |P_i psi|^2 / |psi|^2, P_i psi / |P_i psi|)`` per outcome ``i``;
-    one whose weight falls at or below ``BRANCH_PRUNE_THRESHOLD`` is dropped.
-    The update takes the ``(weight, state)`` list ``branches`` over: it
-    empties it front to back, releasing each input branch once its outcomes
-    are built.  ``outcomes`` holds one map per outcome, and ``outcomes[i](amps)``
-    returns ``P_i psi`` as a fresh array that it gives up: a kept outcome is
-    normalized in place and frozen, and a pruned one is released before the
-    next is built.  The result is a list of lists, one per outcome: entry
-    ``i`` holds the surviving ``(weight, state)`` branches of outcome ``i``,
-    in the order of the input branches, and the weights of all entries sum
-    to 1.  An outcome's :func:`squared_norm` gives its weight and its divisor.
+    Every input branch ``psi`` spawns the branch ``P_i psi`` per outcome
+    ``i``, unnormalized: its weight is its squared norm.  One with no live
+    column, or with ``|P_i psi|^2 <= BRANCH_PRUNE_THRESHOLD``, is dropped.
+    The update takes the list ``branches`` over, emptying it front to back
+    and releasing each input branch once its outcomes are built.
+    ``outcomes[i](amps)`` returns ``P_i psi`` as a fresh array that it gives
+    up; :class:`StateVector` freezes it and takes its norm, the only pass
+    besides the map, and a pruned one is released before the next is built.
+    The result holds one list per outcome: its surviving branches, in the
+    order of the input branches.
     """
     by_outcome = [[] for _ in outcomes]
     while branches:
-        w, state = branches.pop(0)
-        # Outcome probabilities are taken relative to the branch norm so the
-        # output weights keep summing to 1 even after ~1e-15 rounding drift.
-        base = squared_norm(state.amps)
+        state = branches.pop(0)
         for kept, outcome in zip(by_outcome, outcomes):
             arm = outcome(state.amps)
-            square = squared_norm(arm)
-            weight = w * (square / base)
-            if weight > BRANCH_PRUNE_THRESHOLD:
-                r = reciprocal(math.sqrt(square))
-                for arr in _parts(arm):
-                    arr *= r
-                kept.append((weight, StateVector(freeze(arm))))
+            if _parts(arm):  # a column state with no live column is zero, and no StateVector
+                arm = StateVector(freeze(arm))
+                if arm.norm ** 2 > BRANCH_PRUNE_THRESHOLD:
+                    kept.append(arm)
             del arm
     return by_outcome
 

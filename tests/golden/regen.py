@@ -7,12 +7,13 @@ Run from the root of a source checkout::
 Every config of :func:`configs` goes through ``nosignal simulate``.  Per
 config the file stores the exit code, the SHA-256 of the report without
 ``manifest.duration_seconds``, the ``repr`` of every float field of the
-report, and the SHA-256 of the weight and amplitude bytes of every branch
-of both arms at every stage.  Float bytes depend on the BLAS build and its
-thread count, so the file also stores the :func:`fingerprint` of the
-machine that wrote it; ``tests/test_golden.py`` reads it.  A change that
-means to move bytes runs this script, which prints every field that differs
-from the file it replaces, then the :func:`summary` the change lists.
+report, and the SHA-256 of the amplitude bytes of every branch of both
+arms at every stage (a branch is unnormalized: its weight is its squared
+norm).  Float bytes depend on the BLAS build and its thread count, so the
+file also stores the :func:`fingerprint` of the machine that wrote it;
+``tests/test_golden.py`` reads it.  A change that means to move bytes runs
+this script, which prints every field that differs from the file it
+replaces, then the :func:`summary` the change lists.
 """
 
 from __future__ import annotations
@@ -117,8 +118,8 @@ def _float_fields(obj, prefix: str = "") -> dict:
 
 
 def _branch_digests(ens) -> list:
-    """Per branch, the SHA-256 of its weight and of its amplitudes on the ``8 n^2`` basis (``to_flat``)."""
-    return [hashlib.sha256(np.float64(w).tobytes() + to_flat(s).tobytes()).hexdigest() for w, s in ens.branches]
+    """Per branch, the SHA-256 of its amplitudes on the ``8 n^2`` basis (``to_flat``), which carry its weight."""
+    return [hashlib.sha256(to_flat(s).tobytes()).hexdigest() for s in ens.branches]
 
 
 def record(cfg: dict, workdir: Path) -> dict:

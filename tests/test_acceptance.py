@@ -149,7 +149,7 @@ def test_criterion_3_fermion_no_signaling():
     for kicked in (False, True):
         stages = run_arm_stages(cfg16, kicked=kicked)
         final = stages["final"]
-        rho_pkg = oc.density_from_branches((w, to_flat(s)) for w, s in final.branches)
+        rho_pkg = oc.density_from_branches((1.0, to_flat(s)) for s in final.branches)
         ref, pq1_ref, _arr = _oracle_arm(cfg16, kicked)
         cross_dev = max(cross_dev, float(np.linalg.norm(rho_pkg - ref["final"])))
         cross_dev = max(cross_dev, abs(qubit_one_probability(final) - pq1_ref))
@@ -175,14 +175,14 @@ def test_criterion_3_fermion_no_signaling():
 
 
 def _symmetric_sector_defect(cfg) -> float:
-    """Worst ||psi - S psi|| / 2 over all branches of all stages, both arms."""
+    """Worst ||psi - S psi|| / (2 ||psi||) over all branches of all stages, both arms."""
     perm = exchange_permutation(cfg.n)
     worst = 0.0
     for kicked in (False, True):
         for ens in run_arm_stages(cfg, kicked=kicked).values():
-            for _w, s in ens.branches:
+            for s in ens.branches:
                 amps = to_flat(s)
-                worst = max(worst, 0.5 * float(np.linalg.norm(amps - amps[perm])))
+                worst = max(worst, 0.5 * float(np.linalg.norm(amps - amps[perm])) / s.norm)
     return worst
 
 
@@ -251,7 +251,7 @@ def test_criterion_6_label_detector_breaks_antisymmetry():
 
     # the defect must show up in a post-detector branch, not just somewhere
     final = run_arm_stages(_small_scenario(detector_mode="label2"), kicked=True)["final"]
-    branch_violation = max(antisymmetry_violation(s) for _w, s in final.branches)
+    branch_violation = max(map(antisymmetry_violation, final.branches))
 
     ok = (labeled.max_antisym_violation >= 0.1 and branch_violation >= 0.1
           and symmetric.max_antisym_violation <= 1e-10)
@@ -289,8 +289,8 @@ def test_criterion_7_pipeline_hygiene():
             family.append(block @ block.conj().T)
         amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         state = StateVector(amps / np.linalg.norm(amps))
-        outcomes = luders_update([(1.0, state)], [p.__matmul__ for p in family])
-        weight_dev = max(weight_dev, abs(sum(w for branches in outcomes for w, _ in branches) - 1.0))
+        outcomes = luders_update([state], [p.__matmul__ for p in family])
+        weight_dev = max(weight_dev, abs(sum(s.norm ** 2 for branches in outcomes for s in branches) - 1.0))
 
     # exchange involution, exact
     involution_exact = True
@@ -319,7 +319,7 @@ def test_criterion_7_pipeline_hygiene():
             ref, _pq1, _arr = _oracle_arm(cfg, kicked, keep_stages=True)
             for name in ("prepared", "post_kick", "post_o2", "final"):
                 rho_pkg = oc.density_from_branches(
-                    (w, to_flat(s)) for w, s in stages[name].branches)
+                    (1.0, to_flat(s)) for s in stages[name].branches)
                 branch_dev = max(branch_dev, float(np.linalg.norm(rho_pkg - ref[name])))
 
     ok = (unitarity <= 1e-12 and weight_dev <= 1e-10 and involution_exact

@@ -450,6 +450,7 @@ def test_dump_state_csv(tmp_path):
 def test_dump_state_of_a_spin_only_stage_keeps_the_8n2_basis(tmp_path):
     # The arm carries post_o2 spin-only; the dump still lists every index of
     # the 8 n^2 basis, with spin-only entry i at index 2 i and q = 1 rows 0.0.
+    # A branch is unnormalized: its weight is |psi|^2, its rows psi / |psi|.
     cfg_path = _write_config(tmp_path, joint_mode="global_bell")
     state_path = tmp_path / "state.csv"
     assert main(["dump-density", "--config", cfg_path, "--arm", "nokick", "--stage", "post_o2",
@@ -462,9 +463,10 @@ def test_dump_state_of_a_spin_only_stage_keeps_the_8n2_basis(tmp_path):
     spin_only = dict(protocol._run_arm(cfg, prepare_scenario(cfg)[1], kicked=False))["post_o2"]
     assert spin_only.dim == dim // 2 and spin_only.branch_count == 2
     assert len(rows) == 1 + spin_only.branch_count * dim
-    for b, (w, state) in enumerate(spin_only.branches):
+    for b, state in enumerate(spin_only.branches):
         branch = rows[1 + b * dim : 1 + (b + 1) * dim]
-        assert {row[0] for row in branch} == {str(b)} and {row[1] for row in branch} == {repr(w)}
+        assert {row[0] for row in branch} == {str(b)} and {row[1] for row in branch} == {repr(state.norm ** 2)}
+        state = state.normalized()
         assert [int(row[2]) for row in branch] == list(range(dim))
         for index, (_, _, _, re_part, im_part) in enumerate(branch):
             x1, x2, s1, s2, q = decode_basis_index(cfg.n, index)

@@ -193,13 +193,14 @@ def test_exchange_sector_maps_equal_permutation_reference(n, kind):
     # under the exchange permutation: each sector column holds the bits of
     # the flat sum, scaled by the reciprocal of the column-state norm of
     # that sum.  The defect sums each pair of columns once, so it matches
-    # the flat norm to rounding.
+    # the flat |(I + S) s| / (2 |s|) to rounding.
     rng = np.random.default_rng(n)
     state = _exchange_test_state(rng, n, kind)
     amps = to_flat(state)
     swapped = amps[exchange_permutation(n)]
     plus, minus = amps + swapped, amps - swapped
-    assert antisymmetry_violation(state) == pytest.approx(float(np.linalg.norm(plus) / 2.0), rel=1e-14)
+    want = float(np.linalg.norm(plus) / (2.0 * np.linalg.norm(amps)))
+    assert antisymmetry_violation(state) == pytest.approx(want, rel=1e-14)
     _assert_same_floats(to_flat(symmetrize(state)), plus * reciprocal(from_flat(plus).norm))
     _assert_same_floats(to_flat(antisymmetrize(state)), minus * reciprocal(from_flat(minus).norm))
     if kind == "dead_columns":  # columns 0, 2 and 4 are live, and 4 is 2 exchanged: 1, 3, 5, 6, 7 stay absent

@@ -39,8 +39,9 @@ from nosignal import (
 )
 from nosignal import lattice as lattice_mod
 from nosignal import protocol as protocol_mod
+from nosignal import qcore
 from nosignal.cli import config_to_dict, emit_report, main as cli_main, report_to_dict
-from nosignal.composite import from_flat, to_flat
+from nosignal.composite import from_flat, joint_position_probability, to_flat
 from nosignal.lattice import propagator
 from nosignal.protocol import DETECTOR_MODES, PEAK_STATES, STAGES, PairBlocks, _detector_step, _joint_step
 from nosignal.qcore import PAULI_X, PAULI_Y, PAULI_Z, luders_update
@@ -282,10 +283,10 @@ def test_position_detector_detects_and_keeps_antisymmetry():
     o3 = Region(8, 12)
     inside, outside = _packets_for_detector(n)
     psi = _fermion_pair_with_spin_up_in(n, o3.lo, o3.hi, inside.amps, outside.amps)
-    out = BranchEnsemble(_detector_step(n, o3, "position", [(1.0, psi)]))
+    out = BranchEnsemble(_detector_step(n, o3, "position", [psi]))
     assert out.branch_count == 1
-    weight, state = out.branches[0]
-    assert weight == pytest.approx(1.0)
+    state = out.branches[0]
+    assert state.norm ** 2 == pytest.approx(1.0)
     assert qubit_one_probability(out) == pytest.approx(1.0, abs=1e-12)
     assert antisymmetry_violation(state) < 1e-12
 
@@ -299,10 +300,10 @@ def test_label2_detector_breaks_antisymmetry():
     o3 = Region(8, 12)
     inside, outside = _packets_for_detector(n)
     psi = _fermion_pair_with_spin_up_in(n, o3.lo, o3.hi, inside.amps, outside.amps)
-    out = BranchEnsemble(_detector_step(n, o3, "label2", [(1.0, psi)]))
+    out = BranchEnsemble(_detector_step(n, o3, "label2", [psi]))
     assert out.branch_count == 1
-    weight, state = out.branches[0]
-    assert weight == pytest.approx(1.0, abs=1e-12)
+    state = out.branches[0]
+    assert state.norm ** 2 == pytest.approx(1.0, abs=1e-12)
     assert qubit_one_probability(out) == pytest.approx(0.5, abs=1e-12)
     assert antisymmetry_violation(state) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
 
@@ -324,7 +325,7 @@ def test_selective_detection_on_empty_window_raises():
     p2 = wavepacket(lat, Region(4, 8), 5.5, 1.0, 0.0)
     psi = prepare_initial("fermion", p1, p2)
     with pytest.raises(ValueError, match="empty outcome"):
-        _detector_step(n, Region(8, 12), "position", [(1.0, psi)], selective=True)
+        _detector_step(n, Region(8, 12), "position", [psi], selective=True)
 
 
 def test_selective_hit_branch_is_the_csr_projection_byte_for_byte():
@@ -334,16 +335,29 @@ def test_selective_hit_branch_is_the_csr_projection_byte_for_byte():
     rng = np.random.default_rng(7)
     amps = rng.normal(size=dim // 2) + 1j * rng.normal(size=dim // 2)
     psi = from_flat(amps / np.linalg.norm(amps))
-    out = BranchEnsemble(_detector_step(n, o3, "position", [(1.0, psi)], selective=True))
-    # The occupancy projection of the spin-only state, normalized by its column-state
-    # norm (one vdot a column, summed in column order), then the 8 n^2 x 4 n^2 coupling.
+    out = BranchEnsemble(_detector_step(n, o3, "position", [psi], selective=True))
+    # The occupancy projection of the spin-only state, then the 8 n^2 x 4 n^2 coupling,
+    # scaled by the reciprocal of the root of the hit's weight: the square of its
+    # column-state norm (one vdot a column, summed in column order).
     occupied = oc.union_occupancy_diag(n, range(5, 8))[::2]
     arm = sp.csr_array(np.diag(occupied).astype(np.complex128)) @ to_flat(psi)[::2]
     coupling = _kernel_matrix(protocol_mod._detector_blocks(n, o3, "position"))
-    want = sp.csr_array(coupling) @ (arm / from_flat(arm).norm)
+    want = (sp.csr_array(coupling) @ arm) * qcore.reciprocal(math.sqrt(from_flat(arm).norm ** 2))
     assert out.branch_count == 1
-    assert out.branches[0][0] == 1.0
-    assert to_flat(out.branches[0][1]).tobytes() == want.tobytes()
+    assert abs(out.branches[0].norm ** 2 - 1.0) <= qcore.WEIGHT_SUM_ATOL
+    assert to_flat(out.branches[0]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", DETECTOR_MODES)
+def test_a_selective_final_ensemble_carries_unit_weight(mode):
+    # The hits hold only the occupied part of the arm; selection divides
+    # them by the root of their total weight once.
+    cfg = _basic_config(selective_o3=True, o3=Region(7, 10), joint_mode="global_bell", detector_mode=mode)
+    for kicked in (False, True):
+        stages = dict(protocol_mod._run_arm(cfg, prepare_scenario(cfg)[1], kicked))
+        miss = sum(joint_position_probability(s, range(7), range(7)) for s in stages["pre_detector"].branches)
+        assert 0.05 < miss < 0.95  # the post-selection drops a fair share of the arm
+        assert abs(sum(s.norm ** 2 for s in stages["final"].branches) - 1.0) <= qcore.WEIGHT_SUM_ATOL
 
 
 def test_label2_detector_lists_every_hit_before_every_miss():
@@ -356,19 +370,20 @@ def test_label2_detector_lists_every_hit_before_every_miss():
         amps = rng.normal(size=dim // 2) + 1j * rng.normal(size=dim // 2)
         amps[occupied[::2]] *= scale_inside
         states.append(amps / np.linalg.norm(amps))
-    ens = BranchEnsemble(tuple((w, from_flat(a)) for w, a in zip((0.3, 0.7), states)))
+    weights = (0.3, 0.7)
+    ens = BranchEnsemble(tuple(from_flat(a * math.sqrt(w)) for w, a in zip(weights, states)))
     out = BranchEnsemble(_detector_step(n, Region(5, 8), "label2", list(ens.branches)))
     p_in = [float(np.sum(np.abs(a[occupied[::2]]) ** 2)) for a in states]
     want = [0.3 * p_in[0], 0.7 * p_in[1], 0.3 * (1 - p_in[0]), 0.7 * (1 - p_in[1])]
-    assert [w for w, _ in out.branches] == pytest.approx(want, rel=1e-12)
-    for k, (_, state) in enumerate(out.branches):
+    assert [s.norm ** 2 for s in out.branches] == pytest.approx(want, rel=1e-12)
+    for k, state in enumerate(out.branches):
         assert state.dim == dim
         amps = to_flat(state)
         outside_outcome = ~occupied if k < 2 else occupied
         assert not np.any(amps[outside_outcome])
         if k >= 2:  # a miss is only lifted: the spin-only miss at the even indices, +0.0 at the odd ones
-            miss = np.where(occupied[::2], 0.0, states[k - 2])
-            np.testing.assert_allclose(amps[::2], miss / np.linalg.norm(miss), rtol=1e-14, atol=0)
+            miss = np.where(occupied[::2], 0.0, states[k - 2] * math.sqrt(weights[k - 2]))
+            np.testing.assert_allclose(amps[::2], miss, rtol=1e-14, atol=0)
             assert not np.any(amps.view(np.uint64).reshape(-1, 2, 2)[:, 1])
             assert state.amps[1::2] == (None,) * 4  # no coupling ran: no q = 1 column was built
 
@@ -386,8 +401,8 @@ def test_label2_detector_lifts_a_miss_without_copying_its_columns(monkeypatch):
         return out
 
     monkeypatch.setattr(protocol_mod, "luders_update", recording)
-    out = _detector_step(n, o3, "label2", [(1.0, from_flat(amps / np.linalg.norm(amps)))])
-    (_, miss), (_, lifted) = misses[0], out[1]
+    out = _detector_step(n, o3, "label2", [from_flat(amps / np.linalg.norm(amps))])
+    miss, lifted = misses[0], out[1]
     assert all(a is b for a, b in zip(lifted.amps[::2], miss.amps)) and lifted.amps[1::2] == (None,) * 4
 
 
@@ -414,9 +429,9 @@ def test_detector_and_localized_joint_reject_a_region_past_the_lattice():
 def test_joint_measurement_none_is_identity():
     cfg = _basic_config()
     _, psi0 = prepare_scenario(cfg)
-    branches = [(1.0, psi0)]
+    branches = [psi0]
     assert _joint_step(cfg.n, "none", None, branches) is branches
-    assert branches == [(1.0, psi0)]
+    assert branches == [psi0]
 
 
 def test_joint_measurement_matches_reference_update():
@@ -428,15 +443,15 @@ def test_joint_measurement_matches_reference_update():
     state = from_flat(amps)  # spin-only
     for mode, sites in (("global_bell", None), ("localized_bell", range(3, 6))):
         o2 = None if sites is None else Region(3, 6)
-        out = BranchEnsemble(_joint_step(n, mode, o2, [(1.0, state)]))
-        rho = oc.density_from_branches((w, to_flat(s)[::2]) for w, s in out.branches)
+        out = BranchEnsemble(_joint_step(n, mode, o2, [state]))
+        rho = oc.density_from_branches((1.0, to_flat(s)[::2]) for s in out.branches)
         projs = oc.joint_projectors(n, mode, sites)
         for p in projs:  # the identity on the qubit, so the q = 0 block acts on spin-only states
             np.testing.assert_array_equal(_kron_qubit(p[::2, ::2]), p)
         projs = [p[::2, ::2] for p in projs]
         rho_ref = sum(p @ np.outer(amps, amps.conj()) @ p for p in projs)
         assert np.linalg.norm(rho - rho_ref) < 1e-12
-        assert abs(sum(w for w, _ in out.branches) - 1.0) < 1e-10
+        assert abs(sum(s.norm ** 2 for s in out.branches) - 1.0) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +554,8 @@ def test_joint_measurement_equals_luders_on_materialized_projectors():
         outcomes = [lambda cols, c=sp.csr_array(m): tuple(
             None if x is None else x.copy() for x in from_flat(c @ _joined(cols, n)).amps) for m in matrices]
         want = BranchEnsemble(sum(luders_update(list(ens.branches), outcomes), []))
-        assert [w for w, _ in got.branches] == [w for w, _ in want.branches]
-        for (_, a), (_, b) in zip(got.branches, want.branches):
+        assert [s.norm for s in got.branches] == [s.norm for s in want.branches]
+        for a, b in zip(got.branches, want.branches):
             assert to_flat(a).tobytes() == to_flat(b).tobytes()
 
 
@@ -577,7 +592,7 @@ def test_fixed_maps_are_checked_once_at_import(monkeypatch, cold_caches):
             m[0, 0] = 1.0
 
 
-@pytest.mark.parametrize("tamper, message", [("scale", "not normalized"), ("nan", "finite")])
+@pytest.mark.parametrize("tamper, message", [("scale", "must sum to 1"), ("nan", "finite")])
 def test_pipeline_rejects_a_tampered_branch(monkeypatch, tmp_path, capsys, tamper, message):
     # A kernel's output is checked where the pipeline wraps it: the run fails with the check's ValueError.
     apply = PairBlocks.apply
@@ -587,7 +602,7 @@ def test_pipeline_rejects_a_tampered_branch(monkeypatch, tmp_path, capsys, tampe
         live = [c for c in out if c is not None]
         if tamper == "scale":
             for c in live:
-                c *= 1.5  # finite, but not normalized
+                c *= 1.5  # finite, but the branch weights no longer sum to 1
         else:
             live[-1][len(live[-1]) // 2, 0] = np.nan
         return out
@@ -717,12 +732,7 @@ def test_qubit_one_probability_counts_odd_indices():
     up[1] = 1.0  # q = 1
     down = np.zeros(dim, dtype=np.complex128)
     down[0] = 1.0  # q = 0
-    ens = BranchEnsemble(
-        (
-            (0.25, from_flat(up)),
-            (0.75, from_flat(down)),
-        )
-    )
+    ens = BranchEnsemble((from_flat(0.5 * up), from_flat(math.sqrt(0.75) * down)))
     assert qubit_one_probability(ens) == pytest.approx(0.25, abs=1e-15)
 
 
@@ -743,12 +753,12 @@ def test_run_arm_stages_structure():
     stages = run_arm_stages(cfg, kicked=True)
     assert tuple(stages.keys()) == STAGES
     for name in STAGES:
-        total = sum(w for w, _ in stages[name].branches)
+        total = sum(s.norm ** 2 for s in stages[name].branches)
         assert abs(total - 1.0) <= 1e-10
     # the unkicked arm has identical prepared and post_kick snapshots
     quiet = run_arm_stages(cfg, kicked=False)
-    w0, s0 = quiet["prepared"].branches[0]
-    w1, s1 = quiet["post_kick"].branches[0]
+    s0 = quiet["prepared"].branches[0]
+    s1 = quiet["post_kick"].branches[0]
     np.testing.assert_array_equal(to_flat(s0), to_flat(s1))
 
 
@@ -770,7 +780,7 @@ def test_run_scenario_frees_the_first_arms_stages(monkeypatch):
         refs = []  # weak references to the memory of the previous stage's states
         for name, ens in run_arm(cfg, psi0, kicked):
             assert [r() for r in refs] == [None] * len(refs), name
-            refs = [weakref.ref(_owner(s.amps)) for _, s in ens.branches if s is not psi0]
+            refs = [weakref.ref(_owner(s.amps)) for s in ens.branches if s is not psi0]
             seen.append((name, len(refs)))
             yield name, ens
             del ens
@@ -811,7 +821,7 @@ def test_each_step_frees_an_input_branch_once_its_images_are_built(monkeypatch):
 
     def tracking(*args):
         for name, ens in run_arm(*args):
-            inputs[name] = [weakref.ref(_owner(s.amps)) for _, s in ens.branches]
+            inputs[name] = [weakref.ref(_owner(s.amps)) for s in ens.branches]
             yield name, ens
             del ens
 
@@ -947,7 +957,7 @@ def test_pipeline_matches_dense_density_matrix_reference(overrides):
             selective=cfg.selective_o3,
         )
         for name in STAGES:
-            rho_pkg = oc.density_from_branches((w, to_flat(s)) for w, s in stages[name].branches)
+            rho_pkg = oc.density_from_branches((1.0, to_flat(s)) for s in stages[name].branches)
             assert np.linalg.norm(rho_pkg - ref[name]) < 1e-10, (overrides, kicked, name)
         assert qubit_one_probability(stages["final"]) == pytest.approx(pq1_ref, abs=1e-10)
 
@@ -965,14 +975,14 @@ def test_the_arm_carries_spin_only_states_until_the_detector(overrides):
         arm = list(protocol_mod._run_arm(cfg, prepare_scenario(cfg)[1], kicked))
         assert [name for name, _ in arm] == [*STAGES[:3], "pre_detector", "final"]
         for name, ens in arm:
-            assert {len(s.amps) for _, s in ens.branches} == {8 if name == "final" else 4}, name
-            assert {s.dim for _, s in ens.branches} == {dim if name == "final" else dim // 2}, name
+            assert {len(s.amps) for s in ens.branches} == {8 if name == "final" else 4}, name
+            assert {s.dim for s in ens.branches} == {dim if name == "final" else dim // 2}, name
         stages = run_arm_stages(cfg, kicked)
         for name, ens in arm:
             if name not in STAGES:
                 continue
-            assert [w for w, _ in stages[name].branches] == [w for w, _ in ens.branches], name
-            for (_, s), (_, same) in zip(ens.branches, stages[name].branches):
+            assert [s.norm for s in stages[name].branches] == [s.norm for s in ens.branches], name
+            for s, same in zip(ens.branches, stages[name].branches):
                 flat = to_flat(s)
                 assert flat.size == dim and flat.tobytes() == to_flat(same).tobytes(), name
                 width = len(s.amps)

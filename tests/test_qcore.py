@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -111,7 +112,7 @@ def test_state_vector_accepts_entries_whose_squares_overflow():
 
 
 def test_reciprocal_multiply_has_the_bits_of_division():
-    # normalized(), luders_update and the exchange sectors scale by
+    # normalized(), the selective detector and the exchange sectors scale by
     # qcore.reciprocal(d) = (1/d, -0.0) where numpy would divide by d; a numpy
     # whose division no longer equals this multiply fails here.  The divisors
     # keep every nonzero part of x / d off zero: an underflow to zero may
@@ -128,14 +129,16 @@ def test_reciprocal_multiply_has_the_bits_of_division():
         in_place *= factor
         assert np.array_equal(in_place.view(np.uint64), want)
         divided = x.copy()
-        divided /= np.float64(d)  # luders_update divided by a numpy scalar
+        divided /= np.float64(d)  # in place, by a numpy scalar
         assert np.array_equal(divided.view(np.uint64), want)
 
 
 def test_each_state_is_scanned_once_when_built(monkeypatch):
     dim = 4096
     rng = np.random.default_rng(5)
-    fresh = [a / np.linalg.norm(a) for a in rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))]
+    weights = (0.2, 0.3, 0.5)
+    fresh = [a * math.sqrt(w) / np.linalg.norm(a)
+             for w, a in zip(weights, rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim)))]
     calls = []
 
     def counted(f):
@@ -153,8 +156,42 @@ def test_each_state_is_scanned_once_when_built(monkeypatch):
         states.append(StateVector(amps))
         assert len(calls) == 1, calls
     calls.clear()
-    BranchEnsemble(tuple(zip((0.2, 0.3, 0.5), states)))
+    BranchEnsemble(tuple(states))  # each weight is the squared norm taken when the state was built
     assert calls == []
+
+
+def test_luders_update_takes_one_norm_per_outcome_and_none_per_input_branch(monkeypatch):
+    # Two column-state branches of weight 1/2; three outcomes: one live column,
+    # none (dropped unbuilt), two live columns.  A kept outcome is the arrays
+    # its map returned, unscaled, and their one norm is its weight.
+    n = 64
+    rng = np.random.default_rng(9)
+    branches = []
+    for _ in range(2):
+        x, y = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+        r = math.sqrt(0.5) / math.sqrt(np.vdot(x, x).real + np.vdot(y, y).real)
+        branches.append(StateVector((x * r, y * r, None, None)))
+    built = []
+
+    def fresh(*cols):
+        built.append(tuple(None if c is None else c.copy() for c in cols))
+        return built[-1]
+
+    outcomes = [lambda c: fresh(c[0], None, None, None), lambda c: fresh(None, None, None, None),
+                lambda c: fresh(c[0], c[1], None, None)]
+    calls = []
+    vdot = np.vdot
+    monkeypatch.setattr(np, "vdot", lambda a, *args: calls.append(np.size(a)) or vdot(a, *args))
+    monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: calls.append("norm"))
+    first, empty, both = luders_update(list(branches), outcomes)
+    assert calls == [2 * n * n] * 6  # one real vdot a live column of the kept outcomes, nothing else
+    assert empty == [] and len(first) == len(both) == 2
+    kept = [a for pair in zip(first, both) for a in pair]
+    for state, cols in zip(kept, [b for b in built if any(c is not None for c in b)]):
+        assert all(a is b for a, b in zip(state.amps, cols) if b is not None)
+    for state, whole, source in zip(first, both, branches):  # P_i psi as the map returned it, not rescaled
+        assert state.amps[0].tobytes() == source.amps[0].tobytes()
+        assert whole.norm == source.norm  # the identity outcome keeps the branch's weight
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +200,33 @@ def test_each_state_is_scanned_once_when_built(monkeypatch):
 
 def test_branch_ensemble_validation():
     good = StateVector(np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        BranchEnsemble(((0.5, good),))  # weights sum to 0.5
-    with pytest.raises(ValueError):
-        BranchEnsemble(((-0.1, good), (1.1, good)))
-    with pytest.raises(ValueError):
-        BranchEnsemble(((1.0, StateVector(np.array([2.0, 0.0]))),))
-    with pytest.raises(ValueError):
-        BranchEnsemble(((0.5, good), (0.5, StateVector(np.array([1.0, 0.0, 0.0]))),))
+    with pytest.raises(ValueError, match="sum to 1"):
+        BranchEnsemble((StateVector(np.array([math.sqrt(0.5), 0.0])),))  # weights sum to 0.5
+    with pytest.raises(ValueError, match="sum to 1"):
+        BranchEnsemble((StateVector(np.array([2.0, 0.0])),))
+    with pytest.raises(ValueError, match="one basis"):
+        BranchEnsemble((StateVector(np.array([0.6, 0.0])), StateVector(np.array([0.8, 0.0, 0.0]))))
+    with pytest.raises(ValueError, match="at least one"):
+        BranchEnsemble(())
     ens = BranchEnsemble.pure(good)
     assert ens.branch_count == 1
     assert ens.dim == 2
+
+
+def test_branch_ensemble_weighs_a_branch_by_its_squared_norm():
+    a, b = StateVector(np.array([0.6, 0.0])), StateVector(np.array([0.0, 0.8j]))
+    ens = BranchEnsemble([a, b])
+    assert ens.branches == (a, b) and [s.norm ** 2 for s in ens.branches] == pytest.approx([0.36, 0.64])
+    for off in (-3 * qcore.WEIGHT_SUM_ATOL, 3 * qcore.WEIGHT_SUM_ATOL):  # off by more than the tolerance
+        with pytest.raises(ValueError, match="sum to 1"):
+            BranchEnsemble((a, StateVector(np.array([0.0, math.sqrt(0.64 + off)]))))
+    BranchEnsemble((a, StateVector(np.array([0.0, math.sqrt(0.64 + qcore.WEIGHT_SUM_ATOL / 3)]))))
+    with pytest.raises(ValueError, match="one basis"):
+        BranchEnsemble((a, StateVector(np.array([0.0, 0.8, 0.0]))))
+    with pytest.raises(TypeError, match="StateVector"):
+        BranchEnsemble((a, np.array([0.0, 0.8])))
+    with pytest.raises(TypeError, match="StateVector"):
+        BranchEnsemble(((1.0, StateVector(np.array([1.0, 0.0]))),))  # a (weight, state) pair is no branch
 
 
 # ---------------------------------------------------------------------------
@@ -182,29 +235,30 @@ def test_branch_ensemble_validation():
 
 def test_luders_splits_plus_state():
     plus = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    ens = BranchEnsemble(_measure([_P0, _P1], [(1.0, plus)]))
+    ens = BranchEnsemble(_measure([_P0, _P1], [plus]))
     assert ens.branch_count == 2
-    weights = sorted(w for w, _ in ens.branches)
+    weights = sorted(s.norm ** 2 for s in ens.branches)
     assert weights == pytest.approx([0.5, 0.5])
-    for _, state in ens.branches:
-        assert state.norm == pytest.approx(1.0)
+    for state, amps in zip(ens.branches, ([1.0, 0.0], [0.0, 1.0])):  # P_i psi, unnormalized
+        np.testing.assert_allclose(state.amps, np.array(amps) / np.sqrt(2.0), atol=1e-16)
 
 
 def test_luders_prunes_zero_weight_branch():
     down = StateVector(np.array([1.0, 0.0]))
-    hits, misses = luders_update([(1.0, down)], [_P0.__matmul__, _P1.__matmul__])
+    hits, misses = luders_update([down], [_P0.__matmul__, _P1.__matmul__])
     assert misses == []
-    assert [w for w, _ in hits] == pytest.approx([1.0])
+    assert [s.norm ** 2 for s in hits] == pytest.approx([1.0])
 
 
 def test_luders_lists_branches_outcome_by_outcome():
     # Every branch of outcome 0, in input order, then every branch of outcome 1.
     a = StateVector(np.array([0.6, 0.8]))
     b = StateVector(np.array([0.8, 0.6j]))
-    ens = BranchEnsemble(_measure([_P0, _P1], [(0.25, a), (0.75, b)]))
-    assert [w for w, _ in ens.branches] == pytest.approx([0.25 * 0.36, 0.75 * 0.64, 0.25 * 0.64, 0.75 * 0.36])
-    want = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0j]]
-    for (_, state), amps in zip(ens.branches, want):
+    ra, rb = 0.5, math.sqrt(0.75)  # branches of weight 0.25 and 0.75
+    ens = BranchEnsemble(_measure([_P0, _P1], [StateVector(ra * a.amps), StateVector(rb * b.amps)]))
+    assert [s.norm ** 2 for s in ens.branches] == pytest.approx([0.25 * 0.36, 0.75 * 0.64, 0.25 * 0.64, 0.75 * 0.36])
+    want = [[ra * 0.6, 0.0], [rb * 0.8, 0.0], [0.0, ra * 0.8], [0.0, rb * 0.6j]]
+    for state, amps in zip(ens.branches, want):
         np.testing.assert_allclose(state.amps, amps, atol=1e-15)
 
 
@@ -212,7 +266,7 @@ def test_luders_update_frees_a_pruned_outcome_before_building_the_next():
     # Holding the pruned zero outcome while the kept one is built would put
     # two outcomes at the peak.
     state = _random_state(np.random.default_rng(3), 8 * 32**2)
-    branches = [(1.0, state)]
+    branches = [state]
     outcomes = [np.zeros_like, np.copy]  # the first has weight 0: pruned
 
     tracemalloc.start()
@@ -222,7 +276,7 @@ def test_luders_update_frees_a_pruned_outcome_before_building_the_next():
     finally:
         tracemalloc.stop()
     assert branches == [] and pruned == []
-    assert [w for w, _ in kept] == [1.0]
+    assert [s.norm for s in kept] == [state.norm]
     assert peak <= 1.1 * state.amps.nbytes  # one outcome beyond the input
 
 
@@ -233,11 +287,11 @@ def test_luders_weight_conservation_randomized():
         groups = int(rng.integers(2, min(dim, 5)))
         family = _random_projector_family(rng, dim, groups)
         state = _random_state(rng, dim)
-        ens = BranchEnsemble(_measure(family, [(1.0, state)]))
-        total = sum(w for w, _ in ens.branches)
+        ens = BranchEnsemble(_measure(family, [state]))
+        total = sum(s.norm ** 2 for s in ens.branches)
         assert abs(total - 1.0) <= qcore.WEIGHT_SUM_ATOL
         # The ensemble is exactly the non-selective update of the pure input.
-        rho = sum(w * np.outer(s.amps, s.amps.conj()) for w, s in ens.branches)
+        rho = sum(np.outer(s.amps, s.amps.conj()) for s in ens.branches)
         want = sum(p @ np.outer(state.amps, state.amps.conj()) @ p for p in family)
         assert np.linalg.norm(rho - want) < 1e-12
 
@@ -247,5 +301,5 @@ def test_luders_chains_through_ensembles():
     state = _random_state(rng, 8)
     fam1 = _random_projector_family(rng, 8, 3)
     fam2 = _random_projector_family(rng, 8, 4)
-    ens = BranchEnsemble(_measure(fam2, _measure(fam1, [(1.0, state)])))
-    assert abs(sum(w for w, _ in ens.branches) - 1.0) <= qcore.WEIGHT_SUM_ATOL
+    ens = BranchEnsemble(_measure(fam2, _measure(fam1, [state])))
+    assert abs(sum(s.norm ** 2 for s in ens.branches) - 1.0) <= qcore.WEIGHT_SUM_ATOL
