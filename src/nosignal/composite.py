@@ -163,9 +163,10 @@ def antisymmetry_violation(s: StateVector) -> float:
 
     Defined as ``|(I + S) s| / (2 |s|)``: zero for exchange-antisymmetric
     states, one for symmetric ones, and ``1/sqrt(2)`` for a bare product of
-    two disjoint packets with equal spins, whatever the norm of ``s``.  Column ``d = _SWAP[c]`` of
-    ``(I + S) s`` is the transpose of column ``c``, so each pair of columns
-    is summed once, twice weighted, over the pairs with a live column.
+    two disjoint packets with equal spins, whatever the norm of ``s``.
+    Column ``d = _SWAP[c]`` of ``(I + S) s`` is the transpose of column
+    ``c``, so each pair of columns is summed once, twice weighted, over the
+    pairs with a live column.
     """
     cols, total = s.amps, 0.0
     for c, d in enumerate(_SWAP[len(cols)]):
