@@ -5,7 +5,7 @@ Each kernel runs on a seeded random spin-only column state, the four
 columns are ones the benchmark workloads hand it (column c = 2*s1 + s2, so
 0 is |dd>, 2 is |ud> and 3 is |uu>; the others absent), in the workloads'
 geometry scaled to n sites: O1 = [n/12, 5n/24), O3 = [19n/24, 11n/12),
-t2 = 7n/96.
+t1 = 3n/96, t2 = 7n/96.
 
   exchange  composite.antisymmetry_violation, |psi + S psi| / 2 summed once
             over each pair of exchanged columns, every stage's exchange
@@ -16,14 +16,20 @@ t2 = 7n/96.
             of the workloads' two packets, |x - 14n/96| < 3n/96 and
             |x - 62n/96| < 6n/96 (52 x 52 of 288 x 288; 53 x 53 when packet 2
             sits off-site), the support of a fermion arm's first drift; the
-            other drift rows are dense
+            "kicked" row drifts with the t1 + t2 propagator the source that a
+            position kick leaves, column 2 (|ud>) on packet 1's sites x
+            packet 2's and column 1 (|du>) on the transpose, as the kicked
+            arm of scale288 does; the other drift rows are dense, what one
+            full column costs (a t1 image is full, and the pipeline no
+            longer drifts one)
   kick      PairBlocks.apply of the position kick in O1
   bell-P    PairBlocks.apply of the global Bell projector
   label2    PairBlocks.apply of the label2 detector coupling in O3, which
             maps the four spin columns to eight (s1, s2, q) ones
   luders    qcore.luders_update on the global Bell pair (P, Q)
   normalize StateVector.normalized()
-  operators both propagators and the four protocol builders (kick, joint,
+  operators the three propagators of a localized-Bell scenario (t1, t2
+            and t1 + t2) and the four protocol builders (kick, joint,
             detector coupling, O3 occupancy), which are not cached; "cold"
             empties the propagator cache before every call (what a scenario
             on a new time pays; the eigensystem stays cached) and "warm"
@@ -62,6 +68,7 @@ ROWS = [
     ("drift", (1, 2)),
     ("drift", (0, 2, 3)),
     ("drift", "psi0"),
+    ("drift", "kicked"),
     ("kick", (0,)),
     ("bell-P", (0, 2)),
     ("label2", (0, 2)),
@@ -75,13 +82,15 @@ ROWS = [
 def seeded_state(n: int, live, rng: np.random.Generator) -> StateVector:
     """A normalized spin-only column state on ``n`` sites with random ``live`` columns, the others absent.
 
-    ``live = "psi0"`` fills column 0 on the packets' sites only, as in ``prepare_initial``'s fermion state.
+    ``live = "psi0"`` fills column 0 on the packets' sites only, as in ``prepare_initial``'s fermion state;
+    ``live = "kicked"`` fills column 2 on packet 1's sites x packet 2's and column 1 on the transpose, as a
+    position kick leaves that state.
     """
     x = np.arange(n)
-    packets = (abs(x - 14 * n / 96) < 3 * n / 96) | (abs(x - 62 * n / 96) < 6 * n / 96)
-    block = np.ix_(packets, packets) if live == "psi0" else (slice(None), slice(None))
+    p1, p2 = abs(x - 14 * n / 96) < 3 * n / 96, abs(x - 62 * n / 96) < 6 * n / 96
+    blocks = {"psi0": {0: np.ix_(p1 | p2, p1 | p2)}, "kicked": {2: np.ix_(p1, p2), 1: np.ix_(p2, p1)}}
     cols = [None] * 4
-    for c in (0,) if live == "psi0" else live:
+    for c, block in blocks.get(live, {c: (slice(None), slice(None)) for c in live}).items():
         cols[c] = np.zeros((n, n), dtype=np.complex128)
         shape = cols[c][block].shape
         cols[c][block] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -89,13 +98,13 @@ def seeded_state(n: int, live, rng: np.random.Generator) -> StateVector:
 
 
 def operators(n: int, cold: bool):
-    """Build both propagators and the four operations of the workloads' geometry, propagators uncached if ``cold``."""
+    """Build the three propagators and four operations of the workloads' geometry, propagators uncached if ``cold``."""
     lat, o1, o3 = make_lattice(n, 1.0), Region(n // 12, 5 * n // 24), Region(19 * n // 24, 11 * n // 12)
 
     def build(_state):
         for cache in BUILDERS if cold else ():
             cache.cache_clear()
-        propagator(lat, 3.0 * n / 96), propagator(lat, 7.0 * n / 96)
+        propagator(lat, 3.0 * n / 96), propagator(lat, 7.0 * n / 96), propagator(lat, 10.0 * n / 96)
         _kick_blocks(n, o1, "position"), _joint_outcomes(n, "global_bell", None)
         _detector_blocks(n, o3, "label2"), _occupancy_outcomes(n, o3)
 
@@ -104,7 +113,8 @@ def operators(n: int, cold: bool):
 
 def kernels(n: int) -> dict:
     """Each kernel of ``ROWS`` as a function of one state, keyed by its row."""
-    u2 = propagator(make_lattice(n, 1.0), 7.0 * n / 96)
+    lat = make_lattice(n, 1.0)
+    u2, u12 = propagator(lat, 7.0 * n / 96), propagator(lat, 10.0 * n / 96)
     o1, o3 = Region(n // 12, 5 * n // 24), Region(19 * n // 24, 11 * n // 12)
     kick = _kick_blocks(n, o1, "position")
     bell = _joint_outcomes(n, "global_bell", None)
@@ -118,7 +128,8 @@ def kernels(n: int) -> dict:
         "luders": lambda s: luders_update([s], [op.apply for op in bell]),
         "normalize": lambda s: s.normalized(),
     }
-    return {(name, live): fns[name] if name in fns else operators(n, live == "cold") for name, live in ROWS}
+    fns["drift", "kicked"] = lambda s: evolve_positions(u12, s)
+    return {(name, live): fns.get((name, live), fns.get(name)) or operators(n, live == "cold") for name, live in ROWS}
 
 
 def best_ms(f, state: StateVector, repeat: int) -> float:

@@ -222,7 +222,7 @@ def _nonzero(words: np.ndarray) -> np.ndarray:
 
 
 def _drift(u: np.ndarray, x: np.ndarray) -> Optional[np.ndarray]:
-    """``u x u^T`` over only the nonzero rows and columns of ``x``, gathered unless full; ``None`` if ``x`` is zero."""
+    """A fresh ``u x u^T`` over only the nonzero rows and columns of ``x``, gathered unless full; ``None`` if none."""
     n = len(x)
     words = x.view(np.uint64).reshape(n, 2 * n)
     rows = _nonzero(words)
@@ -230,22 +230,27 @@ def _drift(u: np.ndarray, x: np.ndarray) -> Optional[np.ndarray]:
         return None
     rows, cols = (s if s.size < n else slice(None)  # a full range is used in place
                   for s in (rows, _nonzero(np.bitwise_or.reduce(words, axis=0).reshape(n, 2))))
-    return freeze((u[:, rows] @ x[rows][:, cols]) @ u[:, cols].T)
+    return (u[:, rows] @ x[rows][:, cols]) @ u[:, cols].T
 
 
-def evolve_positions(u: np.ndarray, state: StateVector) -> StateVector:
+def evolve_positions(u: np.ndarray, state: StateVector, less: Optional[StateVector] = None) -> StateVector:
     """Apply a one-particle position operator ``u`` (an ``n x n`` array) to both slots at once.
 
     Computes ``(u (x) u (x) identity)`` column by column instead of
     materializing the ``8 n^2`` dimensional matrix: each live spin (and
     qubit) column ``X`` is contracted as ``u X u^T`` over only its nonzero
     rows and columns.  Skipped entries are exact zeros, so only the order of
-    the sums changes; a column with none stays absent.
+    the sums changes; a column with none stays absent.  ``less``, a state of
+    the same width, is subtracted in place, its column negated where no image is.
     """
     n = _sites(state)
     if u.shape != (n, n):
         raise ValueError(f"u must act on the {n}-site position basis, got shape {u.shape}")
-    return StateVector(tuple(None if x is None else _drift(u, x) for x in state.amps))
+    cols = [None if x is None else _drift(u, x) for x in state.amps]
+    for c, y in enumerate(() if less is None else less.amps):
+        if y is not None:
+            cols[c] = np.negative(y) if cols[c] is None else np.subtract(cols[c], y, out=cols[c])
+    return StateVector(freeze(tuple(cols)))
 
 
 def position_occupancy(x: Union[StateVector, BranchEnsemble]) -> tuple:

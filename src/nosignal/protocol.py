@@ -43,6 +43,14 @@ Every step of an arm has one shape: a plain function that takes the list of
 branches over and returns the next list.  A branch is unnormalized (its Born
 weight is its squared norm); the arm wraps each stage in a
 :class:`~nosignal.qcore.BranchEnsemble` only to yield it.
+
+The drift ``D_t(X) = U_t X U_t^T`` commutes with a map on every position
+pair, and ``D_t2 D_t1 = D_{t1+t2}``.  Until O2 an arm has one branch ``Y``,
+whose t1 image ``Z`` is full (``U_t1`` has no zero entry).  With ``g_k`` the
+part of the joint outcome ``M_k`` on every pair, the pre-detector branch is
+built as ``D_{t1+t2}(g_k Y) + D_t2((M_k - g_k) Z)``: ``D_{t1+t2}(Y)`` for
+``none``, ``D_{t1+t2}(M_k Y)`` for ``global_bell``, and ``D_t2(P Z)`` and
+``D_{t1+t2}(Y) - D_t2(P Z)`` for ``localized_bell``, ``P Z`` on O2 x O2.
 """
 
 from __future__ import annotations
@@ -411,18 +419,24 @@ def _each(f: Callable[[StateVector], StateVector], branches: list) -> list:
 
 
 def _joint_step(n: int, mode: str, o2: Optional[Region], branches: list) -> list:
-    """The O2 stage (non-selective) on the list ``branches``, which it takes over.
+    """The O2 stage (non-selective) on the list ``branches``, which it takes over, as one list per outcome.
 
     ``global_bell`` branches on the Bell-direction spin projector applied to
     the spins wherever the particles are; ``localized_bell`` applies it only
     on the sector where both particles occupy O2 (the projector is the
     product of the two position projectors and the spin projector, which all
-    commute).  ``none`` returns ``branches`` unchanged.
+    commute).  Each list holds an outcome's surviving branches in input
+    order; ``none``, the one outcome, the identity, returns ``[branches]``.
     """
     if mode == "none":
-        return branches
-    outcomes = _joint_outcomes(n, mode, o2)
-    return sum(luders_update(branches, [op.apply for op in outcomes]), [])
+        return [branches]
+    return luders_update(branches, [op.apply for op in _joint_outcomes(n, mode, o2)])
+
+
+def _live(cols: tuple) -> Optional[StateVector]:
+    """The state of the fresh columns ``cols``, or ``None`` if it is zero."""
+    state = StateVector(qcore.freeze(cols)) if any(x is not None for x in cols) else None
+    return state if state is not None and state.norm > 0.0 else None
 
 
 def _detector_step(n: int, o3: Region, mode: str, branches: list, selective: bool = False) -> list:
@@ -542,20 +556,39 @@ def _run_arm(cfg: ScenarioConfig, psi0: StateVector, kicked: bool) -> Iterator[t
     ``_detector_step``) takes the list over and returns the next one; it
     empties its input and releases each input branch once its images are
     built, so a consumer that drops each yielded ensemble before asking for
-    the next stage frees the stage branch by branch.
+    the next stage frees the stage branch by branch.  The sources ``g_k Y``
+    of the pre-detector branches (module docstring) are built before
+    ``post_o2`` is yielded and held until their images are.
     """
     lat = make_lattice(cfg.n, cfg.hopping)
-    u1, u2 = propagator(lat, cfg.t1), propagator(lat, cfg.t2)
     branches = [psi0]
     del psi0  # so the first step that takes the branch over frees it
     yield "prepared", BranchEnsemble(branches)
     if kicked and cfg.kick_mode != "off":
-        branches = _each(_kick_blocks(cfg.n, cfg.o1, cfg.kick_mode), branches)
+        kick = _kick_blocks(cfg.n, cfg.o1, cfg.kick_mode)  # its output is compact: drop the columns it leaves zero
+        branches = _each(lambda s: StateVector(qcore.freeze(tuple(
+            x if x is not None and x.any() else None for x in kick.apply(s.amps)))), branches)
     yield "post_kick", BranchEnsemble(branches)
-    branches = _each(lambda s: evolve_positions(u1, s), branches)
-    branches = _joint_step(cfg.n, cfg.joint_mode, cfg.o2, branches)
+    y = branches.pop()
+    z = evolve_positions(propagator(lat, cfg.t1), y)
+    if cfg.joint_mode == "global_bell":
+        sources = [_live(op.apply(y.amps)) for op in _joint_outcomes(cfg.n, cfg.joint_mode, None)]
+    else:  # g_k is the identity, or zero on the localized P outcome
+        sources = [None, y] if cfg.joint_mode == "localized_bell" else [y]
+    del y
+    by_outcome = _joint_step(cfg.n, cfg.joint_mode, cfg.o2, [z])
+    # P Z: M_P - g_P = P and M_Q - g_Q = -P, so W_Q subtracts its image even where post_o2 prunes it
+    p_image = None if cfg.joint_mode != "localized_bell" else by_outcome[0][0] if by_outcome[0] else _live(
+        _joint_outcomes(cfg.n, cfg.joint_mode, cfg.o2)[0].apply(z.amps))
+    branches, sources = sum(by_outcome, []), [g for g, kept in zip(sources, by_outcome) if kept]
+    del z, by_outcome
     yield "post_o2", BranchEnsemble(branches)
-    branches = _each(lambda s: evolve_positions(u2, s), branches)
+    branches.clear()
+    less = None if p_image is None else evolve_positions(propagator(lat, cfg.t2), p_image)
+    del p_image
+    u12 = propagator(lat, cfg.t_total)
+    branches = _each(lambda g: less if g is None else evolve_positions(u12, g, less), sources)
+    del less
     yield "pre_detector", BranchEnsemble(branches)
     yield "final", BranchEnsemble(_detector_step(cfg.n, cfg.o3, cfg.detector_mode, branches, cfg.selective_o3))
 

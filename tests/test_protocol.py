@@ -37,6 +37,7 @@ from nosignal import (
     run_scenario,
     wavepacket,
 )
+from nosignal import composite as composite_mod
 from nosignal import lattice as lattice_mod
 from nosignal import protocol as protocol_mod
 from nosignal import qcore
@@ -430,7 +431,8 @@ def test_joint_measurement_none_is_identity():
     cfg = _basic_config()
     _, psi0 = prepare_scenario(cfg)
     branches = [psi0]
-    assert _joint_step(cfg.n, "none", None, branches) is branches
+    (out,) = _joint_step(cfg.n, "none", None, branches)  # one outcome, the identity
+    assert out is branches
     assert branches == [psi0]
 
 
@@ -443,7 +445,7 @@ def test_joint_measurement_matches_reference_update():
     state = from_flat(amps)  # spin-only
     for mode, sites in (("global_bell", None), ("localized_bell", range(3, 6))):
         o2 = None if sites is None else Region(3, 6)
-        out = BranchEnsemble(_joint_step(n, mode, o2, [state]))
+        out = BranchEnsemble(sum(_joint_step(n, mode, o2, [state]), []))
         rho = oc.density_from_branches((1.0, to_flat(s)[::2]) for s in out.branches)
         projs = oc.joint_projectors(n, mode, sites)
         for p in projs:  # the identity on the qubit, so the q = 0 block acts on spin-only states
@@ -545,7 +547,7 @@ def test_joint_measurement_equals_luders_on_materialized_projectors():
     amps = rng.normal(size=dim // 2) + 1j * rng.normal(size=dim // 2)
     ens = BranchEnsemble.pure(from_flat(amps / np.linalg.norm(amps)))  # spin-only
     for mode in ("global_bell", "localized_bell"):
-        got = BranchEnsemble(_joint_step(n, mode, Region(3, 6), list(ens.branches)))
+        got = BranchEnsemble(sum(_joint_step(n, mode, Region(3, 6), list(ens.branches)), []))
         matrices = [_kernel_matrix(op) for op in protocol_mod._joint_outcomes(n, mode, Region(3, 6))]
         assert max(map(_projector_defect, matrices)) < 1e-14
         assert np.linalg.norm(matrices[0] @ matrices[1]) < 1e-14
@@ -802,9 +804,9 @@ def test_the_kicked_arm_frees_psi0_once_its_kick_is_built(monkeypatch):
         psi0.append(weakref.ref(state))
         return lat, state
 
-    def drifting(u, state):
+    def drifting(*args):
         alive.append(psi0[0]() is not None)
-        return drift(u, state)
+        return drift(*args)
 
     monkeypatch.setattr(protocol_mod, "prepare_scenario", preparing)
     monkeypatch.setattr(protocol_mod, "evolve_positions", drifting)
@@ -814,29 +816,38 @@ def test_the_kicked_arm_frees_psi0_once_its_kick_is_built(monkeypatch):
 
 
 def test_each_step_frees_an_input_branch_once_its_images_are_built(monkeypatch):
-    # A two-branch label2 arm: when the t2 drift starts on branch 2, and when
-    # the detector builds the outcomes of branch 2, branch 1 is already freed.
+    # A two-branch label2 arm.  The t2 step drifts the sources M_k Y of the
+    # Bell outcomes, not the post_o2 branches: when it builds either image,
+    # both post_o2 branches are already freed, and when it drifts source 2,
+    # source 1 is.  When the detector builds the outcomes of branch 2,
+    # branch 1 is already freed.
     run_arm, drift, apply = protocol_mod._run_arm, protocol_mod.evolve_positions, PairBlocks.apply
     inputs, checked = {}, []  # stage name -> weak references to its branches' memory
+    latest, sources = [], []  # the stage last yielded; the t2 drift inputs of the arm
 
     def tracking(*args):
+        sources.clear()
         for name, ens in run_arm(*args):
             inputs[name] = [weakref.ref(_owner(s.amps)) for s in ens.branches]
+            latest[:] = [name]
             yield name, ens
             del ens
 
-    def check(stage, amps):
-        refs = inputs.get(stage, [])
-        if len(refs) == 2 and _owner(amps) is refs[1]():
-            assert refs[0]() is None, stage
-            checked.append(stage)
-
-    def drifting(u, state):
-        check("post_o2", state.amps)
-        return drift(u, state)
+    def drifting(u, state, *rest):
+        if latest == ["post_o2"]:
+            assert [r() for r in inputs["post_o2"]] == [None, None]
+            checked.append("post_o2")
+            if sources:
+                assert sources[-1]() is None
+                checked.append("source")
+            sources.append(weakref.ref(_owner(state.amps)))
+        return drift(u, state, *rest)
 
     def applying(self, amps):
-        check("pre_detector", amps)
+        refs = inputs.get("pre_detector", [])
+        if latest == ["pre_detector"] and _owner(amps) is refs[1]():
+            assert refs[0]() is None
+            checked.append("pre_detector")
         return apply(self, amps)
 
     monkeypatch.setattr(protocol_mod, "_run_arm", tracking)
@@ -844,8 +855,8 @@ def test_each_step_frees_an_input_branch_once_its_images_are_built(monkeypatch):
     monkeypatch.setattr(PairBlocks, "apply", applying)
     report = run_scenario(_basic_config(kick_mode="label1", joint_mode="global_bell", detector_mode="label2"))
     assert report.branch_count_kick == report.branch_count_nokick == 4
-    # per arm: one t2 drift of branch 2, and its two occupancy outcomes
-    assert checked == ["post_o2", "pre_detector", "pre_detector"] * 2
+    # per arm: two t2 drifts, the second after source 1 is freed, and the two occupancy outcomes of branch 2
+    assert checked == ["post_o2", "post_o2", "source", "pre_detector", "pre_detector"] * 2
 
 
 def _n48_config() -> ScenarioConfig:
@@ -991,6 +1002,53 @@ def test_the_arm_carries_spin_only_states_until_the_detector(overrides):
                     assert column.tobytes() == (np.zeros((n, n), complex) if x is None else x).tobytes(), name
                 if width == 4:
                     assert not np.any(flat.view(np.uint64).reshape(-1, 2, 2)[:, 1]), name  # the q = 1 half is +0.0
+
+
+# The default geometry with a localized O2 that both particles barely reach by t1 = 6: the P image of
+# either arm has norm 4e-10 to 6e-10, so post_o2 prunes it, and W_Q must still subtract its t2 image.
+PRUNED_P = dict(kick_mode="label1", joint_mode="localized_bell", t1=6.0, t2=4.0)
+
+
+@pytest.mark.parametrize("cfg, pruned", [*((_basic_config(**o), False) for o in PIPELINE_COMBOS),
+                                         (default_scenario(**PRUNED_P), True)],
+                         ids=[*(f"combo{k}" for k in range(len(PIPELINE_COMBOS))), "pruned_p"])
+def test_each_pre_detector_branch_is_the_t2_drift_of_its_post_o2_branch(cfg, pruned):
+    # The arm builds W_k = D_{t1+t2}(g_k Y) + D_t2((M_k - g_k) Z) from the
+    # post-kick branch Y; in exact arithmetic that is D_t2 of the post_o2
+    # branch M_k Z, branch for branch.
+    lat, psi0 = prepare_scenario(cfg)
+    u2 = propagator(lat, cfg.t2)
+    for kicked in (False, True):
+        stages = dict(protocol_mod._run_arm(cfg, psi0, kicked))
+        after, before = stages["pre_detector"].branches, stages["post_o2"].branches
+        assert len(after) == len(before)
+        for w, b in zip(after, before):
+            assert np.max(np.abs(to_flat(w) - to_flat(protocol_mod.evolve_positions(u2, b)))) <= 1e-13, kicked
+        if pruned:
+            y = stages["post_kick"].branches[0]
+            z = protocol_mod.evolve_positions(propagator(lat, cfg.t1), y)
+            p = protocol_mod._joint_outcomes(cfg.n, cfg.joint_mode, cfg.o2)[0]
+            assert len(before) == 1 and 1e-10 < StateVector(qcore.freeze(p.apply(z.amps))).norm < 1e-7  # pruned, not 0
+            # leaving its image out would move W_Q by more than the tolerance above
+            skipped = to_flat(protocol_mod.evolve_positions(propagator(lat, cfg.t_total), y)) - to_flat(after[0])
+            assert np.max(np.abs(skipped)) > 1e-12, kicked
+
+
+@pytest.mark.parametrize("joint_mode", ["none", "global_bell", "localized_bell"])
+def test_no_drift_input_has_full_row_and_column_support(monkeypatch, joint_mode):
+    # U_t1 has no zero entry, so a t1 image is full; each drift must start
+    # from a compact source instead: the prepared or kicked state, a Bell
+    # map of it, or the localized P image on O2 x O2.
+    drift, inputs = composite_mod._drift, []
+
+    def recording(u, x):
+        nonzero = x != 0
+        inputs.append((bool(nonzero.any(axis=1).all()), bool(nonzero.any(axis=0).all())))
+        return drift(u, x)
+
+    monkeypatch.setattr(composite_mod, "_drift", recording)
+    run_scenario(default_scenario(joint_mode=joint_mode, t1=3.0, t2=7.0))
+    assert len(inputs) >= 4 and (True, True) not in inputs, inputs
 
 
 def test_run_scenario_report_consistency():
