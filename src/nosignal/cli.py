@@ -305,6 +305,7 @@ def _cmd_dump_density(args) -> int:
 # parser and entry point
 
 
+@functools.cache  # argparse builds the same parser on every call; a process builds it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nosignal",

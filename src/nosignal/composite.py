@@ -228,8 +228,9 @@ def _drift(u: np.ndarray, x: np.ndarray) -> Optional[np.ndarray]:
     rows = _nonzero(words)
     if rows.size == 0:
         return None
-    rows, cols = (s if s.size < n else slice(None)  # a full range is used in place
-                  for s in (rows, _nonzero(np.bitwise_or.reduce(words, axis=0).reshape(n, 2))))
+    rows = rows if rows.size < n else slice(None)  # a full range is used in place
+    cols = _nonzero(np.bitwise_or.reduce(words[rows], axis=0).reshape(n, 2))  # scans the nonzero rows only
+    cols = cols if cols.size < n else slice(None)
     return (u[:, rows] @ x[rows][:, cols]) @ u[:, cols].T
 
 
@@ -253,17 +254,18 @@ def evolve_positions(u: np.ndarray, state: StateVector, less: Optional[StateVect
     return StateVector(freeze(tuple(cols)))
 
 
-def position_occupancy(x: Union[StateVector, BranchEnsemble]) -> tuple:
-    """Per-site occupation of each particle slot, summed over branches.
+def position_occupancy(x: Union[StateVector, BranchEnsemble], sites: slice = slice(None)) -> tuple:
+    """Per-site occupation of each particle slot on ``sites`` (every site by default), summed over branches.
 
-    Returns ``(occ1, occ2)``; each array sums to the squared norm: 1 for an ensemble.
+    Returns ``(occ1, occ2)``; over every site each sums to the squared norm: 1 for an ensemble.  Only the rows and
+    columns of ``sites`` are read; a running column sum keeps the full reduction's order, and so its bits.
     """
     n, branches = _sites(x), x.branches if isinstance(x, BranchEnsemble) else (x,)
-    occ1, occ2 = np.zeros(n), np.zeros(n)
+    occ1, occ2 = np.zeros(n)[sites], np.zeros(n)[sites]
     for state in branches:
-        prob = sum(np.abs(c) ** 2 for c in state.amps if c is not None)
-        occ1 += prob.sum(axis=1)
-        occ2 += prob.sum(axis=0)
+        live = [c for c in state.amps if c is not None]
+        occ1 += sum(np.abs(c[sites]) ** 2 for c in live).sum(axis=1)
+        occ2 += sum(np.abs(c[:, sites]) ** 2 for c in live).cumsum(axis=0)[-1]
     return occ1, occ2
 
 

@@ -35,7 +35,8 @@ and a global map is ``(all, all)``.  The pipeline applies the maps column
 by column in CSR mat-vec order: output column ``i`` sums ``m[i, j] * X_j``
 from zero over the nonzero ``j`` ascending, skipping absent columns.
 Measurements are pairs ``(P, Q)`` of such operations, and branch through
-:func:`nosignal.qcore.luders_update`.  The package builds no sparse matrix;
+:func:`nosignal.qcore.luders_update`; the detector's occupied outcome is its
+coupling on the pairs with a particle in O3 and zero elsewhere, in one map.  The package builds no sparse matrix;
 the test suite checks that amplitudes are bit-identical to the CSR mat-vec of
 each operation's matrix.
 
@@ -385,7 +386,7 @@ def _kick_blocks(n: int, o1: Region, mode: str) -> PairBlocks:
 
 
 def _detector_blocks(n: int, o3: Region, mode: str) -> PairBlocks:
-    if mode == "label2":  # applied after the occupancy branching, to the occupied branches only
+    if mode == "label2":  # on the occupied rectangles only: _detector_step folds it into the occupied outcome
         return PairBlocks(n, _occupied_rects(n, o3), (_COUPLING[1],) * 3, rest_identity=True)
     return _by_occupant(n, o3, "O3", *_COUPLING)
 
@@ -450,28 +451,32 @@ def _detector_step(n: int, o3: Region, mode: str, branches: list, selective: boo
     regardless of which particle actually sits in O3.  It is not exchange
     symmetric and breaks the antisymmetry of fermionic states.
 
-    Branching is the Lueders update on the occupancy projectors ``(P, Q)``:
-    the occupied branches come first, then the unoccupied ones, each in the
-    order of the input branches.  An unoccupied branch is only lifted (the
-    coupling is the identity there): its spin columns, shared, become its
-    ``q = 0`` columns.  Selection scales each coupled occupied branch by the
-    reciprocal root of their total weight.
+    Branching is the Lueders update on the occupancy projectors ``(P, Q)``,
+    with the coupling ``C`` folded into ``P``: ``C`` places its maps only on
+    the pairs with a particle in O3, so ``C P`` is those maps with zero
+    elsewhere, one map that builds each hit coupled.  It has the bits of
+    ``C`` after ``P``, which only turns ``-0.0`` to ``+0.0``, as a sum from
+    ``+0`` does.  The occupied branches come first, then the unoccupied
+    ones, each in the order of the input branches.  An unoccupied branch is
+    only lifted (the coupling is the identity there): its spin columns,
+    shared, become its ``q = 0`` columns.  Selection keeps the branches
+    ``P psi``, whose total weight it needs, and scales each ``C P psi`` by
+    the reciprocal root of that weight.
     """
     coupling = _detector_blocks(n, o3, mode)
     if mode == "position" and not selective:
         return _each(coupling, branches)
-    hits, misses = luders_update(branches, [op.apply for op in _occupancy_outcomes(n, o3)])
+    hit, (p, q) = PairBlocks(n, coupling.rects, coupling.maps, rest_identity=False), _occupancy_outcomes(n, o3)
     if not selective:
-        branches = hits + [StateVector(tuple(c for x in s.amps for c in (x, None))) for s in misses]
-        del hits, misses  # so that _each frees each spin-only branch once its image is built
-        return _each(lambda s: s if len(s.amps) == 8 else coupling(s), branches)
+        hits, misses = luders_update(branches, [hit.apply, q.apply])
+        return hits + [StateVector(tuple(c for x in s.amps for c in (x, None))) for s in misses]
+    hits = luders_update(branches, [p.apply])[0]  # C mixes columns: it keeps the norms of P only to roundoff
     total = sum(s.norm ** 2 for s in hits)
-    del misses
     if total <= 1e-12:
         raise ValueError("selective detection post-selected on an empty outcome")
     r = qcore.reciprocal(math.sqrt(total))
     return _each(lambda s: StateVector(qcore.freeze(tuple(
-        None if x is None else np.multiply(x, r, out=x) for x in coupling.apply(s.amps)))), hits)
+        None if x is None else np.multiply(x, r, out=x) for x in hit.apply(s.amps)))), hits)
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +624,8 @@ def run_scenario(cfg: ScenarioConfig) -> SignalingReport:
             if ens.branches[0] is not first():  # psi0's own violation is taken once, above
                 violation = max(violation, *map(antisymmetry_violation, ens.branches))
             if name == "pre_detector" and not kicked:
-                occ1, occ2 = position_occupancy(ens)
-                arrival = float(occ1[cfg.o3.lo:cfg.o3.hi].sum() + occ2[cfg.o3.lo:cfg.o3.hi].sum())
+                occ1, occ2 = position_occupancy(ens, slice(cfg.o3.lo, cfg.o3.hi))
+                arrival = float(occ1.sum() + occ2.sum())
             elif name == "final":
                 p_q1[kicked], branch_count[kicked] = qubit_one_probability(ens), ens.branch_count
             del ens

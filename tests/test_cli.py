@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import os
@@ -264,6 +265,17 @@ def test_simulate_reports_are_deterministic(tmp_path):
     assert isinstance(da, float) and isinstance(db, float)
     # bit-identical apart from the wall-clock field
     assert json.dumps(rep_a, sort_keys=True) == json.dumps(rep_b, sort_keys=True)
+
+
+def test_two_simulate_calls_build_one_parser(tmp_path, monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(kwargs.get("prog")) or init(self, *args, **kwargs))
+    cli.build_parser.cache_clear()
+    cfg_path = _write_config(tmp_path)
+    for name in ("a.json", "b.json"):
+        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / name)]) == 0
+    assert built.count("nosignal") == 1
 
 
 def test_simulate_exit_one_on_certificate_failure(tmp_path):

@@ -28,6 +28,7 @@ from nosignal import (
     wavepacket,
     Region,
 )
+from nosignal import composite as composite_mod
 from nosignal.composite import _sites, exchange_permutation, from_flat, to_flat
 from nosignal.qcore import PAULI_X, reciprocal
 
@@ -450,6 +451,51 @@ def test_drift_on_compact_supports_is_byte_exact(support):
     u = oc.single_propagator(n, 1.0, 0.8)
     got = _drifted_columns(u, tensor)
     assert np.array_equal(got.view(np.uint64), _gathered_drift(u, tensor).view(np.uint64))
+
+
+class _Recording(np.ndarray):
+    """An array that records the index of every ``[]`` taken of it, and answers with a plain array."""
+
+    def __getitem__(self, key):
+        self.keys.append(key)
+        return np.asarray(self)[key]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_drift_contracts_over_the_rows_and_columns_of_a_full_two_pass_scan(seed):
+    # The drift finds its columns by scanning only its nonzero rows.  On
+    # sparse inputs with -0.0 parts, rows of -0.0 and a few subnormal parts
+    # it uses the rows and columns with a part that compares unequal to 0:
+    # -0.0 counts as zero, a subnormal does not.  Every third input has a
+    # subnormal in every row, so its column scan reads every row, and every
+    # fourth one has one in every column.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 48))
+    x = np.zeros((n, n), dtype=complex)
+    on = (rng.random((n, 1)) < rng.random()) & (rng.random((1, n)) < rng.random())
+    x[on] = rng.normal(size=np.count_nonzero(on)) + 1j * rng.normal(size=np.count_nonzero(on))
+    x.real[rng.random((n, n)) < 0.3] = -0.0
+    x.imag[rng.random((n, n)) < 0.3] = -0.0
+    x[rng.random(n) < 0.2] = complex(-0.0, -0.0)
+    x.real[tuple(rng.integers(0, n, size=(2, 3)))] = 5e-324
+    if seed % 3 == 0:
+        x.imag[np.arange(n), rng.integers(0, n, size=n)] = -2.5e-310
+    if seed % 4 == 1:
+        x.real[rng.integers(0, n, size=n), np.arange(n)] = 5e-324
+    rows, cols = (np.flatnonzero((x != 0).any(axis=axis)) for axis in (1, 0))
+    u = oc.single_propagator(n, 1.0, 0.8)
+    spy = u.view(_Recording)
+    spy.keys = []
+    got = composite_mod._drift(spy, x)
+    if rows.size == 0:
+        assert got is None and spy.keys == []
+        return
+    used = [s if s.size < n else slice(None) for s in (rows, cols)]
+    assert [key[0] for key in spy.keys] == [slice(None)] * 2
+    for key, want in zip((key[1] for key in spy.keys), used):
+        assert key == want if isinstance(want, slice) else isinstance(key, np.ndarray) and np.array_equal(key, want)
+    want = (u[:, used[0]] @ x[used[0]][:, used[1]]) @ u[:, used[1]].T
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -407,6 +407,75 @@ def test_label2_detector_lifts_a_miss_without_copying_its_columns(monkeypatch):
     assert all(a is b for a, b in zip(lifted.amps[::2], miss.amps)) and lifted.amps[1::2] == (None,) * 4
 
 
+def _unfolded_detector_step(n: int, o3: Region, mode: str, branches: list, selective: bool) -> list:
+    """The detector step as three passes: the occupancy P, the coupling of each hit, the scaling by P's weight."""
+    coupling = protocol_mod._detector_blocks(n, o3, mode)
+    if mode == "position" and not selective:
+        return [coupling(s) for s in branches]
+    hits, misses = luders_update(branches, [op.apply for op in protocol_mod._occupancy_outcomes(n, o3)])
+    images = [coupling.apply(s.amps) for s in hits]
+    if selective:
+        r = qcore.reciprocal(math.sqrt(sum(s.norm ** 2 for s in hits)))
+        images, misses = [tuple(None if x is None else np.multiply(x, r, out=x) for x in cols)
+                          for cols in images], []
+    lifted = [StateVector(tuple(c for x in s.amps for c in (x, None))) for s in misses]
+    return [StateVector(qcore.freeze(cols)) for cols in images] + lifted
+
+
+@pytest.mark.parametrize("selective", [False, True], ids=["all", "selective"])
+@pytest.mark.parametrize("mode", DETECTOR_MODES)
+def test_folded_detector_step_has_the_bits_of_occupancy_then_coupling(mode, selective):
+    # Two spin-only branches with -0.0 in about a fifth of their parts and
+    # amplitude on every pair, the both-in-O3 square included, where the
+    # position coupling mixes columns with coefficients 1/sqrt(2).  A few
+    # seeds: a selective total read off the coupled hits, whose norms match
+    # P's only to roundoff, moves the bits on about one input in five.
+    n, o3 = 16, Region(10, 15)
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        branches = []
+        for weight in (0.4, 0.6):
+            cols = rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
+            cols.real[rng.random(cols.shape) < 0.2] = -0.0
+            cols.imag[rng.random(cols.shape) < 0.2] = -0.0
+            cols *= math.sqrt(weight / qcore.squared_norm(tuple(cols)))
+            branches.append(StateVector(tuple(c.copy() for c in cols)))
+        assert all(np.signbit(x.real[x.real == 0]).any() and x[10:15, 10:15].any() for s in branches for x in s.amps)
+        got = _detector_step(n, o3, mode, list(branches), selective)
+        want = _unfolded_detector_step(n, o3, mode, list(branches), selective)
+        assert len(got) == len(want) == (2 if selective or mode == "position" else 4)
+        for a, b in zip(got, want):
+            assert np.array_equal(to_flat(a).view(np.uint64), to_flat(b).view(np.uint64)), seed
+
+
+def test_every_present_final_column_of_a_label2_global_bell_arm_is_nonzero():
+    # The coupled hit is built on O3's rectangles only: no column of it is
+    # copied from the rest of the pairs, where a hit is zero.
+    cfg = default_scenario(kick_mode="label1", joint_mode="global_bell", detector_mode="label2")
+    _, psi0 = prepare_scenario(cfg)
+    for kicked in (False, True):
+        final = dict(protocol_mod._run_arm(cfg, psi0, kicked))["final"]
+        present = [x for s in final.branches for x in s.amps if x is not None]
+        assert final.branch_count == 4 and all(x.any() for x in present)
+
+
+def test_arrival_reads_o3_alone_with_the_bits_of_the_full_occupancy():
+    # |x|^2 on O3's rows and columns only, every site's occupancy summed in
+    # the order of the full n x n sums, one-site ranges included.
+    cfg = default_scenario(kick_mode="label1", joint_mode="global_bell", detector_mode="label2")
+    ens = dict(protocol_mod._run_arm(cfg, prepare_scenario(cfg)[1], False))["pre_detector"]
+    full1, full2 = np.zeros(cfg.n), np.zeros(cfg.n)
+    for state in ens.branches:
+        prob = sum(np.abs(x) ** 2 for x in state.amps if x is not None)
+        full1 += prob.sum(axis=1)
+        full2 += prob.sum(axis=0)
+    o3 = slice(cfg.o3.lo, cfg.o3.hi)
+    for sites in [slice(None), o3] + [slice(k, k + 1) for k in (0, *range(cfg.o3.lo, cfg.o3.hi), cfg.n - 1)]:
+        for got, want in zip(composite_mod.position_occupancy(ens, sites), (full1[sites], full2[sites])):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert run_scenario(cfg).arrival_prob == float(full1[o3].sum() + full2[o3].sum())
+
+
 def test_only_a_branching_detector_builds_the_occupancy_projectors(monkeypatch):
     occupancy, built = protocol_mod._occupancy_outcomes, []
     monkeypatch.setattr(protocol_mod, "_occupancy_outcomes", lambda *args: built.append(args) or occupancy(*args))
