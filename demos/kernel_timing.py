@@ -24,15 +24,16 @@ t1 = 3n/96, t2 = 7n/96.
             longer drifts one)
   kick      PairBlocks.apply of the position kick in O1
   bell-P    PairBlocks.apply of the global Bell projector
-  label2    PairBlocks.apply of the label2 detector's occupied outcome, the
-            coupling to slot 2's spin on the pairs with a particle in O3 and
-            zero elsewhere: the one map by which the arm builds each hit,
-            the four spin columns to eight (s1, s2, q) ones
+  label2    PairBlocks.apply of protocol._detector_blocks in label2 mode,
+            the detector's occupied outcome: the coupling to slot 2's spin
+            on the pairs with a particle in O3 and zero elsewhere, the one
+            map by which the arm builds each hit, the four spin columns to
+            eight (s1, s2, q) ones
   luders    qcore.luders_update on the global Bell pair (P, Q)
   normalize StateVector.normalized()
   operators the three propagators of a localized-Bell scenario (t1, t2
             and t1 + t2) and the four protocol builders (kick, joint,
-            detector coupling with its occupied outcome, O3 occupancy),
+            the detector's occupied outcome, O3 occupancy),
             which are not cached; "cold" empties the propagator cache
             before every call (what a scenario on a new time pays; the
             eigensystem stays cached) and "warm" keeps it filled; these
@@ -55,7 +56,7 @@ import time
 import numpy as np
 
 from nosignal import Region, StateVector, antisymmetry_violation, evolve_positions, make_lattice, propagator
-from nosignal.protocol import PairBlocks, _detector_blocks, _joint_outcomes, _kick_blocks, _occupancy_outcomes
+from nosignal.protocol import _detector_blocks, _joint_outcomes, _kick_blocks, _occupancy_outcomes
 from nosignal.qcore import luders_update
 
 BUILDERS = (propagator,)  # the caches the cold row empties
@@ -109,15 +110,9 @@ def operators(n: int, cold: bool):
             cache.cache_clear()
         propagator(lat, 3.0 * n / 96), propagator(lat, 7.0 * n / 96), propagator(lat, 10.0 * n / 96)
         _kick_blocks(n, o1, "position"), _joint_outcomes(n, "global_bell", None)
-        label2_hit(n, o3), _occupancy_outcomes(n, o3)
+        _detector_blocks(n, o3, "label2"), _occupancy_outcomes(n, o3)
 
     return build
-
-
-def label2_hit(n: int, o3: Region) -> PairBlocks:
-    """The label2 detector's occupied outcome, its coupling with zero off the coupled pairs, as the arm builds it."""
-    coupling = _detector_blocks(n, o3, "label2")
-    return PairBlocks(n, coupling.rects, coupling.maps, rest_identity=False)
 
 
 def kernels(n: int) -> dict:
@@ -127,7 +122,7 @@ def kernels(n: int) -> dict:
     o1, o3 = Region(n // 12, 5 * n // 24), Region(19 * n // 24, 11 * n // 12)
     kick = _kick_blocks(n, o1, "position")
     bell = _joint_outcomes(n, "global_bell", None)
-    label2 = label2_hit(n, o3)
+    label2 = _detector_blocks(n, o3, "label2")
     fns = {
         "exchange": antisymmetry_violation,
         "drift": lambda s: evolve_positions(u2, s),

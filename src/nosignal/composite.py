@@ -202,18 +202,16 @@ def prepare_initial(statistics: Union[Statistics, str], packet1: StateVector, pa
     for name, p in (("packet1", packet1), ("packet2", packet2)):
         if abs(p.norm - 1.0) > NORMALIZATION_ATOL:
             raise ValueError(f"{name} must be normalized, |norm - 1| = {abs(p.norm - 1.0):.3e}")
-    state = StateVector((freeze(np.outer(packet1.amps, packet2.amps)), None, None, None))
-    if statistics is Statistics.DISTINGUISHABLE:
-        return state.normalized()
-    overlap = np.abs(packet1.amps) * np.abs(packet2.amps)
-    if np.any(overlap > 0.0):
+    overlap = np.abs(packet1.amps) * np.abs(packet2.amps)  # checked before the n x n product is built
+    if statistics is not Statistics.DISTINGUISHABLE and np.any(overlap > 0.0):
         raise ValueError(
             f"{statistics.value} statistics requires packets with disjoint supports; "
             f"{int(np.count_nonzero(overlap))} sites carry amplitude from both"
         )
-    if statistics is Statistics.FERMION:
-        return antisymmetrize(state)
-    return symmetrize(state)
+    state = StateVector((freeze(np.outer(packet1.amps, packet2.amps)), None, None, None))
+    if statistics is Statistics.DISTINGUISHABLE:
+        return state.normalized()
+    return antisymmetrize(state) if statistics is Statistics.FERMION else symmetrize(state)
 
 
 def _nonzero(words: np.ndarray) -> np.ndarray:

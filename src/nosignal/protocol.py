@@ -36,9 +36,10 @@ by column in CSR mat-vec order: output column ``i`` sums ``m[i, j] * X_j``
 from zero over the nonzero ``j`` ascending, skipping absent columns.
 Measurements are pairs ``(P, Q)`` of such operations, and branch through
 :func:`nosignal.qcore.luders_update`; the detector's occupied outcome is its
-coupling on the pairs with a particle in O3 and zero elsewhere, in one map.  The package builds no sparse matrix;
-the test suite checks that amplitudes are bit-identical to the CSR mat-vec of
-each operation's matrix.
+coupling on the pairs with a particle in O3 and zero elsewhere, in one map.
+Each arm builds every operation once, as the map its step applies.  The
+package builds no sparse matrix; the test suite checks that amplitudes are
+bit-identical to the CSR mat-vec of each operation's matrix.
 
 Every step of an arm has one shape: a plain function that takes the list of
 branches over and returns the next list.  A branch is unnormalized (its Born
@@ -365,12 +366,12 @@ class PairBlocks:
         return StateVector(qcore.freeze(self.apply(state.amps)))
 
 
-def _by_occupant(n: int, region: Region, name: str, only1, only2, both) -> PairBlocks:
-    """Unitary acting by ``only1``/``only2``/``both`` as slot 1, slot 2 or both occupy ``region``."""
+def _by_occupant(n: int, region: Region, name: str, only1, only2, both, rest_identity: bool) -> PairBlocks:
+    """The operation acting by ``only1``/``only2``/``both`` as slot 1, slot 2 or both occupy ``region``."""
     r = region.slice_in(n, name)
     lo, hi = slice(0, r.start), slice(r.stop, n)
     rects = ((r, lo), (r, hi), (lo, r), (hi, r), (r, r))
-    return PairBlocks(n, rects, (only1, only1, only2, only2, both), rest_identity=True)
+    return PairBlocks(n, rects, (only1, only1, only2, only2, both), rest_identity)
 
 
 def _outcomes(n: int, rects: tuple, pair: tuple) -> tuple:
@@ -382,16 +383,18 @@ def _outcomes(n: int, rects: tuple, pair: tuple) -> tuple:
 def _kick_blocks(n: int, o1: Region, mode: str) -> PairBlocks:
     if mode == "label1":
         return PairBlocks(n, ((o1.slice_in(n, "O1"), _ALL),), (_FLIP[0],), rest_identity=True)
-    return _by_occupant(n, o1, "O1", *_FLIP)
+    return _by_occupant(n, o1, "O1", *_FLIP, rest_identity=True)
 
 
 def _detector_blocks(n: int, o3: Region, mode: str) -> PairBlocks:
-    if mode == "label2":  # on the occupied rectangles only: _detector_step folds it into the occupied outcome
-        return PairBlocks(n, _occupied_rects(n, o3), (_COUPLING[1],) * 3, rest_identity=True)
-    return _by_occupant(n, o3, "O3", *_COUPLING)
+    """``C P``: the coupling on the pairs with a particle in O3, zero elsewhere."""
+    if mode == "label2":
+        return PairBlocks(n, _occupied_rects(n, o3), (_COUPLING[1],) * 3, rest_identity=False)
+    return _by_occupant(n, o3, "O3", *_COUPLING, rest_identity=False)
 
 
 def _joint_outcomes(n: int, mode: str, o2: Optional[Region]) -> tuple:
+    """``(P, Q)`` of the Bell projector on the spins of every pair (``global_bell``) or of the pairs in O2 x O2."""
     r = _ALL if mode == "global_bell" else o2.slice_in(n, "O2")
     return _outcomes(n, ((r, r),), _BELL)
 
@@ -419,21 +422,6 @@ def _each(f: Callable[[StateVector], StateVector], branches: list) -> list:
     return list(BranchEnsemble(out).branches)
 
 
-def _joint_step(n: int, mode: str, o2: Optional[Region], branches: list) -> list:
-    """The O2 stage (non-selective) on the list ``branches``, which it takes over, as one list per outcome.
-
-    ``global_bell`` branches on the Bell-direction spin projector applied to
-    the spins wherever the particles are; ``localized_bell`` applies it only
-    on the sector where both particles occupy O2 (the projector is the
-    product of the two position projectors and the spin projector, which all
-    commute).  Each list holds an outcome's surviving branches in input
-    order; ``none``, the one outcome, the identity, returns ``[branches]``.
-    """
-    if mode == "none":
-        return [branches]
-    return luders_update(branches, [op.apply for op in _joint_outcomes(n, mode, o2)])
-
-
 def _live(cols: tuple) -> Optional[StateVector]:
     """The state of the fresh columns ``cols``, or ``None`` if it is zero."""
     state = StateVector(qcore.freeze(cols)) if any(x is not None for x in cols) else None
@@ -452,21 +440,19 @@ def _detector_step(n: int, o3: Region, mode: str, branches: list, selective: boo
     symmetric and breaks the antisymmetry of fermionic states.
 
     Branching is the Lueders update on the occupancy projectors ``(P, Q)``,
-    with the coupling ``C`` folded into ``P``: ``C`` places its maps only on
-    the pairs with a particle in O3, so ``C P`` is those maps with zero
-    elsewhere, one map that builds each hit coupled.  It has the bits of
-    ``C`` after ``P``, which only turns ``-0.0`` to ``+0.0``, as a sum from
-    ``+0`` does.  The occupied branches come first, then the unoccupied
-    ones, each in the order of the input branches.  An unoccupied branch is
-    only lifted (the coupling is the identity there): its spin columns,
-    shared, become its ``q = 0`` columns.  Selection keeps the branches
-    ``P psi``, whose total weight it needs, and scales each ``C P psi`` by
-    the reciprocal root of that weight.
+    with the coupling ``C`` folded into ``P``: ``C P`` (``_detector_blocks``)
+    builds each hit coupled, in one map.  It has the bits of ``C`` after
+    ``P``, which only turns ``-0.0`` to ``+0.0``, as a sum from ``+0`` does.
+    The occupied branches come first, then the unoccupied ones, each in the
+    order of the input branches.  An unoccupied branch is only lifted (the
+    coupling is the identity there): its spin columns, shared, become its
+    ``q = 0`` columns.  Selection keeps the branches ``P psi``, whose total
+    weight it needs, and scales each ``C P psi`` by the reciprocal root of
+    that weight.
     """
-    coupling = _detector_blocks(n, o3, mode)
     if mode == "position" and not selective:
-        return _each(coupling, branches)
-    hit, (p, q) = PairBlocks(n, coupling.rects, coupling.maps, rest_identity=False), _occupancy_outcomes(n, o3)
+        return _each(_by_occupant(n, o3, "O3", *_COUPLING, rest_identity=True), branches)
+    hit, (p, q) = _detector_blocks(n, o3, mode), _occupancy_outcomes(n, o3)
     if not selective:
         hits, misses = luders_update(branches, [hit.apply, q.apply])
         return hits + [StateVector(tuple(c for x in s.amps for c in (x, None))) for s in misses]
@@ -557,13 +543,15 @@ def _run_arm(cfg: ScenarioConfig, psi0: StateVector, kicked: bool) -> Iterator[t
 
     The stages are the four of ``STAGES`` and ``pre_detector``, after the t2
     evolution; all but ``final`` are spin-only.  The arm holds a stage as a
-    list of branches.  Every step (``_each``, ``_joint_step``,
+    list of branches.  Every step (``_each``, ``luders_update``,
     ``_detector_step``) takes the list over and returns the next one; it
     empties its input and releases each input branch once its images are
     built, so a consumer that drops each yielded ensemble before asking for
-    the next stage frees the stage branch by branch.  The sources ``g_k Y``
-    of the pre-detector branches (module docstring) are built before
-    ``post_o2`` is yielded and held until their images are.
+    the next stage frees the stage branch by branch.  The joint outcomes
+    ``(P, Q)`` are built once and serve the sources ``g_k Y`` of the
+    pre-detector branches (module docstring), the O2 update of ``Z`` and
+    ``P Z``; the sources are built before ``post_o2`` is yielded and held
+    until their images are.
     """
     lat = make_lattice(cfg.n, cfg.hopping)
     branches = [psi0]
@@ -576,15 +564,16 @@ def _run_arm(cfg: ScenarioConfig, psi0: StateVector, kicked: bool) -> Iterator[t
     yield "post_kick", BranchEnsemble(branches)
     y = branches.pop()
     z = evolve_positions(propagator(lat, cfg.t1), y)
+    outcomes = () if cfg.joint_mode == "none" else _joint_outcomes(cfg.n, cfg.joint_mode, cfg.o2)
     if cfg.joint_mode == "global_bell":
-        sources = [_live(op.apply(y.amps)) for op in _joint_outcomes(cfg.n, cfg.joint_mode, None)]
+        sources = [_live(op.apply(y.amps)) for op in outcomes]
     else:  # g_k is the identity, or zero on the localized P outcome
         sources = [None, y] if cfg.joint_mode == "localized_bell" else [y]
     del y
-    by_outcome = _joint_step(cfg.n, cfg.joint_mode, cfg.o2, [z])
+    by_outcome = luders_update([z], [op.apply for op in outcomes]) if outcomes else [[z]]
     # P Z: M_P - g_P = P and M_Q - g_Q = -P, so W_Q subtracts its image even where post_o2 prunes it
     p_image = None if cfg.joint_mode != "localized_bell" else by_outcome[0][0] if by_outcome[0] else _live(
-        _joint_outcomes(cfg.n, cfg.joint_mode, cfg.o2)[0].apply(z.amps))
+        outcomes[0].apply(z.amps))
     branches, sources = sum(by_outcome, []), [g for g, kept in zip(sources, by_outcome) if kept]
     del z, by_outcome
     yield "post_o2", BranchEnsemble(branches)

@@ -293,6 +293,19 @@ def test_simulate_error_exit_codes(tmp_path):
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x.json")]) == 2
 
 
+def test_selective_detection_on_an_empty_outcome_exits_two_without_a_report(tmp_path, capsys):
+    # At t2 = 1 packet 2 is still far from O3: the detector step finds no
+    # occupied branch to post-select on, after the certificate and the drifts.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config_to_dict(protocol.default_scenario(t2=1.0, selective_o3=True))))
+    out_path = tmp_path / "report.json"
+    assert main(["simulate", "--config", str(path), "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: selective detection post-selected on an empty outcome\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "check-spacelike"])
 def test_oversized_lattice_exits_two_before_allocating(tmp_path, capsys, command):
     # One state tensor at this n would take 12.8 PB, far beyond any memory.

@@ -175,6 +175,8 @@ def _exchange_test_state(rng, n, kind):
     tensor = to_flat(state).reshape(n, n, 8)
     if kind == "dead_columns":
         tensor[:, :, [1, 3, 5, 6, 7]] = 0.0
+    elif kind == "partner_absent":  # |du> live and |ud> absent: each is the other's exchange partner
+        tensor[:, :, [4, 5]] = 0.0
     elif kind == "negative_zero":
         tensor.real[rng.random(tensor.shape) < 0.3] = -0.0
         tensor.imag[rng.random(tensor.shape) < 0.3] = -0.0
@@ -187,7 +189,7 @@ def _assert_same_floats(got, want):
     assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
 
 
-@pytest.mark.parametrize("kind", ["random", "dead_columns", "negative_zero"])
+@pytest.mark.parametrize("kind", ["random", "dead_columns", "partner_absent", "negative_zero"])
 @pytest.mark.parametrize("n", [6, 37, 70])
 def test_exchange_sector_maps_equal_permutation_reference(n, kind):
     # The flat amplitudes of the state (absent columns +0.0) and their image
@@ -304,6 +306,22 @@ def test_prepare_initial_requires_disjoint_support_for_identical_particles():
     # distinguishable particles may overlap
     psi = prepare_initial("distinguishable", a, b)
     assert abs(psi.norm - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("statistics", ["fermion", "boson"])
+def test_prepare_initial_refuses_overlapping_packets_before_building_their_product(statistics):
+    # The overlap check reads the two packets alone: a refused config never
+    # allocates the n x n product, one column of 16 n^2 bytes.
+    n = 512
+    packet = StateVector(np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="disjoint"):
+            prepare_initial(statistics, packet, packet)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n**2
 
 
 def test_prepare_initial_validates_packets():
@@ -567,6 +585,10 @@ def test_joint_position_probability():
     psi_f = prepare_initial("fermion", p1, p2)
     # either ordering carries half the weight for the antisymmetrized state
     assert joint_position_probability(psi_f, range(0, 6), range(6, 12)) == pytest.approx(0.5, abs=1e-12)
+    assert joint_position_probability(psi, [], range(12)) == 0.0 == joint_position_probability(psi, range(12), [])
+    for sites1, sites2 in (([12], [0]), ([0], [-1])):
+        with pytest.raises(ValueError, match="out of lattice range"):
+            joint_position_probability(psi, sites1, sites2)
 
 
 def test_joint_position_probability_counts_a_repeated_site_once():

@@ -55,6 +55,8 @@ def test_region_behavior():
         Region(5, 5)
     with pytest.raises(ValueError):
         Region(-1, 3)
+    with pytest.raises(ValueError, match="bounds must be integers"):
+        Region(0.5, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from nosignal import qcore
 from nosignal.cli import config_to_dict, emit_report, main as cli_main, report_to_dict
 from nosignal.composite import from_flat, joint_position_probability, to_flat
 from nosignal.lattice import propagator
-from nosignal.protocol import DETECTOR_MODES, PEAK_STATES, STAGES, PairBlocks, _detector_step, _joint_step
+from nosignal.protocol import DETECTOR_MODES, PEAK_STATES, STAGES, PairBlocks, _detector_step
 from nosignal.qcore import PAULI_X, PAULI_Y, PAULI_Z, luders_update
 
 
@@ -79,6 +79,14 @@ def _kernel_matrix(op: PairBlocks) -> np.ndarray:
     Spin-only maps give a ``4 n^2 x 4 n^2`` matrix, the detector couplings an ``8 n^2 x 4 n^2`` one.
     """
     return np.column_stack([_apply_flat(op, e) for e in np.eye(op.maps[0].shape[1] * op.n**2, dtype=np.complex128)])
+
+
+def _lifted_coupling(n: int, o3: Region, mode: str) -> PairBlocks:
+    """The detector coupling ``C`` unfolded: its maps on the pairs with a particle in O3, the identity elsewhere."""
+    if mode == "label2":
+        rects, maps = protocol_mod._occupied_rects(n, o3), (protocol_mod._COUPLING[1],) * 3
+        return PairBlocks(n, rects, maps, rest_identity=True)
+    return protocol_mod._by_occupant(n, o3, "O3", *protocol_mod._COUPLING, rest_identity=True)
 
 
 def _kron_qubit(m: np.ndarray) -> np.ndarray:
@@ -144,6 +152,18 @@ def test_scenario_config_validation():
         _basic_config(o3=Region(6, 11))  # exceeds lattice
     with pytest.raises(ValueError):
         _basic_config(packet2=PacketSpec(Region(4, 12), 5.5, 0.8, 0.0))
+    with pytest.raises(ValueError, match="hopping must be positive"):
+        _basic_config(hopping=0.0)
+    with pytest.raises(ValueError, match="o1 must be a Region"):
+        _basic_config(o1=(0, 4))
+    with pytest.raises(ValueError, match="O2 must be a region inside the lattice"):
+        _basic_config(o2=Region(6, 11))
+    with pytest.raises(ValueError, match="packet1 must be a PacketSpec"):
+        _basic_config(packet1=(Region(0, 4), 1.5, 0.8, 0.0))
+    for field in ("center", "width", "momentum"):
+        values = {"center": 1.5, "width": 0.8, "momentum": 0.0, field: math.nan}
+        with pytest.raises(ValueError, match=f"packet {field} must be finite"):
+            PacketSpec(Region(0, 4), **values)
 
 
 def test_default_scenario_is_valid_and_overridable():
@@ -244,16 +264,20 @@ def test_position_detector_unitary_matches_reference():
     # The 8x8 unitaries whose q = 0 columns the detector keeps, placed on the same rectangles.
     unitaries = (protocol_mod._spin_qubit_map_8(1), protocol_mod._spin_qubit_map_8(2),
                  protocol_mod._both_in_region_coupling_8())
-    full = _kernel_matrix(protocol_mod._by_occupant(n, o3, "O3", *unitaries))
+    full = _kernel_matrix(protocol_mod._by_occupant(n, o3, "O3", *unitaries, rest_identity=True))
     np.testing.assert_allclose(full, oc.position_detector(n, range(5, 8)), atol=1e-14)
     assert _unitarity_defect(full) < 1e-12
     np.testing.assert_allclose(full @ full, np.eye(dim), atol=1e-12)
     assert _exchange_defect(n, full) <= 1e-12
-    v = _kernel_matrix(protocol_mod._detector_blocks(n, o3, "position"))
+    v = _kernel_matrix(_lifted_coupling(n, o3, "position"))  # what a non-selective step applies
     assert v.shape == (dim, dim // 2)
     np.testing.assert_array_equal(v, full[:, ::2])
     assert _unitarity_defect(v) < 1e-12
     assert _exchange_defect(n, v) <= 1e-12
+    # The occupied outcome C P: the coupling on the pairs with a particle in O3, zero elsewhere.
+    occupied = oc.union_occupancy_diag(n, range(5, 8)).astype(bool)
+    np.testing.assert_array_equal(_kernel_matrix(protocol_mod._detector_blocks(n, o3, "position")),
+                                  np.where(occupied[:, None], v, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +366,7 @@ def test_selective_hit_branch_is_the_csr_projection_byte_for_byte():
     # column-state norm (one vdot a column, summed in column order).
     occupied = oc.union_occupancy_diag(n, range(5, 8))[::2]
     arm = sp.csr_array(np.diag(occupied).astype(np.complex128)) @ to_flat(psi)[::2]
-    coupling = _kernel_matrix(protocol_mod._detector_blocks(n, o3, "position"))
+    coupling = _kernel_matrix(_lifted_coupling(n, o3, "position"))
     want = (sp.csr_array(coupling) @ arm) * qcore.reciprocal(math.sqrt(from_flat(arm).norm ** 2))
     assert out.branch_count == 1
     assert abs(out.branches[0].norm ** 2 - 1.0) <= qcore.WEIGHT_SUM_ATOL
@@ -409,7 +433,7 @@ def test_label2_detector_lifts_a_miss_without_copying_its_columns(monkeypatch):
 
 def _unfolded_detector_step(n: int, o3: Region, mode: str, branches: list, selective: bool) -> list:
     """The detector step as three passes: the occupancy P, the coupling of each hit, the scaling by P's weight."""
-    coupling = protocol_mod._detector_blocks(n, o3, mode)
+    coupling = _lifted_coupling(n, o3, mode)
     if mode == "position" and not selective:
         return [coupling(s) for s in branches]
     hits, misses = luders_update(branches, [op.apply for op in protocol_mod._occupancy_outcomes(n, o3)])
@@ -486,6 +510,21 @@ def test_only_a_branching_detector_builds_the_occupancy_projectors(monkeypatch):
     assert len(built) == 4  # one per arm
 
 
+@pytest.mark.parametrize("overrides, count", [
+    (dict(joint_mode="localized_bell"), 7),  # scale288's kind: position kick and detector
+    (dict(kick_mode="label1", joint_mode="global_bell", detector_mode="label2"), 11),  # label192's kinds
+    (dict(kick_mode="label1", joint_mode="none", detector_mode="label2"), 7),
+])
+def test_each_arm_builds_every_operation_once(monkeypatch, overrides, count):
+    # Per arm: the kick (kicked arm only), the joint pair (P, Q) if any, and the
+    # detector's map, C lifted or C P with the occupancy pair (P, Q).  None is
+    # rebuilt from another one's rectangles and maps.
+    built, post_init = [], PairBlocks.__post_init__
+    monkeypatch.setattr(PairBlocks, "__post_init__", lambda self: built.append(self) or post_init(self))
+    run_scenario(default_scenario(t1=3.0, t2=7.0, **overrides))  # the benchmark geometry at n = 96
+    assert len(built) == count
+
+
 def test_detector_and_localized_joint_reject_a_region_past_the_lattice():
     n = 8
     for mode in DETECTOR_MODES:
@@ -493,16 +532,22 @@ def test_detector_and_localized_joint_reject_a_region_past_the_lattice():
             with pytest.raises(ValueError, match="exceeds the 8-site lattice"):
                 _detector_step(n, Region(5, 9), mode, [], selective)
     with pytest.raises(ValueError, match="exceeds the 8-site lattice"):
-        _joint_step(n, "localized_bell", Region(5, 9), [])
+        protocol_mod._joint_outcomes(n, "localized_bell", Region(5, 9))
 
 
-def test_joint_measurement_none_is_identity():
+def test_joint_measurement_none_is_identity(monkeypatch):
+    # No outcome is built and no update runs: post_o2 is the t1 image of the post-kick branch itself.
+    built = []
+    monkeypatch.setattr(protocol_mod, "_joint_outcomes", lambda *args: built.append(args))
+    monkeypatch.setattr(protocol_mod, "luders_update", lambda *args: built.append(args))
     cfg = _basic_config()
-    _, psi0 = prepare_scenario(cfg)
-    branches = [psi0]
-    (out,) = _joint_step(cfg.n, "none", None, branches)  # one outcome, the identity
-    assert out is branches
-    assert branches == [psi0]
+    lat, psi0 = prepare_scenario(cfg)
+    for kicked in (False, True):
+        stages = dict(protocol_mod._run_arm(cfg, psi0, kicked))
+        (z,) = stages["post_o2"].branches
+        want = protocol_mod.evolve_positions(propagator(lat, cfg.t1), stages["post_kick"].branches[0])
+        assert to_flat(z).tobytes() == to_flat(want).tobytes()
+    assert built == []
 
 
 def test_joint_measurement_matches_reference_update():
@@ -514,7 +559,8 @@ def test_joint_measurement_matches_reference_update():
     state = from_flat(amps)  # spin-only
     for mode, sites in (("global_bell", None), ("localized_bell", range(3, 6))):
         o2 = None if sites is None else Region(3, 6)
-        out = BranchEnsemble(sum(_joint_step(n, mode, o2, [state]), []))
+        outcomes = protocol_mod._joint_outcomes(n, mode, o2)
+        out = BranchEnsemble(sum(luders_update([state], [op.apply for op in outcomes]), []))
         rho = oc.density_from_branches((1.0, to_flat(s)[::2]) for s in out.branches)
         projs = oc.joint_projectors(n, mode, sites)
         for p in projs:  # the identity on the qubit, so the q = 0 block acts on spin-only states
@@ -543,10 +589,11 @@ def test_kernels_match_materialized_operators_exactly(n):
     ops["occupancy P"], ops["occupancy Q"] = protocol_mod._occupancy_outcomes(n, region)
     for mode in ("position", "label2"):
         ops[f"detector {mode}"] = protocol_mod._detector_blocks(n, region, mode)
+    ops["detector position lifted"] = _lifted_coupling(n, region, "position")
     # 8x8 maps on (n, n, 8) states: the unitaries whose q = 0 columns the detector keeps, and a global one.
     unitaries = (protocol_mod._spin_qubit_map_8(1), protocol_mod._spin_qubit_map_8(2),
                  protocol_mod._both_in_region_coupling_8())
-    ops["detector position 8x8"] = protocol_mod._by_occupant(n, region, "O3", *unitaries)
+    ops["detector position 8x8"] = protocol_mod._by_occupant(n, region, "O3", *unitaries, rest_identity=True)
     ops["global 8x8"] = PairBlocks(n, ((slice(None), slice(None)),), (unitaries[1],), False)
     ops["global 8x4"] = PairBlocks(n, ((slice(None), slice(None)),), (unitaries[1][:, ::2],), False)
     matrices = {name: _kernel_matrix(op) for name, op in ops.items()}
@@ -562,14 +609,16 @@ def test_kernels_match_materialized_operators_exactly(n):
                 amps.reshape(n * n, -1)[:, [1, 2]] = complex(-0.0, -0.0)
             want = sp.csr_array(matrices[name]) @ amps
             assert _apply_flat(op, amps).view(np.float64).tobytes() == want.view(np.float64).tobytes(), name
-    # label2: the coupling on slot 2's spin on the O3-occupied pairs, the identity elsewhere,
-    # on the q = 0 columns (spin-only inputs).
+    # label2: the coupling on slot 2's spin on the O3-occupied pairs, zero elsewhere, on the
+    # q = 0 columns (spin-only inputs); position: the lifted coupling, zero off those pairs.
     occupied = oc.union_occupancy_diag(n, region.sites()).astype(bool)
     coupling = np.kron(np.eye(2 * n * n), detector_coupling())
-    label2 = np.where(occupied[:, None], coupling, np.eye(dim))
+    label2 = np.where(occupied[:, None], coupling, 0)
     assert matrices["detector label2"].shape == (dim, dim // 2)
     np.testing.assert_array_equal(matrices["detector label2"], label2[:, ::2])
-    np.testing.assert_array_equal(matrices["detector position"], matrices["detector position 8x8"][:, ::2])
+    lifted = matrices["detector position lifted"]
+    np.testing.assert_array_equal(lifted, matrices["detector position 8x8"][:, ::2])
+    np.testing.assert_array_equal(matrices["detector position"], np.where(occupied[:, None], lifted, 0))
 
 
 def test_an_output_column_whose_sources_are_all_absent_stays_absent():
@@ -601,12 +650,10 @@ def test_label2_coupling_on_occupied_branches_equals_the_global_map_byte_for_byt
         hit = _apply_flat(occupied, amps)
         hit /= np.linalg.norm(hit)
         assert _apply_flat(coupling, hit).tobytes() == _apply_flat(everywhere, hit).tobytes()
-        # On an unoccupied branch the coupling only lifts: spin entry i at index 2 i, +0.0 at the odd ones.
+        # The occupied outcome C P has no rest: on an unoccupied branch it is +0.0 everywhere.
         miss = _apply_flat(unoccupied, amps)
         miss /= np.linalg.norm(miss)
-        lifted = np.zeros(dim, dtype=np.complex128)
-        lifted[::2] = miss
-        assert _apply_flat(coupling, miss).tobytes() == lifted.tobytes()
+        assert _apply_flat(coupling, miss).tobytes() == np.zeros(dim, dtype=np.complex128).tobytes()
 
 
 def test_joint_measurement_equals_luders_on_materialized_projectors():
@@ -616,8 +663,9 @@ def test_joint_measurement_equals_luders_on_materialized_projectors():
     amps = rng.normal(size=dim // 2) + 1j * rng.normal(size=dim // 2)
     ens = BranchEnsemble.pure(from_flat(amps / np.linalg.norm(amps)))  # spin-only
     for mode in ("global_bell", "localized_bell"):
-        got = BranchEnsemble(sum(_joint_step(n, mode, Region(3, 6), list(ens.branches)), []))
-        matrices = [_kernel_matrix(op) for op in protocol_mod._joint_outcomes(n, mode, Region(3, 6))]
+        outcomes = protocol_mod._joint_outcomes(n, mode, Region(3, 6))
+        got = BranchEnsemble(sum(luders_update(list(ens.branches), [op.apply for op in outcomes]), []))
+        matrices = [_kernel_matrix(op) for op in outcomes]
         assert max(map(_projector_defect, matrices)) < 1e-14
         assert np.linalg.norm(matrices[0] @ matrices[1]) < 1e-14
         assert np.linalg.norm(sum(matrices) - np.eye(dim // 2)) < 1e-14

@@ -71,6 +71,11 @@ def test_state_vector_basics():
     # amplitudes are frozen
     with pytest.raises(ValueError):
         s.amps[0] = 0.0
+    for amps in (np.zeros(0), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="nonempty one-dimensional"):
+            StateVector(amps)
+    with pytest.raises(ValueError, match="zero state"):
+        StateVector(np.zeros(3)).normalized()
 
 
 def test_state_vector_shares_only_frozen_memory():
