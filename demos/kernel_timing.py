@@ -33,7 +33,7 @@ t1 = 3n/96, t2 = 7n/96.
   normalize StateVector.normalized()
   operators the three propagators of a localized-Bell scenario (t1, t2
             and t1 + t2) and the four protocol builders (kick, joint,
-            the detector's occupied outcome, O3 occupancy),
+            the detector's occupied outcome, its miss outcome),
             which are not cached; "cold" empties the propagator cache
             before every call (what a scenario on a new time pays; the
             eigensystem stays cached) and "warm" keeps it filled; these
@@ -56,7 +56,7 @@ import time
 import numpy as np
 
 from nosignal import Region, StateVector, antisymmetry_violation, evolve_positions, make_lattice, propagator
-from nosignal.protocol import _detector_blocks, _joint_outcomes, _kick_blocks, _occupancy_outcomes
+from nosignal.protocol import _OCCUPANCY, PairBlocks, _detector_blocks, _joint_outcomes, _kick_blocks, _occupied_rects
 from nosignal.qcore import luders_update
 
 BUILDERS = (propagator,)  # the caches the cold row empties
@@ -110,7 +110,7 @@ def operators(n: int, cold: bool):
             cache.cache_clear()
         propagator(lat, 3.0 * n / 96), propagator(lat, 7.0 * n / 96), propagator(lat, 10.0 * n / 96)
         _kick_blocks(n, o1, "position"), _joint_outcomes(n, "global_bell", None)
-        _detector_blocks(n, o3, "label2"), _occupancy_outcomes(n, o3)
+        _detector_blocks(n, o3, "label2"), PairBlocks(n, _occupied_rects(n, o3), (_OCCUPANCY[1],) * 3, True)
 
     return build
 

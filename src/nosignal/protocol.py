@@ -60,7 +60,6 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional
 
@@ -209,7 +208,13 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class SignalingReport:
-    """Outcome of both arms of a scenario plus the causal-separation evidence."""
+    """Outcome of both arms of a scenario plus the causal-separation evidence.
+
+    ``max_antisym_violation`` is the worst violation of ``psi0`` and of every
+    branch a label-addressed step or a Lueders split builds; the drifts, the
+    position kick and the non-selective position detector commute with the
+    exchange and keep each branch's violation, so they are not measured.
+    """
 
     p_q1_kick: float
     p_q1_nokick: float
@@ -374,12 +379,6 @@ def _by_occupant(n: int, region: Region, name: str, only1, only2, both, rest_ide
     return PairBlocks(n, rects, (only1, only1, only2, only2, both), rest_identity)
 
 
-def _outcomes(n: int, rects: tuple, pair: tuple) -> tuple:
-    """``(P, Q)``: the maps of ``pair`` on the ``rects``, zero / the identity elsewhere."""
-    p, q = pair
-    return PairBlocks(n, rects, (p,) * len(rects), False), PairBlocks(n, rects, (q,) * len(rects), True)
-
-
 def _kick_blocks(n: int, o1: Region, mode: str) -> PairBlocks:
     if mode == "label1":
         return PairBlocks(n, ((o1.slice_in(n, "O1"), _ALL),), (_FLIP[0],), rest_identity=True)
@@ -394,20 +393,15 @@ def _detector_blocks(n: int, o3: Region, mode: str) -> PairBlocks:
 
 
 def _joint_outcomes(n: int, mode: str, o2: Optional[Region]) -> tuple:
-    """``(P, Q)`` of the Bell projector on the spins of every pair (``global_bell``) or of the pairs in O2 x O2."""
+    """``(P, Q)`` of the Bell projector on every pair (``global_bell``) or on O2 x O2, zero / the identity elsewhere."""
     r = _ALL if mode == "global_bell" else o2.slice_in(n, "O2")
-    return _outcomes(n, ((r, r),), _BELL)
+    return PairBlocks(n, ((r, r),), _BELL[:1], False), PairBlocks(n, ((r, r),), _BELL[1:], True)
 
 
 def _occupied_rects(n: int, o3: Region) -> tuple:
     """The disjoint rectangles of the pairs with a particle in O3."""
     r = o3.slice_in(n, "O3")
     return (r, _ALL), (slice(0, r.start), r), (slice(r.stop, n), r)
-
-
-def _occupancy_outcomes(n: int, o3: Region) -> tuple:
-    """``(P, Q)``: the projector onto the pairs with a particle in O3, and its complement."""
-    return _outcomes(n, _occupied_rects(n, o3), _OCCUPANCY)
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +446,13 @@ def _detector_step(n: int, o3: Region, mode: str, branches: list, selective: boo
     """
     if mode == "position" and not selective:
         return _each(_by_occupant(n, o3, "O3", *_COUPLING, rest_identity=True), branches)
-    hit, (p, q) = _detector_blocks(n, o3, mode), _occupancy_outcomes(n, o3)
+    # The one occupancy outcome the step applies: the miss Q, or the hit P that selection keeps
+    rects, hit = _occupied_rects(n, o3), _detector_blocks(n, o3, mode)
+    occupancy = PairBlocks(n, rects, (_OCCUPANCY[not selective],) * len(rects), rest_identity=not selective)
     if not selective:
-        hits, misses = luders_update(branches, [hit.apply, q.apply])
+        hits, misses = luders_update(branches, [hit.apply, occupancy.apply])
         return hits + [StateVector(tuple(c for x in s.amps for c in (x, None))) for s in misses]
-    hits = luders_update(branches, [p.apply])[0]  # C mixes columns: it keeps the norms of P only to roundoff
+    hits = luders_update(branches, [occupancy.apply])[0]  # C mixes columns: it keeps the norms of P only to roundoff
     total = sum(s.norm ** 2 for s in hits)
     if total <= 1e-12:
         raise ValueError("selective detection post-selected on an empty outcome")
@@ -599,18 +595,22 @@ def run_scenario(cfg: ScenarioConfig) -> SignalingReport:
     SignalingReport
         ``delta = |p_q1_kick - p_q1_nokick|`` plus the spacelike
         certificate, the O3 arrival probability of the unkicked arm at
-        detection time, the worst antisymmetry violation seen in any branch
-        of either arm (meaningful for fermion statistics), and the final
-        branch counts.
+        detection time, the worst antisymmetry violation of ``psi0`` and of
+        every branch a label-addressed step or a Lueders split builds
+        (meaningful for fermion statistics; see :class:`SignalingReport`),
+        and the final branch counts.
     """
     lat, psi0 = prepare_scenario(cfg)
     certificate = check_spacelike(lat, cfg.o1, cfg.o3, psi0, cfg.t_total, cfg.eps)
     violation, arrival, p_q1, branch_count = antisymmetry_violation(psi0), 0.0, {}, {}
-    arms, first = {kicked: _run_arm(cfg, psi0, kicked) for kicked in (False, True)}, weakref.ref(psi0)
+    arms = {kicked: _run_arm(cfg, psi0, kicked) for kicked in (False, True)}
     del psi0  # from here the arms hold the only references
     for kicked, arm in arms.items():
+        # The stages built by a step that can change a branch's violation; every other step commutes with S.
+        checked = {"post_kick": kicked and cfg.kick_mode == "label1", "post_o2": cfg.joint_mode != "none",
+                   "final": cfg.detector_mode == "label2" or cfg.selective_o3}
         for name, ens in arm:
-            if ens.branches[0] is not first():  # psi0's own violation is taken once, above
+            if checked.get(name):
                 violation = max(violation, *map(antisymmetry_violation, ens.branches))
             if name == "pre_detector" and not kicked:
                 occ1, occ2 = position_occupancy(ens, slice(cfg.o3.lo, cfg.o3.hi))

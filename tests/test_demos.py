@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import time
 from pathlib import Path
 
@@ -46,6 +47,29 @@ def test_peak_memory_runs_small(capsys):
     assert [row[0] for row in rows] == ["label48"] * 6 + ["scale48", "n48"]
     assert all(0.0 < float(row[-1]) < peak_memory.PEAK_STATES for row in rows)
     assert elapsed < 2.0
+
+
+def test_bench_smoke_writes_every_key(tmp_path, capsys):
+    bench = _load("bench")
+    out = tmp_path / "BENCH_smoke.json"
+    t0 = time.perf_counter()
+    bench.main(["--label", "smoke", "--smoke", "--out", str(out)])
+    elapsed = time.perf_counter() - t0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload.keys() == {"label", "smoke", "passes", "machine", "source", "rows"}
+    assert payload["label"] == "smoke" and payload["smoke"] is True and payload["passes"] == 3
+    assert payload["machine"].keys() == {"nproc", "python", "numpy", "scipy", "blas", "blas_threads"}
+    assert payload["machine"]["blas"]["name"]
+    assert payload["source"].keys() == {"commit", "src_modified", "src_lines"} and payload["source"]["src_lines"] > 0
+    assert [(row["row"], row["n"]) for row in payload["rows"]] == [("scale96", 96)] + [("label96", 96)] * 6
+    for row in payload["rows"]:
+        assert row.keys() == {"row", "n", "kind", "scenario_s", "stage_median_s", "exchange_checks"}
+        assert row["scenario_s"].keys() == {"median", "q1", "q3"}
+        assert 0.0 < row["scenario_s"]["q1"] <= row["scenario_s"]["median"] <= row["scenario_s"]["q3"]
+        assert tuple(row["stage_median_s"]) == bench.STAGE_COLUMNS and row["stage_median_s"]["total"] > 0.0
+        assert row["exchange_checks"] >= 1  # psi0 at least
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}"
+    assert elapsed < 5.0
 
 
 # Key lines of each story demo's output; each demo runs in well under three seconds.

@@ -42,7 +42,7 @@ from nosignal import lattice as lattice_mod
 from nosignal import protocol as protocol_mod
 from nosignal import qcore
 from nosignal.cli import config_to_dict, emit_report, main as cli_main, report_to_dict
-from nosignal.composite import from_flat, joint_position_probability, to_flat
+from nosignal.composite import evolve_positions, from_flat, joint_position_probability, to_flat
 from nosignal.lattice import propagator
 from nosignal.protocol import DETECTOR_MODES, PEAK_STATES, STAGES, PairBlocks, _detector_step
 from nosignal.qcore import PAULI_X, PAULI_Y, PAULI_Z, luders_update
@@ -87,6 +87,15 @@ def _lifted_coupling(n: int, o3: Region, mode: str) -> PairBlocks:
         rects, maps = protocol_mod._occupied_rects(n, o3), (protocol_mod._COUPLING[1],) * 3
         return PairBlocks(n, rects, maps, rest_identity=True)
     return protocol_mod._by_occupant(n, o3, "O3", *protocol_mod._COUPLING, rest_identity=True)
+
+
+def _occupancy_outcomes(n: int, o3: Region) -> tuple:
+    """``(P, Q)``: the projector onto the pairs with a particle in O3, and its complement.
+
+    The detector step builds only the outcome it applies: ``Q`` beside ``C P`` when it branches, ``P`` when it selects.
+    """
+    rects, (p, q) = protocol_mod._occupied_rects(n, o3), protocol_mod._OCCUPANCY
+    return PairBlocks(n, rects, (p,) * 3, rest_identity=False), PairBlocks(n, rects, (q,) * 3, rest_identity=True)
 
 
 def _kron_qubit(m: np.ndarray) -> np.ndarray:
@@ -249,7 +258,7 @@ def test_kick_flips_the_region_supported_wing():
 def test_occupancy_projector_matches_reference():
     n = 8
     dim = 8 * n * n
-    p, q = (_kernel_matrix(op) for op in protocol_mod._occupancy_outcomes(n, Region(5, 8)))
+    p, q = (_kernel_matrix(op) for op in _occupancy_outcomes(n, Region(5, 8)))
     want = np.diag(oc.union_occupancy_diag(n, range(5, 8)))
     np.testing.assert_array_equal(_kron_qubit(p), want)
     np.testing.assert_array_equal(_kron_qubit(q), np.eye(dim) - want)
@@ -436,7 +445,7 @@ def _unfolded_detector_step(n: int, o3: Region, mode: str, branches: list, selec
     coupling = _lifted_coupling(n, o3, mode)
     if mode == "position" and not selective:
         return [coupling(s) for s in branches]
-    hits, misses = luders_update(branches, [op.apply for op in protocol_mod._occupancy_outcomes(n, o3)])
+    hits, misses = luders_update(branches, [op.apply for op in _occupancy_outcomes(n, o3)])
     images = [coupling.apply(s.amps) for s in hits]
     if selective:
         r = qcore.reciprocal(math.sqrt(sum(s.norm ** 2 for s in hits)))
@@ -501,23 +510,29 @@ def test_arrival_reads_o3_alone_with_the_bits_of_the_full_occupancy():
 
 
 def test_only_a_branching_detector_builds_the_occupancy_projectors(monkeypatch):
-    occupancy, built = protocol_mod._occupancy_outcomes, []
-    monkeypatch.setattr(protocol_mod, "_occupancy_outcomes", lambda *args: built.append(args) or occupancy(*args))
-    run_scenario(_basic_config())  # non-selective position detector
-    assert built == []
-    for overrides in (dict(selective_o3=True, o3=Region(4, 10)), dict(detector_mode="label2")):
+    # An occupancy outcome is the one operation whose maps are all the 4x4 identity (P) or all zero (Q).
+    built, post_init = [], PairBlocks.__post_init__
+    monkeypatch.setattr(PairBlocks, "__post_init__", lambda self: built.append(self) or post_init(self))
+    outcomes = {name: m.tobytes() for name, m in zip("PQ", protocol_mod._OCCUPANCY)}
+
+    def occupancy(**overrides):
+        built.clear()
         run_scenario(_basic_config(**overrides))
-    assert len(built) == 4  # one per arm
+        return [name for op in built for name, m in outcomes.items() if all(x.tobytes() == m for x in op.maps)]
+
+    assert occupancy() == []  # non-selective position detector
+    assert occupancy(selective_o3=True, o3=Region(4, 10)) == ["P", "P"]  # one an arm: the hit it keeps
+    assert occupancy(detector_mode="label2") == ["Q", "Q"]  # one an arm: the miss beside C P
 
 
 @pytest.mark.parametrize("overrides, count", [
     (dict(joint_mode="localized_bell"), 7),  # scale288's kind: position kick and detector
-    (dict(kick_mode="label1", joint_mode="global_bell", detector_mode="label2"), 11),  # label192's kinds
-    (dict(kick_mode="label1", joint_mode="none", detector_mode="label2"), 7),
+    (dict(kick_mode="label1", joint_mode="global_bell", detector_mode="label2"), 9),  # label192's kinds
+    (dict(kick_mode="label1", joint_mode="none", detector_mode="label2"), 5),
 ])
 def test_each_arm_builds_every_operation_once(monkeypatch, overrides, count):
     # Per arm: the kick (kicked arm only), the joint pair (P, Q) if any, and the
-    # detector's map, C lifted or C P with the occupancy pair (P, Q).  None is
+    # detector's map, C lifted or C P with the occupancy miss Q.  None is
     # rebuilt from another one's rectangles and maps.
     built, post_init = [], PairBlocks.__post_init__
     monkeypatch.setattr(PairBlocks, "__post_init__", lambda self: built.append(self) or post_init(self))
@@ -586,7 +601,7 @@ def test_kernels_match_materialized_operators_exactly(n):
     for mode in ("global_bell", "localized_bell"):
         p, q = protocol_mod._joint_outcomes(n, mode, o2)
         ops[f"{mode} P"], ops[f"{mode} Q"] = p, q
-    ops["occupancy P"], ops["occupancy Q"] = protocol_mod._occupancy_outcomes(n, region)
+    ops["occupancy P"], ops["occupancy Q"] = _occupancy_outcomes(n, region)
     for mode in ("position", "label2"):
         ops[f"detector {mode}"] = protocol_mod._detector_blocks(n, region, mode)
     ops["detector position lifted"] = _lifted_coupling(n, region, "position")
@@ -642,7 +657,7 @@ def test_label2_coupling_on_occupied_branches_equals_the_global_map_byte_for_byt
     rng = np.random.default_rng(3)
     coupling = protocol_mod._detector_blocks(n, o3, "label2")  # 4 -> 8
     everywhere = PairBlocks(n, ((slice(None), slice(None)),), (protocol_mod._spin_qubit_map_8(2)[:, ::2],), True)
-    occupied, unoccupied = protocol_mod._occupancy_outcomes(n, o3)
+    occupied, unoccupied = _occupancy_outcomes(n, o3)
     for _ in range(3):
         amps = rng.normal(size=dim // 2) + 1j * rng.normal(size=dim // 2)
         parts = amps.view(np.float64)
@@ -742,7 +757,7 @@ def test_operators_are_read_only():
         protocol_mod._kick_blocks(n, o1, "position"),
         *protocol_mod._joint_outcomes(n, "global_bell", None),
         protocol_mod._detector_blocks(n, o3, "label2"),
-        *protocol_mod._occupancy_outcomes(n, o3),
+        *_occupancy_outcomes(n, o3),
     ]
     for op in ops:
         for m in op.maps:
@@ -794,6 +809,67 @@ def test_cold_caches_give_the_same_report_bytes(cold_caches):
     for cache in cold_caches:
         cache.cache_clear()
     assert report_bytes() == warm == cold
+
+
+# ---------------------------------------------------------------------------
+# the steps whose exchange violation the report skips
+
+
+def _swapped(cols: tuple) -> tuple:
+    """``S`` on a column tuple, exactly: column ``(s1, s2[, q])`` is the transpose of column ``(s2, s1[, q])``."""
+    q_bits = len(cols) // 4 - 1  # 0 on four spin columns, 1 on eight (s1, s2, q) ones
+    def source(c):
+        s1, s2, q = c >> (1 + q_bits), (c >> q_bits) & 1, c & q_bits
+        return (s2 << (1 + q_bits)) | (s1 << q_bits) | q
+    return tuple(None if cols[source(c)] is None else np.ascontiguousarray(cols[source(c)].T) for c in range(len(cols)))
+
+
+def _random_column_state(rng, n: int) -> StateVector:
+    """A normalized four-column state with amplitude on every pair, about a fifth of its parts ``-0.0``."""
+    cols = rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
+    parts = cols.view(np.float64)
+    parts[rng.random(parts.shape) < 0.2] = -0.0
+    cols /= math.sqrt(qcore.squared_norm(tuple(cols)))
+    return StateVector(tuple(c.copy() for c in cols))
+
+
+def test_the_steps_the_exchange_check_skips_commute_with_the_exchange_bit_for_bit():
+    # run_scenario measures the exchange violation only after preparation, a
+    # label-addressed step or a Lueders split.  Each step it skips commutes
+    # with S, so it keeps every branch's violation; this checks S A x = A S x
+    # byte for byte on random inputs and regions, where the report would see
+    # one config's roundoff.  The drift commutes only to rounding (8e-16).
+    n = 24
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        o1, o2, o3 = (Region(int(lo), int(lo + rng.integers(1, n // 2))) for lo in rng.integers(0, n // 2, size=3))
+        x = _random_column_state(rng, n)
+        sx = StateVector(_swapped(x.amps))
+
+        def both_orders(step):
+            """``S A x`` and ``A S x`` for ``step``, the map ``A`` on column tuples, as flat arrays."""
+            return _joined(_swapped(step(x.amps)), n), _joined(step(sx.amps), n)
+
+        skipped = {"position kick": protocol_mod._kick_blocks(n, o1, "position").apply,
+                   "position coupling": _lifted_coupling(n, o3, "position").apply,
+                   "detector position": protocol_mod._detector_blocks(n, o3, "position").apply,
+                   # the non-selective position detector as the arm runs it
+                   "detector step": lambda cols: _detector_step(n, o3, "position", [StateVector(cols)])[0].amps}
+        for mode in ("global_bell", "localized_bell"):
+            p, q = protocol_mod._joint_outcomes(n, mode, o2)
+            skipped[f"{mode} P"], skipped[f"{mode} Q"] = p.apply, q.apply
+        p, q = _occupancy_outcomes(n, o3)
+        skipped["occupancy P"], skipped["occupancy Q"] = p.apply, q.apply
+        for name, step in skipped.items():
+            a, b = both_orders(step)
+            assert a.tobytes() == b.tobytes(), (seed, name)
+        u = propagator(make_lattice(n, 1.0), float(rng.uniform(0.5, 4.0)))
+        a, b = both_orders(lambda cols: evolve_positions(u, StateVector(cols)).amps)
+        assert np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b), seed
+        # The label-addressed steps, which the report keeps checking, do not commute.
+        for op in (protocol_mod._kick_blocks(n, o1, "label1"), protocol_mod._detector_blocks(n, o3, "label2")):
+            a, b = both_orders(op.apply)
+            assert np.linalg.norm(a - b) > 0.1 * np.linalg.norm(b), seed
 
 
 # ---------------------------------------------------------------------------
