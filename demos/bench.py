@@ -10,11 +10,10 @@ read-only) at packet offset 0:
           the six label1-kick, label2-detector kinds of the label192
           workload (three statistics, joint none or global_bell), one row each
 
-After one untimed pass over every row (it fills the lattice caches and
-warms the BLAS threads), ``PASSES`` passes each time one
-``run_scenario`` call per row, rows interleaved; a row records the median
-and the quartiles.  Then as many passes again run with a stage timer, and
-a row records the median of each column:
+Rows run one after another.  Each row makes one untimed call (it fills
+the lattice caches and warms the BLAS threads), then times ``PASSES``
+``run_scenario`` calls and records their median and quartiles, then as
+many again under a stage timer and records the median of each column:
 
   prepare       protocol.prepare_scenario (lattice, packets, psi0)
   certificate   lattice.check_spacelike
@@ -26,8 +25,10 @@ a row records the median of each column:
   other         the rest of run_scenario: arrival, readout and report
   total         the whole call, timer included
 
-The timer wraps names that ``run_scenario`` looks up in ``protocol`` at
-call time, so it times the calls the scenario makes; it adds a few
+A row's calls run back to back because ``lattice.propagator`` keeps only
+four propagators: rows interleaved would rebuild them every call.  The
+timer wraps names that ``run_scenario`` looks up in ``protocol`` at call
+time, so it times the calls the scenario makes; it adds a few
 microseconds.  cProfile is not used: it misattributes the threaded norms
 on small hosts.  The file also records the machine (processor count,
 Python, numpy, scipy, the BLAS numpy was built with and its threads as
@@ -64,7 +65,7 @@ if str(ROOT) not in sys.path:
 from nosignal import protocol  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
-PASSES = 11  # at least five, for the quartiles of each row
+PASSES = 31  # at least five, for the quartiles of each row; more keep a slow spell of the host out of the median
 STAGE_COLUMNS = ("prepare", "certificate", "prepared", "post_kick", "post_o2", "pre_detector", "final", "exchange",
                  "other", "total")
 
@@ -152,7 +153,8 @@ def machine() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy_version,
-        "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
+        "blas": {k: v for k, v in np.show_config(mode="dicts")["Build Dependencies"]["blas"].items()
+                 if not k.endswith("directory")},  # the build's paths say nothing of the machine
         "blas_threads": int(threads) if threads else len(os.sched_getaffinity(0)),
     }
 
@@ -178,26 +180,21 @@ def _quartiles(values: list) -> dict:
 
 def bench(passes: int, smoke: bool) -> list:
     """One record per row: the end-to-end median and quartiles, and the per-column stage medians."""
-    table = rows(smoke)
-    for _, cfg in table:
+    out = []
+    for name, cfg in rows(smoke):
         protocol.run_scenario(cfg)  # untimed: fills the lattice caches, warms BLAS
-    end_to_end, stages, checks = [[] for _ in table], [[] for _ in table], [0] * len(table)
-    for _ in range(passes):
-        for k, (_, cfg) in enumerate(table):
-            end_to_end[k].append(_scenario_seconds(cfg))
-    with StageTimer() as timer:
-        for _ in range(passes):
-            for k, (_, cfg) in enumerate(table):
-                stages[k].append(timer.run(cfg))
-                checks[k] = timer.exchange_checks
-    return [{
-        "row": name,
-        "n": cfg.n,
-        "kind": "/".join((cfg.statistics, cfg.kick_mode, cfg.joint_mode, cfg.detector_mode)),
-        "scenario_s": _quartiles(end_to_end[k]),
-        "stage_median_s": {c: statistics.median(s[c] for s in stages[k]) for c in STAGE_COLUMNS},
-        "exchange_checks": checks[k],
-    } for k, (name, cfg) in enumerate(table)]
+        end_to_end = [_scenario_seconds(cfg) for _ in range(passes)]
+        with StageTimer() as timer:
+            stages = [timer.run(cfg) for _ in range(passes)]
+        out.append({
+            "row": name,
+            "n": cfg.n,
+            "kind": "/".join((cfg.statistics, cfg.kick_mode, cfg.joint_mode, cfg.detector_mode)),
+            "scenario_s": _quartiles(end_to_end),
+            "stage_median_s": {c: statistics.median(s[c] for s in stages) for c in STAGE_COLUMNS},
+            "exchange_checks": timer.exchange_checks,
+        })
+    return out
 
 
 def main(argv=None) -> dict:

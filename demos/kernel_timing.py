@@ -8,8 +8,8 @@ geometry scaled to n sites: O1 = [n/12, 5n/24), O3 = [19n/24, 11n/12),
 t1 = 3n/96, t2 = 7n/96.
 
   exchange  composite.antisymmetry_violation, |psi + S psi| / 2 summed once
-            over each pair of exchanged columns, every stage's exchange
-            defect
+            over each pair of exchanged columns, the exchange defect of
+            psi0 and of every branch a label step or Lueders split builds
   drift     composite.evolve_positions with the t2 propagator, which
             contracts each live column over only its nonzero rows and
             columns; the "psi0" row's state holds column 0 only on the sites
