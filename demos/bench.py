@@ -11,16 +11,21 @@ read-only) at packet offset 0:
           workload (three statistics, joint none or global_bell), one row each
 
 Rows run one after another.  Each row makes one untimed call (it fills
-the lattice caches and warms the BLAS threads), then times ``PASSES``
-``run_scenario`` calls and records their median and quartiles, then as
-many again under a stage timer and records the median of each column:
+the lattice caches and warms the BLAS threads), then one under
+``tracemalloc`` and records its traced peak as ``peak_states``, in units
+of one complex128 state of ``128 n^2`` bytes (all eight ``(s1, s2, q)``
+columns; live branches and temporaries included, the caches filled before
+the trace not).  Then it times ``PASSES`` ``run_scenario`` calls and
+records their median and quartiles, then as many again under a stage
+timer and records the median of each column:
 
   prepare       protocol.prepare_scenario (lattice, packets, psi0)
   certificate   lattice.check_spacelike
   prepared, post_kick, post_o2, pre_detector, final
                 the time ``_run_arm`` takes to yield that stage, both arms
                 summed: the kick, the t1 drift with the joint measurement,
-                the t1 + t2 drift, the detector
+                the t1 + t2 drift, the detector (the last two on the O3
+                window that run_scenario passes the arm)
   exchange      composite.antisymmetry_violation, as run_scenario calls it
   other         the rest of run_scenario: arrival, readout and report
   total         the whole call, timer included
@@ -53,6 +58,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -95,7 +101,7 @@ class StageTimer:
         protocol.check_spacelike = self._timed("certificate", certificate)
         protocol.antisymmetry_violation = self._timed("exchange", exchange)
 
-        def timed_arm(*args):
+        def timed_arm(*args):  # the config, psi0, the arm, and the window run_scenario passes
             arm = run_arm(*args)
             while True:
                 t0 = time.perf_counter()
@@ -140,6 +146,17 @@ def _scenario_seconds(cfg) -> float:
     return time.perf_counter() - t0
 
 
+def peak_states(cfg) -> float:
+    """The traced peak of one ``run_scenario(cfg)``, in states of ``128 n^2`` bytes; run it warm."""
+    tracemalloc.start()
+    try:
+        protocol.run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (128 * cfg.n**2)
+
+
 def machine() -> dict:
     """Processor count, Python, numpy, scipy, and the BLAS numpy was built with, its threads as found."""
     try:
@@ -179,10 +196,11 @@ def _quartiles(values: list) -> dict:
 
 
 def bench(passes: int, smoke: bool) -> list:
-    """One record per row: the end-to-end median and quartiles, and the per-column stage medians."""
+    """One record per row: the end-to-end median and quartiles, the per-column stage medians and the traced peak."""
     out = []
     for name, cfg in rows(smoke):
         protocol.run_scenario(cfg)  # untimed: fills the lattice caches, warms BLAS
+        peak = peak_states(cfg)
         end_to_end = [_scenario_seconds(cfg) for _ in range(passes)]
         with StageTimer() as timer:
             stages = [timer.run(cfg) for _ in range(passes)]
@@ -193,6 +211,7 @@ def bench(passes: int, smoke: bool) -> list:
             "scenario_s": _quartiles(end_to_end),
             "stage_median_s": {c: statistics.median(s[c] for s in stages) for c in STAGE_COLUMNS},
             "exchange_checks": timer.exchange_checks,
+            "peak_states": peak,
         })
     return out
 
@@ -210,11 +229,12 @@ def main(argv=None) -> dict:
                "rows": bench(passes, args.smoke)}
     out = args.out or ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-    print(f"{'row':<10}{'n':>5}  {'kind':<42}{'median ms':>10}{'q1':>8}{'q3':>8}{'exchange':>10}{'checks':>7}")
+    print(f"{'row':<10}{'n':>5}  {'kind':<42}{'median ms':>10}{'q1':>8}{'q3':>8}{'exchange':>10}{'checks':>7}"
+          f"{'states':>7}")
     for row in payload["rows"]:
         t, ex = row["scenario_s"], row["stage_median_s"]["exchange"]
         print(f"{row['row']:<10}{row['n']:>5}  {row['kind']:<42}{1e3 * t['median']:10.3f}{1e3 * t['q1']:8.3f}"
-              f"{1e3 * t['q3']:8.3f}{1e3 * ex:10.3f}{row['exchange_checks']:7d}")
+              f"{1e3 * t['q3']:8.3f}{1e3 * ex:10.3f}{row['exchange_checks']:7d}{row['peak_states']:7.2f}")
     print(f"wrote {out}")
     return payload
 

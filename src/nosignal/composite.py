@@ -76,7 +76,7 @@ def decode_basis_index(n: int, index: int) -> tuple:
 
 def _sites(value) -> int:
     """Lattice size ``n`` of a column state or ensemble, read from the shape of its live columns."""
-    cols = (value.branches[0] if isinstance(value, BranchEnsemble) else value).amps
+    cols = value.branches[0].amps if isinstance(value, BranchEnsemble) else getattr(value, "amps", value)
     shape = next(c.shape for c in cols if c is not None) if isinstance(cols, tuple) else ()
     if len(cols) not in (4, 8) or len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
         raise ValueError("not a composite column state: 4 or 8 columns of one shape (n, n) with n >= 2")
@@ -120,14 +120,15 @@ def exchange_permutation(n: int) -> np.ndarray:
 _SWAP = {4: (0, 2, 1, 3), 8: (0, 1, 4, 5, 2, 3, 6, 7)}
 
 
-def _exchanged(ufunc: np.ufunc, x: Optional[np.ndarray], xt: Optional[np.ndarray]) -> np.ndarray:
+def _exchanged(ufunc: np.ufunc, x: Optional[np.ndarray], xt: Optional[np.ndarray], window=slice(None)) -> np.ndarray:
     """``ufunc(x, xt^T)`` as a fresh C-contiguous column, an absent one read as ``+0`` (as in the flat sum).
 
     The transpose is copied once and summed into: a ufunc would buffer a transposed operand.
     """
     if xt is None:
         return ufunc(x, 0)
-    y = np.ascontiguousarray(xt.T)
+    a, b, _ = window.indices(n := sum(xt.shape) // 2)
+    y = np.concatenate((xt[:, n:n + a], xt[:, a:b].T, xt[:, n + a:], xt[:, :a], xt[:, b:n]), axis=1)
     return ufunc(0 if x is None else x, y, out=y)
 
 
@@ -158,7 +159,7 @@ def symmetrize(s: StateVector) -> StateVector:
     return _sector(np.add, s, "symmetric component")
 
 
-def antisymmetry_violation(s: StateVector) -> float:
+def antisymmetry_violation(s: StateVector, window: slice = slice(None), raw: bool = False) -> float:
     """Distance of a nonzero state from the antisymmetric sector, relative to its norm.
 
     Defined as ``|(I + S) s| / (2 |s|)``: zero for exchange-antisymmetric
@@ -166,14 +167,15 @@ def antisymmetry_violation(s: StateVector) -> float:
     two disjoint packets with equal spins, whatever the norm of ``s``.
     Column ``d = _SWAP[c]`` of ``(I + S) s`` is the transpose of column
     ``c``, so each pair of columns is summed once, twice weighted, over the
-    pairs with a live column.
+    pairs with a live column, on ``window`` (:func:`evolve_positions`); ``raw`` returns ``|(I + S) s|^2``.
     """
     cols, total = s.amps, 0.0
     for c, d in enumerate(_SWAP[len(cols)]):
         x, xt = cols[c], cols[d]
         if d >= c and (x is not None or xt is not None):
-            total += (2 - (c == d)) * squared_norm(xt if x is None else x if xt is None else _exchanged(np.add, x, xt))
-    return math.sqrt(total) / (2.0 * s.norm)
+            total += (2 - (c == d)) * squared_norm(
+                xt if x is None else x if xt is None else _exchanged(np.add, x, xt, window))
+    return total if raw else math.sqrt(total) / (2.0 * s.norm)
 
 
 def prepare_initial(statistics: Union[Statistics, str], packet1: StateVector, packet2: StateVector) -> StateVector:
@@ -219,7 +221,7 @@ def _nonzero(words: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.bitwise_or.reduce(words, axis=1) & np.uint64(2**63 - 1))
 
 
-def _drift(u: np.ndarray, x: np.ndarray) -> Optional[np.ndarray]:
+def _drift(u: np.ndarray, x: np.ndarray, window: slice = slice(None)) -> Optional[np.ndarray]:
     """A fresh ``u x u^T`` over only the nonzero rows and columns of ``x``, gathered unless full; ``None`` if none."""
     n = len(x)
     words = x.view(np.uint64).reshape(n, 2 * n)
@@ -229,23 +231,29 @@ def _drift(u: np.ndarray, x: np.ndarray) -> Optional[np.ndarray]:
     rows = rows if rows.size < n else slice(None)  # a full range is used in place
     cols = _nonzero(np.bitwise_or.reduce(words[rows], axis=0).reshape(n, 2))  # scans the nonzero rows only
     cols = cols if cols.size < n else slice(None)
-    return (u[:, rows] @ x[rows][:, cols]) @ u[:, cols].T
+    h = u[:, rows] @ x[rows][:, cols]
+    if window == slice(None):
+        return h @ u[:, cols].T
+    side = h @ u[window, cols].T  # the window's strips (layout of evolve_positions) share u x
+    return np.concatenate((h[window] @ u[:, cols].T, side[:window.start].T, side[window.stop:].T), axis=1)
 
 
-def evolve_positions(u: np.ndarray, state: StateVector, less: Optional[StateVector] = None) -> StateVector:
+def evolve_positions(u: np.ndarray, state, less=None, window: slice = slice(None)) -> StateVector:
     """Apply a one-particle position operator ``u`` (an ``n x n`` array) to both slots at once.
 
     Computes ``(u (x) u (x) identity)`` column by column instead of
     materializing the ``8 n^2`` dimensional matrix: each live spin (and
-    qubit) column ``X`` is contracted as ``u X u^T`` over only its nonzero
-    rows and columns.  Skipped entries are exact zeros, so only the order of
-    the sums changes; a column with none stays absent.  ``less``, a state of
-    the same width, is subtracted in place, its column negated where no image is.
+    qubit) column ``X`` of ``state``, or of a column tuple, is contracted as
+    ``u X u^T`` over only its nonzero rows and columns.  Skipped entries are
+    exact zeros, so only the order of the sums changes; a column with none
+    stays absent.  ``less``, a state of the same width, is subtracted in
+    place, its column negated where no image is.  A ``window`` ``a:b`` keeps the pairs
+    with a particle in it, a column as ``[X[a:b, :] | X[:a, a:b]^T | X[b:, a:b]^T]``.
     """
     n = _sites(state)
     if u.shape != (n, n):
         raise ValueError(f"u must act on the {n}-site position basis, got shape {u.shape}")
-    cols = [None if x is None else _drift(u, x) for x in state.amps]
+    cols = [None if x is None else _drift(u, x, window) for x in getattr(state, "amps", state)]
     for c, y in enumerate(() if less is None else less.amps):
         if y is not None:
             cols[c] = np.negative(y) if cols[c] is None else np.subtract(cols[c], y, out=cols[c])

@@ -53,6 +53,14 @@ part of the joint outcome ``M_k`` on every pair, the pre-detector branch is
 built as ``D_{t1+t2}(g_k Y) + D_t2((M_k - g_k) Z)``: ``D_{t1+t2}(Y)`` for
 ``none``, ``D_{t1+t2}(M_k Y)`` for ``global_bell``, and ``D_t2(P Z)`` and
 ``D_{t1+t2}(Y) - D_t2(P Z)`` for ``localized_bell``, ``P Z`` on O2 x O2.
+
+After O2 the report reads only pairs with a particle in O3, so :func:`run_scenario`
+builds the pre-detector and final branches on that window alone (``_run_arm``): a
+branch's weight off it, which the t2 drift keeps, is a number, and a ``label2`` miss
+``Q W``, all off it, is that number alone.  O3 occupancy ``P`` commutes with the
+exchange ``S``: ``|(I+S) Q W|^2 = |(I+S) W|^2 - |(I+S) P W|^2``, the first term from the
+branch's last check.  That loses the digits of ``|W|^2 / |Q W|^2``, so a miss counts
+only where it beats its branch's violation beyond roundoff (the difference is then > 0).
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
@@ -71,7 +79,6 @@ from .composite import (
     _sites,
     antisymmetry_violation,
     evolve_positions,
-    position_occupancy,
     prepare_initial,
 )
 from .lattice import (
@@ -84,6 +91,7 @@ from .lattice import (
     wavepacket,
 )
 from .qcore import (
+    BRANCH_PRUNE_THRESHOLD,
     HERMITICITY_ATOL,
     PAULI_X,
     RESOLUTION_ATOL,
@@ -330,16 +338,22 @@ class PairBlocks:
     It acts by the map ``maps[k]`` on the rectangle ``rects[k]`` of every
     spin column, a pair ``(rows, cols)`` of site slices for slot 1 and
     slot 2, and as the identity (when ``rest_identity``) or zero on every
-    pair outside the rectangles, which are disjoint.
+    pair outside the rectangles, which are disjoint.  On a ``window`` each
+    rectangle has a particle in it, and they cover its layout (``evolve_positions``).
     """
 
     n: int
     rects: tuple
     maps: tuple
     rest_identity: bool
+    window: slice = field(default_factory=lambda: _ALL)
 
     def __post_init__(self):  # read-only copies, so no caller's array can change the operation
         object.__setattr__(self, "maps", tuple(qcore._frozen_matrix(m) for m in self.maps))
+        if self.window != _ALL:  # a row x1 off the window is its column n + x1, less its width past it
+            w, b = self.window.stop - self.window.start, self.window.stop
+            object.__setattr__(self, "rects", tuple((_ALL, c if r == self.window else slice(
+                r.start + self.n - w * (r.start >= b), r.stop + self.n - w * (r.start >= b))) for r, c in self.rects))
 
     def apply(self, cols: tuple) -> tuple:
         """The image of the column tuple ``cols`` as a fresh tuple of writable columns; the caller freezes it.
@@ -348,9 +362,9 @@ class PairBlocks:
         ``+0.0``, as the CSR sum ``0 + 1 * x`` does) to column ``j``, or ``2 j``
         for an 8x4 map.  A column with no present source stays absent.
         """
-        (rows, width), n = self.maps[0].shape, self.n
+        (rows, width), shape = self.maps[0].shape, next(x.shape for x in cols if x is not None)
         out = [None] * rows
-        if self.rest_identity and self.rects != ((_ALL, _ALL),):
+        if self.rest_identity and self.window == _ALL and self.rects != ((_ALL, _ALL),):
             out[:: rows // width] = [None if x is None else x + 0 for x in cols]
         for rect, m in zip(self.rects, self.maps):
             for i, row in enumerate(m):
@@ -358,7 +372,7 @@ class PairBlocks:
                 if out[i] is not None:
                     out[i][rect] = 0
                 elif terms:
-                    out[i] = np.zeros((n, n), dtype=np.complex128)
+                    out[i] = np.zeros(shape, dtype=np.complex128)
                 else:
                     continue
                 block = out[i][rect]
@@ -371,12 +385,12 @@ class PairBlocks:
         return StateVector(qcore.freeze(self.apply(state.amps)))
 
 
-def _by_occupant(n: int, region: Region, name: str, only1, only2, both, rest_identity: bool) -> PairBlocks:
+def _by_occupant(n: int, region: Region, name: str, only1, only2, both, rest_identity: bool, window=_ALL) -> PairBlocks:
     """The operation acting by ``only1``/``only2``/``both`` as slot 1, slot 2 or both occupy ``region``."""
     r = region.slice_in(n, name)
     lo, hi = slice(0, r.start), slice(r.stop, n)
     rects = ((r, lo), (r, hi), (lo, r), (hi, r), (r, r))
-    return PairBlocks(n, rects, (only1, only1, only2, only2, both), rest_identity)
+    return PairBlocks(n, rects, (only1, only1, only2, only2, both), rest_identity, window)
 
 
 def _kick_blocks(n: int, o1: Region, mode: str) -> PairBlocks:
@@ -385,11 +399,11 @@ def _kick_blocks(n: int, o1: Region, mode: str) -> PairBlocks:
     return _by_occupant(n, o1, "O1", *_FLIP, rest_identity=True)
 
 
-def _detector_blocks(n: int, o3: Region, mode: str) -> PairBlocks:
+def _detector_blocks(n: int, o3: Region, mode: str, window: slice = _ALL) -> PairBlocks:
     """``C P``: the coupling on the pairs with a particle in O3, zero elsewhere."""
     if mode == "label2":
-        return PairBlocks(n, _occupied_rects(n, o3), (_COUPLING[1],) * 3, rest_identity=False)
-    return _by_occupant(n, o3, "O3", *_COUPLING, rest_identity=False)
+        return PairBlocks(n, _occupied_rects(n, o3), (_COUPLING[1],) * 3, False, window)
+    return _by_occupant(n, o3, "O3", *_COUPLING, rest_identity=False, window=window)
 
 
 def _joint_outcomes(n: int, mode: str, o2: Optional[Region]) -> tuple:
@@ -409,20 +423,14 @@ def _occupied_rects(n: int, o3: Region) -> tuple:
 
 
 def _each(f: Callable[[StateVector], StateVector], branches: list) -> list:
-    """``branches`` with ``f`` applied to every state, as a checked list; ``branches`` is emptied front to back."""
+    """``branches`` with ``f`` applied to every state, as a new list; ``branches`` is emptied front to back."""
     out = []
     while branches:
         out.append(f(branches.pop(0)))
-    return list(BranchEnsemble(out).branches)
+    return out
 
 
-def _live(cols: tuple) -> Optional[StateVector]:
-    """The state of the fresh columns ``cols``, or ``None`` if it is zero."""
-    state = StateVector(qcore.freeze(cols)) if any(x is not None for x in cols) else None
-    return state if state is not None and state.norm > 0.0 else None
-
-
-def _detector_step(n: int, o3: Region, mode: str, branches: list, selective: bool = False) -> list:
+def _detector_step(n: int, o3: Region, mode: str, branches: list, selective: bool = False, window=_ALL) -> list:
     """The detector stage on the spin-only list ``branches``, which it takes over; it returns eight-column branches.
 
     ``position`` mode applies the exchange-symmetric position-controlled
@@ -442,13 +450,13 @@ def _detector_step(n: int, o3: Region, mode: str, branches: list, selective: boo
     coupling is the identity there): its spin columns, shared, become its
     ``q = 0`` columns.  Selection keeps the branches ``P psi``, whose total
     weight it needs, and scales each ``C P psi`` by the reciprocal root of
-    that weight.
+    that weight.  On O3's ``window`` (module docstring) each map acts there alone, and ``Q`` builds no miss.
     """
     if mode == "position" and not selective:
-        return _each(_by_occupant(n, o3, "O3", *_COUPLING, rest_identity=True), branches)
+        return _each(_by_occupant(n, o3, "O3", *_COUPLING, rest_identity=True, window=window), branches)
     # The one occupancy outcome the step applies: the miss Q, or the hit P that selection keeps
-    rects, hit = _occupied_rects(n, o3), _detector_blocks(n, o3, mode)
-    occupancy = PairBlocks(n, rects, (_OCCUPANCY[not selective],) * len(rects), rest_identity=not selective)
+    rects, hit = _occupied_rects(n, o3), _detector_blocks(n, o3, mode, window)
+    occupancy = PairBlocks(n, rects, (_OCCUPANCY[not selective],) * len(rects), not selective, window)
     if not selective:
         hits, misses = luders_update(branches, [hit.apply, occupancy.apply])
         return hits + [StateVector(tuple(c for x in s.amps for c in (x, None))) for s in misses]
@@ -498,8 +506,9 @@ def run_naive_sorkin(observable: np.ndarray, kick: bool) -> float:
 
 def qubit_one_probability(ens: BranchEnsemble) -> float:
     """Probability that the qubit reads 1, ``|psi_{q=1}|^2`` summed over the branches: exactly 0 if spin-only."""
-    _sites(ens)  # a ValueError unless a column state
-    return sum((qcore.squared_norm(s.amps[1::2]) for s in ens.branches if len(s.amps) == 8), 0.0)
+    if not ens.outside:  # else its columns are on a window (module docstring), which _sites rejects
+        _sites(ens)  # a ValueError unless a column state
+    return sum((qcore.squared_norm(s.amps[1::2]) for s in ens.branches if s is not None and len(s.amps) == 8), 0.0)
 
 
 def run_arm_stages(cfg: ScenarioConfig, kicked: bool) -> Mapping[str, BranchEnsemble]:
@@ -534,7 +543,7 @@ def prepare_scenario(cfg: ScenarioConfig):
     return lat, psi0
 
 
-def _run_arm(cfg: ScenarioConfig, psi0: StateVector, kicked: bool) -> Iterator[tuple]:
+def _run_arm(cfg: ScenarioConfig, psi0: StateVector, kicked: bool, window: slice = _ALL) -> Iterator[tuple]:
     """Run one arm from ``psi0``, yielding ``(name, ensemble)`` per stage as it is built.
 
     The stages are the four of ``STAGES`` and ``pre_detector``, after the t2
@@ -547,7 +556,7 @@ def _run_arm(cfg: ScenarioConfig, psi0: StateVector, kicked: bool) -> Iterator[t
     ``(P, Q)`` are built once and serve the sources ``g_k Y`` of the
     pre-detector branches (module docstring), the O2 update of ``Z`` and
     ``P Z``; the sources are built before ``post_o2`` is yielded and held
-    until their images are.
+    until their images are.  From ``pre_detector`` on, branches hold ``window`` alone (module docstring).
     """
     lat = make_lattice(cfg.n, cfg.hopping)
     branches = [psi0]
@@ -561,26 +570,33 @@ def _run_arm(cfg: ScenarioConfig, psi0: StateVector, kicked: bool) -> Iterator[t
     y = branches.pop()
     z = evolve_positions(propagator(lat, cfg.t1), y)
     outcomes = () if cfg.joint_mode == "none" else _joint_outcomes(cfg.n, cfg.joint_mode, cfg.o2)
-    if cfg.joint_mode == "global_bell":
-        sources = [_live(op.apply(y.amps)) for op in outcomes]
+    if cfg.joint_mode == "global_bell":  # a column tuple each: a zero column has no image (composite._drift)
+        sources = [op.apply(y.amps) for op in outcomes]
     else:  # g_k is the identity, or zero on the localized P outcome
         sources = [None, y] if cfg.joint_mode == "localized_bell" else [y]
     del y
     by_outcome = luders_update([z], [op.apply for op in outcomes]) if outcomes else [[z]]
     # P Z: M_P - g_P = P and M_Q - g_Q = -P, so W_Q subtracts its image even where post_o2 prunes it
-    p_image = None if cfg.joint_mode != "localized_bell" else by_outcome[0][0] if by_outcome[0] else _live(
-        outcomes[0].apply(z.amps))
+    p_image = None if cfg.joint_mode != "localized_bell" else by_outcome[0][0].amps if by_outcome[0] else tuple(
+        x if x is not None and x.any() else None for x in outcomes[0].apply(z.amps))  # a zero column dropped
     branches, sources = sum(by_outcome, []), [g for g, kept in zip(sources, by_outcome) if kept]
     del z, by_outcome
     yield "post_o2", BranchEnsemble(branches)
+    weights = [s.norm ** 2 for s in branches]
     branches.clear()
-    less = None if p_image is None else evolve_positions(propagator(lat, cfg.t2), p_image)
+    less = evolve_positions(propagator(lat, cfg.t2), p_image, None, window) if p_image and any(
+        x is not None for x in p_image) else None
     del p_image
     u12 = propagator(lat, cfg.t_total)
-    branches = _each(lambda g: less if g is None else evolve_positions(u12, g, less), sources)
+    branches = _each(lambda g: less if g is None else evolve_positions(u12, g, less, window), sources)
     del less
-    yield "pre_detector", BranchEnsemble(branches)
-    yield "final", BranchEnsemble(_detector_step(cfg.n, cfg.o3, cfg.detector_mode, branches, cfg.selective_o3))
+    outside = [w - s.norm ** 2 for w, s in zip(weights, branches)] if window != _ALL else []
+    yield "pre_detector", BranchEnsemble(branches, outside)
+    final = _detector_step(cfg.n, cfg.o3, cfg.detector_mode, branches, cfg.selective_o3, window)
+    if outside and (cfg.selective_o3 or cfg.detector_mode == "label2"):  # a hit lies on O3's window, a miss off it
+        misses = [] if cfg.selective_o3 else [w for w in outside if w > BRANCH_PRUNE_THRESHOLD]
+        final, outside = final + [None] * len(misses), [0.0] * len(final) + misses
+    yield "final", BranchEnsemble(final, outside)
 
 
 def run_scenario(cfg: ScenarioConfig) -> SignalingReport:
@@ -588,7 +604,7 @@ def run_scenario(cfg: ScenarioConfig) -> SignalingReport:
 
     The arms run one after the other, each stage freed before the next is
     built, and the kicked arm frees ``psi0`` once its kick is built; BLAS
-    parallelizes the drifts itself.
+    parallelizes the drifts itself.  After O2 they hold O3's window alone (module docstring).
 
     Returns
     -------
@@ -602,22 +618,32 @@ def run_scenario(cfg: ScenarioConfig) -> SignalingReport:
     """
     lat, psi0 = prepare_scenario(cfg)
     certificate = check_spacelike(lat, cfg.o1, cfg.o3, psi0, cfg.t_total, cfg.eps)
-    violation, arrival, p_q1, branch_count = antisymmetry_violation(psi0), 0.0, {}, {}
-    arms = {kicked: _run_arm(cfg, psi0, kicked) for kicked in (False, True)}
+    violation, arrival, p_q1, branch_count, window = 0.0, 0.0, {}, {}, cfg.o3.slice_in(cfg.n, "O3")
+    arms = {kicked: _run_arm(cfg, psi0, kicked, window) for kicked in (False, True)}
     del psi0  # from here the arms hold the only references
     for kicked, arm in arms.items():
-        # The stages built by a step that can change a branch's violation; every other step commutes with S.
-        checked = {"post_kick": kicked and cfg.kick_mode == "label1", "post_o2": cfg.joint_mode != "none",
-                   "final": cfg.detector_mode == "label2" or cfg.selective_o3}
+        # psi0 and the stages built by a step that can change a branch's violation; all other steps commute with S
+        checked = {"prepared": not kicked, "post_kick": kicked and cfg.kick_mode == "label1",
+                   "post_o2": cfg.joint_mode != "none", "final": cfg.detector_mode == "label2" or cfg.selective_o3}
         for name, ens in arm:
+            states = [s for s in ens.branches if s is not None]
             if checked.get(name):
-                violation = max(violation, *map(antisymmetry_violation, ens.branches))
-            if name == "pre_detector" and not kicked:
-                occ1, occ2 = position_occupancy(ens, slice(cfg.o3.lo, cfg.o3.hi))
-                arrival = float(occ1.sum() + occ2.sum())
+                found = [(antisymmetry_violation(s, window if name == "final" else _ALL, True), s.norm) for s in states]
+                violation = max(violation, *(math.sqrt(total) / (2.0 * norm) for total, norm in found))
+                last = last if name == "final" else found  # |(I+S) W|^2 and |W| before the detector
+            if name == "pre_detector" and not kicked:  # |x|^2 on O3's rows, then its columns, as in the full sums
+                n, a, b = cfg.n, window.start, window.stop
+                probs = [sum(np.abs(x) ** 2 for x in s.amps if x is not None) for s in states]
+                arrival = float(sum(p[:, :n].sum(axis=1) for p in probs).sum() + sum(np.concatenate(
+                    (p[:, n:n + a].T, p[:, a:b], p[:, n + a:].T)).sum(axis=0) for p in probs).sum())
+            if name == "pre_detector" and checked["final"] and not cfg.selective_o3:  # each miss Q W
+                for s, (total, norm) in zip(states, last):
+                    weight, hit = norm ** 2 - s.norm ** 2, antisymmetry_violation(s, window, True)
+                    if weight > BRANCH_PRUNE_THRESHOLD and hit * norm ** 2 * (1 + 2 ** -48) < total * s.norm ** 2:
+                        violation = max(violation, math.sqrt((total - hit) / weight) / 2)
             elif name == "final":
                 p_q1[kicked], branch_count[kicked] = qubit_one_probability(ens), ens.branch_count
-            del ens
+            del ens, states
     return SignalingReport(
         p_q1_kick=p_q1[True],
         p_q1_nokick=p_q1[False],

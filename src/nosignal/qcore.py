@@ -144,23 +144,27 @@ class BranchEnsemble:
     measurement updates: Lueders branching keeps every outcome ``P_i psi`` as
     a branch instead of collapsing or summing to a mixed-state matrix.  A
     branch's Born weight is its squared norm, ``state.norm ** 2``, and the
-    weights sum to 1 within ``WEIGHT_SUM_ATOL``.
+    weights sum to 1 within ``WEIGHT_SUM_ATOL``, with ``outside``: for a branch held on
+    a window (``protocol``), its weight off it, the branch ``None`` if wholly off it.
     """
 
     branches: tuple
+    outside: tuple = ()
 
     def __post_init__(self):
-        branches = tuple(self.branches)
-        if not branches:
-            raise ValueError("ensemble must hold at least one branch")
-        if not all(isinstance(state, StateVector) for state in branches):
+        branches, outside = tuple(self.branches), tuple(self.outside)
+        states = [state for state in branches if state is not None or not outside]
+        if not branches or len(outside) not in (0, len(branches)):
+            raise ValueError("ensemble must hold at least one branch, and no weight outside or one a branch")
+        if not all(isinstance(state, StateVector) for state in states):
             raise TypeError("ensemble branches must be StateVector values")
-        if len({state.dim for state in branches}) != 1:
+        if len({state.dim for state in states}) > 1:
             raise ValueError("ensemble branches must share one basis")
-        total = sum(state.norm ** 2 for state in branches)
+        total = sum(state.norm ** 2 for state in states) + sum(outside)
         if abs(total - 1.0) > WEIGHT_SUM_ATOL:
             raise ValueError(f"branch weights |psi|^2 must sum to 1, got {total!r}")
         object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "outside", outside)
 
     @classmethod
     def pure(cls, state: StateVector) -> "BranchEnsemble":

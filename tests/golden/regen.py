@@ -8,8 +8,8 @@ Every config of :func:`configs` goes through ``nosignal simulate``.  Per
 config the file stores the exit code, the SHA-256 of the report without
 ``manifest.duration_seconds``, the ``repr`` of every float field of the
 report, and the SHA-256 of the amplitude bytes of every branch of both
-arms at every stage (a branch is unnormalized: its weight is its squared
-norm).  Float bytes depend on the BLAS build and its thread count, so the
+arms at every stage, taken from each arm on every site (a branch is
+unnormalized: its weight is its squared norm).  Float bytes depend on the BLAS build and its thread count, so the
 file also stores the :func:`fingerprint` of the machine that wrote it;
 ``tests/test_golden.py`` reads it.  A change that means to move bytes runs
 this script, which prints every field that differs from the file it
@@ -129,13 +129,12 @@ def record(cfg: dict, workdir: Path) -> dict:
     stages = {}
     run_arm = protocol._run_arm
 
-    def recording(cfg, psi0, kicked):
-        digests = stages["kick" if kicked else "nokick"] = {}
-        for name, ens in run_arm(cfg, psi0, kicked):
-            if name in protocol.STAGES:
-                digests[name] = _branch_digests(ens)
-            yield name, ens
-            del ens
+    def recording(cfg, psi0, kicked, *window):
+        # Stage digests from the arm on every site, as run_arm_stages and --dump-state build it; the report
+        # from the arm on the window that run_scenario asks for.
+        stages["kick" if kicked else "nokick"] = {
+            name: _branch_digests(ens) for name, ens in run_arm(cfg, psi0, kicked) if name in protocol.STAGES}
+        yield from run_arm(cfg, psi0, kicked, *window)
 
     protocol._run_arm = recording
     try:

@@ -34,21 +34,6 @@ def test_kernel_timing_runs_small(capsys):
     assert elapsed < 2.0
 
 
-def test_peak_memory_runs_small(capsys):
-    peak_memory = _load("peak_memory")
-    t0 = time.perf_counter()
-    peak_memory.main(["--label-n", "48", "--scale-n", "48"])
-    elapsed = time.perf_counter() - t0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("traced peak of one warm scenario, states of 128 n^2 bytes (PEAK_STATES = ")
-    assert "nproc" in lines[0] and "Python" in lines[0] and "numpy" in lines[0]
-    assert lines[1].split() == ["row", "n", "kind", "states"]
-    rows = [line.split() for line in lines[2:]]
-    assert [row[0] for row in rows] == ["label48"] * 6 + ["scale48", "n48"]
-    assert all(0.0 < float(row[-1]) < peak_memory.PEAK_STATES for row in rows)
-    assert elapsed < 2.0
-
-
 def test_bench_smoke_writes_every_key(tmp_path, capsys):
     bench = _load("bench")
     out = tmp_path / "BENCH_smoke.json"
@@ -63,11 +48,12 @@ def test_bench_smoke_writes_every_key(tmp_path, capsys):
     assert payload["source"].keys() == {"commit", "src_modified", "src_lines"} and payload["source"]["src_lines"] > 0
     assert [(row["row"], row["n"]) for row in payload["rows"]] == [("scale96", 96)] + [("label96", 96)] * 6
     for row in payload["rows"]:
-        assert row.keys() == {"row", "n", "kind", "scenario_s", "stage_median_s", "exchange_checks"}
+        assert row.keys() == {"row", "n", "kind", "scenario_s", "stage_median_s", "exchange_checks", "peak_states"}
         assert row["scenario_s"].keys() == {"median", "q1", "q3"}
         assert 0.0 < row["scenario_s"]["q1"] <= row["scenario_s"]["median"] <= row["scenario_s"]["q3"]
         assert tuple(row["stage_median_s"]) == bench.STAGE_COLUMNS and row["stage_median_s"]["total"] > 0.0
         assert row["exchange_checks"] >= 1  # psi0 at least
+        assert 0.0 < row["peak_states"] < bench.protocol.PEAK_STATES
     assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}"
     assert elapsed < 5.0
 

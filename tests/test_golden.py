@@ -15,7 +15,14 @@ import math
 
 from conftest import record_acceptance
 from golden import regen
-from nosignal import antisymmetry_violation, prepare_scenario, protocol, run_scenario
+from nosignal import (
+    antisymmetry_violation,
+    position_occupancy,
+    prepare_scenario,
+    protocol,
+    qubit_one_probability,
+    run_scenario,
+)
 from nosignal.cli import parse_config
 
 FLOAT_RTOL = 1e-12
@@ -144,3 +151,38 @@ def test_reported_violation_is_the_worst_over_every_branch_of_every_stage():
         worst, checked = max(worst, gap), checked + 1
     assert checked == 84
     record_acceptance(f"[golden] reported violation vs every stage branch ({checked} configs)  PASS  worst {worst:.1e}")
+
+
+def test_the_o3_window_reports_what_the_arm_on_every_site_reads():
+    # run_scenario holds the pre-detector and final branches on O3's strips
+    # only.  The same numbers, read from each arm on every site (the default
+    # window, which run_arm_stages and the CLI dumps use): arrival, both
+    # p(q=1), the worst violation of psi0 and of the stages that run_scenario
+    # checks, and the final branch counts.
+    worst = 0.0
+    for name, cfg in regen.configs().items():
+        config = parse_config(json.dumps(cfg))
+        psi0 = prepare_scenario(config)[1]
+        want = {"max_antisym_violation": antisymmetry_violation(psi0)}
+        for kicked, arm in (("nokick", False), ("kick", True)):
+            checked = {"post_kick": arm and config.kick_mode == "label1", "post_o2": config.joint_mode != "none",
+                       "final": config.detector_mode == "label2" or config.selective_o3}
+            for stage, ens in protocol._run_arm(config, psi0, arm):
+                if checked.get(stage):
+                    want["max_antisym_violation"] = max(want["max_antisym_violation"],
+                                                        *map(antisymmetry_violation, ens.branches))
+                if stage == "pre_detector" and not arm:
+                    occ1, occ2 = position_occupancy(ens, slice(config.o3.lo, config.o3.hi))
+                    want["arrival_prob"] = float(occ1.sum() + occ2.sum())
+                elif stage == "final":
+                    want[f"p_q1_{kicked}"] = qubit_one_probability(ens)
+                    want[f"branch_count_{kicked}"] = ens.branch_count
+        report = run_scenario(config)
+        for key, value in want.items():
+            got = getattr(report, key)
+            if key.startswith("branch_count"):
+                assert got == value, (name, key)
+            else:
+                assert math.isclose(got, value, rel_tol=1e-14, abs_tol=1e-300), (name, key, got, value)
+                worst = max(worst, abs(got - value) / abs(value) if value else 0.0)
+    record_acceptance(f"[golden] O3 window vs every site ({len(regen.configs())} configs)  PASS  worst rel {worst:.1e}")

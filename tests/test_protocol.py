@@ -957,9 +957,9 @@ def test_run_arm_stages_structure():
     np.testing.assert_array_equal(to_flat(s0), to_flat(s1))
 
 
-def _owner(cols: tuple) -> np.ndarray:
-    """The array that owns the memory of the first live column of ``cols``."""
-    arr = next(c for c in cols if c is not None)
+def _owner(cols) -> np.ndarray:
+    """The array that owns the memory of the first live column of ``cols``, a column tuple or a state."""
+    arr = next(c for c in getattr(cols, "amps", cols) if c is not None)
     while arr.base is not None:
         arr = arr.base
     return arr
@@ -971,9 +971,9 @@ def test_run_scenario_frees_the_first_arms_stages(monkeypatch):
     run_arm = protocol_mod._run_arm
     seen = []
 
-    def tracking(cfg, psi0, kicked):
+    def tracking(cfg, psi0, kicked, *window):
         refs = []  # weak references to the memory of the previous stage's states
-        for name, ens in run_arm(cfg, psi0, kicked):
+        for name, ens in run_arm(cfg, psi0, kicked, *window):
             assert [r() for r in refs] == [None] * len(refs), name
             refs = [weakref.ref(_owner(s.amps)) for s in ens.branches if s is not psi0]
             seen.append((name, len(refs)))
@@ -1021,7 +1021,7 @@ def test_each_step_frees_an_input_branch_once_its_images_are_built(monkeypatch):
     def tracking(*args):
         sources.clear()
         for name, ens in run_arm(*args):
-            inputs[name] = [weakref.ref(_owner(s.amps)) for s in ens.branches]
+            inputs[name] = [weakref.ref(_owner(s.amps)) for s in ens.branches if s is not None]
             latest[:] = [name]
             yield name, ens
             del ens
@@ -1033,7 +1033,7 @@ def test_each_step_frees_an_input_branch_once_its_images_are_built(monkeypatch):
             if sources:
                 assert sources[-1]() is None
                 checked.append("source")
-            sources.append(weakref.ref(_owner(state.amps)))
+            sources.append(weakref.ref(_owner(state)))
         return drift(u, state, *rest)
 
     def applying(self, amps):
@@ -1234,14 +1234,53 @@ def test_no_drift_input_has_full_row_and_column_support(monkeypatch, joint_mode)
     # map of it, or the localized P image on O2 x O2.
     drift, inputs = composite_mod._drift, []
 
-    def recording(u, x):
+    def recording(u, x, *window):
         nonzero = x != 0
         inputs.append((bool(nonzero.any(axis=1).all()), bool(nonzero.any(axis=0).all())))
-        return drift(u, x)
+        return drift(u, x, *window)
 
     monkeypatch.setattr(composite_mod, "_drift", recording)
     run_scenario(default_scenario(joint_mode=joint_mode, t1=3.0, t2=7.0))
     assert len(inputs) >= 4 and (True, True) not in inputs, inputs
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(joint_mode="localized_bell"),  # scale288's kind
+    dict(kick_mode="label1", joint_mode="global_bell", detector_mode="label2"),  # label192's kinds
+    dict(kick_mode="label1", detector_mode="label2"),
+    dict(joint_mode="global_bell", selective_o3=True),
+], ids=["localized-position", "global-label2", "none-label2", "selective"])
+def test_no_full_array_is_built_after_post_o2(monkeypatch, overrides):
+    # From pre_detector on the arms hold O3's strips alone: neither a drift
+    # nor a position-diagonal operation builds an n x n column after post_o2.
+    cfg = default_scenario(t1=3.0, t2=7.0, **overrides)  # the benchmark geometry at n = 96
+    run_arm, drift, apply = protocol_mod._run_arm, composite_mod._drift, PairBlocks.apply
+    latest, shapes = [], []  # the stage an arm yielded last; the shape of each column built after post_o2
+
+    def tracking(*args):
+        for name, ens in run_arm(*args):
+            latest[:] = [name]
+            yield name, ens
+            del ens
+
+    def drifting(*args):
+        out = drift(*args)
+        if latest in (["post_o2"], ["pre_detector"]) and out is not None:
+            shapes.append(out.shape)
+        return out
+
+    def applying(self, cols):
+        out = apply(self, cols)
+        if latest in (["post_o2"], ["pre_detector"]):
+            shapes.extend(x.shape for x in out if x is not None)
+        return out
+
+    monkeypatch.setattr(protocol_mod, "_run_arm", tracking)
+    monkeypatch.setattr(composite_mod, "_drift", drifting)
+    monkeypatch.setattr(PairBlocks, "apply", applying)
+    run_scenario(cfg)
+    w = cfg.o3.hi - cfg.o3.lo
+    assert shapes and set(shapes) == {(w, 2 * cfg.n - w)}
 
 
 def test_run_scenario_report_consistency():
