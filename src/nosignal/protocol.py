@@ -633,14 +633,14 @@ def run_scenario(cfg: ScenarioConfig) -> SignalingReport:
                 last = last if name == "final" else found  # |(I+S) W|^2 and |W| before the detector
             if name == "pre_detector" and not kicked:  # |x|^2 on O3's rows, then its columns, as in the full sums
                 n, a, b = cfg.n, window.start, window.stop
-                probs = [sum(np.abs(x) ** 2 for x in s.amps if x is not None) for s in states]
-                arrival = float(sum(p[:, :n].sum(axis=1) for p in probs).sum() + sum(np.concatenate(
-                    (p[:, n:n + a].T, p[:, a:b], p[:, n + a:].T)).sum(axis=0) for p in probs).sum())
-            if name == "pre_detector" and checked["final"] and not cfg.selective_o3:  # each miss Q W
-                for s, (total, norm) in zip(states, last):
-                    weight, hit = norm ** 2 - s.norm ** 2, antisymmetry_violation(s, window, True)
-                    if weight > BRANCH_PRUNE_THRESHOLD and hit * norm ** 2 * (1 + 2 ** -48) < total * s.norm ** 2:
-                        violation = max(violation, math.sqrt((total - hit) / weight) / 2)
+                sums = [(p[:, :n].sum(axis=1), np.concatenate((p[:, n:n + a].T, p[:, a:b], p[:, n + a:].T)).sum(axis=0))
+                        for p in (sum(np.abs(x) ** 2 for x in s.amps if x is not None) for s in states)]
+                arrival = float(sum(rows for rows, _ in sums).sum() + sum(cols for _, cols in sums).sum())
+            if name == "pre_detector" and checked["final"] and not cfg.selective_o3:  # the miss Q W of each W
+                for total, w, p, hit in [(total, norm ** 2, s.norm ** 2, antisymmetry_violation(s, window, True))
+                                         for s, (total, norm) in zip(states, last)]:  # of W, and of P W
+                    if w - p > BRANCH_PRUNE_THRESHOLD and hit * w * (1 + 2 ** -48) < total * p:
+                        violation = max(violation, math.sqrt((total - hit) / (w - p)) / 2)
             elif name == "final":
                 p_q1[kicked], branch_count[kicked] = qubit_one_probability(ens), ens.branch_count
             del ens, states

@@ -1283,6 +1283,22 @@ def test_no_full_array_is_built_after_post_o2(monkeypatch, overrides):
     assert shapes and set(shapes) == {(w, 2 * cfg.n - w)}
 
 
+def test_a_label2_miss_can_hold_the_worst_violation():
+    # Distinguishable packets that meet near O3: the miss Q W of a label2
+    # detector, off O3's window, is more exchange-symmetric than psi0 or any
+    # hit.  run_scenario reads its violation from |(I+S)W|^2 - |(I+S)P W|^2;
+    # the arm on every site holds the miss as a branch.
+    cfg = ScenarioConfig(n=30, o1=Region(1, 7), o3=Region(15, 18), packet1=PacketSpec(Region(1, 7), 4.0, 1.5, 0.5),
+                         packet2=PacketSpec(Region(21, 29), 25.0, 2.0, -0.8), statistics="distinguishable",
+                         kick_mode="off", detector_mode="label2", t1=2.0, t2=3.6, eps=1.0)
+    psi0 = prepare_scenario(cfg)[1]
+    window = dict(protocol_mod._run_arm(cfg, psi0, False, cfg.o3.slice_in(cfg.n, "O3")))["final"]
+    assert [s is None for s in window.branches] == [False, True]  # a hit, then the miss as its weight
+    every = [antisymmetry_violation(s) for _, ens in protocol_mod._run_arm(cfg, psi0, False) for s in ens.branches]
+    assert every[-1] == max(every) > antisymmetry_violation(psi0) + 1e-3  # the final miss holds the worst
+    assert run_scenario(cfg).max_antisym_violation == pytest.approx(every[-1], rel=1e-14, abs=0.0)
+
+
 def test_run_scenario_report_consistency():
     cfg = _basic_config()
     report = run_scenario(cfg)
