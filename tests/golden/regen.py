@@ -9,8 +9,9 @@ config the file stores the exit code, the SHA-256 of the report without
 ``manifest.duration_seconds``, the ``repr`` of every float field of the
 report, and the SHA-256 of the amplitude bytes of every branch of both
 arms at every stage, taken from each arm on every site (a branch is
-unnormalized: its weight is its squared norm).  Float bytes depend on the BLAS build and its thread count, so the
-file also stores the :func:`fingerprint` of the machine that wrote it;
+unnormalized: its weight is its squared norm).  Float bytes depend on the
+BLAS build and its thread count, so the file also stores the
+:func:`fingerprint` of the machine that wrote it;
 ``tests/test_golden.py`` reads it.  A change that means to move bytes runs
 this script, which prints every field that differs from the file it
 replaces, then the :func:`summary` the change lists.
